@@ -30,7 +30,6 @@ def main():
                     default="idm")
     ap.add_argument("--data-sizes", default="300,500,1000,2000")
     ap.add_argument("--seeds", default="0,1,2,3,4")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     w = args.workdir.rstrip("/")
@@ -43,8 +42,7 @@ def main():
     run(["extract", "--input", corpus, "--out", samples])
     code = run(["sweep", "--samples", samples, "--out", f"{w}/sweep",
                 "--seed", "0", "--seeds", args.seeds,
-                "--data-sizes", args.data_sizes, "--model", args.model,
-                "--jobs", str(args.jobs)])
+                "--data-sizes", args.data_sizes, "--model", args.model])
     print(f"sweep finished with exit code {code}; "
           f"plot data in {w}/sweep/summary_long.csv")
     sys.exit(code)

@@ -22,7 +22,8 @@ import time
 import numpy as np
 
 from . import __version__, serialize
-from .calibrate import CalibrationConfig, make_params, monte_carlo_calibrate
+from .calibrate import (PARAM_ORDER, CalibrationConfig, make_params,
+                        monte_carlo_calibrate)
 from .domain import DatasetConfig, split_dataset
 from .errors import ConfigError, DataError, NumericError, PhyresError
 from .evaluation import (SweepConfig, emit_plot_data, mse_metrics, run_sweep,
@@ -85,7 +86,15 @@ def _add_dataset_flags(p):
 
 
 def _load_params(path):
+    """Physics params from a calibration report."""
     obj = serialize.read_json(path)
+    if not isinstance(obj, dict) or obj.get("model") not in PARAM_ORDER \
+            or not isinstance(obj.get("param_mean"), dict):
+        raise DataError(f"{path}: not a calibration report (needs a known "
+                        f"model and a param_mean object)")
+    missing = [k for k in PARAM_ORDER[obj["model"]] if k not in obj["param_mean"]]
+    if missing:
+        raise DataError(f"{path}: param_mean lacks {', '.join(missing)}")
     return make_params(obj["model"], obj["param_mean"])
 
 
@@ -294,7 +303,7 @@ def _cmd_sweep(args):
         max_epochs=args.max_epochs, batch_size=args.batch_size,
         patience=args.patience, lr=args.lr, mu=args.mu,
     )
-    cells = run_sweep(samples, dcfg, sweep, jobs=args.jobs)
+    cells = run_sweep(samples, dcfg, sweep)
     os.makedirs(args.out, exist_ok=True)
     paths = write_sweep_outputs(cells, args.out)
     paths += emit_plot_data(cells, args.out)
@@ -427,7 +436,6 @@ def build_parser() -> _Parser:
     p.add_argument("--patience", type=int, default=15)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
     _add_dataset_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

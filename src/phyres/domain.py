@@ -14,7 +14,7 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,6 @@ class DatasetConfig:
             raise ConfigError("omega_val must be non-negative")
         if self.omega_train + self.omega_val >= 1:
             raise ConfigError("omega_train + omega_val must be < 1")
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Kinematic state of one vehicle at one grid time."""
-
-    accel: float
-    speed: float
-    spacing: float  # NO_LEADER sentinel for the lead vehicle
 
 
 @dataclass

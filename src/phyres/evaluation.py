@@ -59,6 +59,9 @@ def mse_metrics(records: list[PredictionRecord], truth: list[TrajectorySample],
     sq_a, sq_v = [], []
     for r in records:
         s = by_id[r.sample_id]
+        if r.predicted_accel.shape != (s.t_fwd,) or r.predicted_speed.shape != (s.t_fwd,):
+            raise DataError(f"record {r.sample_id} predicts {r.predicted_accel.size} "
+                            f"steps but its sample has a {s.t_fwd}-step horizon")
         sq_a.append((s.ego_future_accel - r.predicted_accel) ** 2)
         v_true = reconstruct_speed(s.ego_speed_at_t0, s.ego_future_accel, delta)
         sq_v.append((v_true - r.predicted_speed) ** 2)
@@ -152,7 +155,7 @@ def _run_cell(samples_by_id, dcfg: DatasetConfig, sweep: SweepConfig,
 
 
 def run_sweep(samples: list[TrajectorySample], dcfg: DatasetConfig,
-              sweep: SweepConfig, jobs: int = 1) -> list[SweepCell]:
+              sweep: SweepConfig) -> list[SweepCell]:
     """Run the (data_size x variant x seed) grid; cells never abort the
     sweep, failures are recorded on the cell."""
     split = split_dataset([s.sample_id for s in samples], dcfg)
@@ -164,25 +167,15 @@ def run_sweep(samples: list[TrajectorySample], dcfg: DatasetConfig,
             f"{len(train_ids_sorted)}-sample train split")
     test = [samples_by_id[i] for i in sorted(split.test_ids)]
 
-    tasks = []
+    cells = []
     for seed in sweep.seeds:
         order = np.random.default_rng(seed).permutation(len(train_ids_sorted))
         shuffled = [train_ids_sorted[i] for i in order]
         for size in sweep.data_sizes:
             subset_ids = shuffled[:size]
             for variant in sweep.variants:
-                tasks.append((variant, size, seed, subset_ids))
-
-    def run(task):
-        variant, size, seed, subset_ids = task
-        return _run_cell(samples_by_id, dcfg, sweep, variant, subset_ids, test, seed)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run, tasks))
-    else:
-        cells = [run(t) for t in tasks]
+                cells.append(_run_cell(samples_by_id, dcfg, sweep, variant,
+                                       subset_ids, test, seed))
     cells.sort(key=lambda c: (c.data_size, c.variant, c.seed))
     return cells
 

@@ -130,12 +130,13 @@ def make_dropout_masks(cfg: NetConfig, batch: int, t_steps: int,
     }
 
 
-def _lstm_layer_forward(x_seq, W, U, b, units):
+def _lstm_layer_forward(x_seq, W, U, b, units, steps=None):
+    """Hidden sequence (B, T, units); appends each step's BPTT cache to
+    ``steps`` when one is given."""
     batch, t_steps, _ = x_seq.shape
     h = np.zeros((batch, units))
     c = np.zeros((batch, units))
     h_seq = np.empty((batch, t_steps, units))
-    steps = []
     for t in range(t_steps):
         x = x_seq[:, t, :]
         a = x @ W + h @ U + b
@@ -145,10 +146,11 @@ def _lstm_layer_forward(x_seq, W, U, b, units):
         o = _sigmoid(a[:, 3 * units:])
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
-        steps.append((x, h, c, i, f, g, o, c_new))
+        if steps is not None:
+            steps.append((x, h, c, i, f, g, o, c_new))
         h, c = h_new, c_new
         h_seq[:, t, :] = h
-    return h_seq, steps
+    return h_seq
 
 
 def _lstm_layer_backward(dh_seq, steps, W, U, units):
@@ -185,11 +187,10 @@ def _lstm_layer_backward(dh_seq, steps, W, U, units):
     return dx_seq, dW, dU, db
 
 
-def _gru_layer_forward(x_seq, W, U, b, units):
+def _gru_layer_forward(x_seq, W, U, b, units, steps=None):
     batch, t_steps, _ = x_seq.shape
     h = np.zeros((batch, units))
     h_seq = np.empty((batch, t_steps, units))
-    steps = []
     for t in range(t_steps):
         x = x_seq[:, t, :]
         azr = x @ W[:, :2 * units] + h @ U[:, :2 * units] + b[:2 * units]
@@ -199,10 +200,11 @@ def _gru_layer_forward(x_seq, W, U, b, units):
         an = x @ W[:, 2 * units:] + rh @ U[:, 2 * units:] + b[2 * units:]
         n = np.tanh(an)
         h_new = (1.0 - z) * h + z * n
-        steps.append((x, h, z, r, n, rh))
+        if steps is not None:
+            steps.append((x, h, z, r, n, rh))
         h = h_new
         h_seq[:, t, :] = h
-    return h_seq, steps
+    return h_seq
 
 
 def _gru_layer_backward(dh_seq, steps, W, U, units):
@@ -246,7 +248,8 @@ def forward_batch(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
 
     Returns (output (B, output_dim), cache).  In train mode dropout masks
     are sampled from ``dropout_rng`` unless ``masks`` pins them (used by
-    the gradient check).
+    the gradient check), and the cache holds what ``backward`` needs.  Eval
+    mode applies no dropout and returns no cache.
     """
     cfg = net.config
     if x.ndim != 3 or x.shape[2] != cfg.input_dim:
@@ -255,56 +258,47 @@ def forward_batch(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
         raise ConfigError(f"unknown mode {mode!r}")
     p = net.params
     batch, t_steps, _ = x.shape
-    if mode == "train":
-        if masks is None:
-            if dropout_rng is None:
-                raise ConfigError("train-mode forward needs dropout_rng or masks")
-            masks = make_dropout_masks(cfg, batch, t_steps, dropout_rng)
-    else:
-        masks = {
-            "m1": np.ones((batch, t_steps, cfg.units1)),
-            "m2": np.ones((batch, cfg.units2)),
-            "m3": np.ones((batch, cfg.dense_units)),
-        }
+    train = mode == "train"
+    if train and masks is None:
+        if dropout_rng is None:
+            raise ConfigError("train-mode forward needs dropout_rng or masks")
+        masks = make_dropout_masks(cfg, batch, t_steps, dropout_rng)
 
+    def drop(a, key):
+        return a * masks[key] if train else a
+
+    steps1, steps2 = ([], []) if train else (None, None)
     layer_fwd = _lstm_layer_forward if cfg.cell == "lstm" else _gru_layer_forward
-    h1_seq, steps1 = layer_fwd(x, p["l1_W"], p["l1_U"], p["l1_b"], cfg.units1)
-    h1_drop = h1_seq * masks["m1"]
-    h2_seq, steps2 = layer_fwd(h1_drop, p["l2_W"], p["l2_U"], p["l2_b"], cfg.units2)
-    h2 = h2_seq[:, -1, :]
-    h2_drop = h2 * masks["m2"]
-    z3 = h2_drop @ p["dense_W"] + p["dense_b"]
-    z3_drop = z3 * masks["m3"]
+    h1_seq = layer_fwd(x, p["l1_W"], p["l1_U"], p["l1_b"], cfg.units1, steps1)
+    h1_drop = drop(h1_seq, "m1")
+    h2_seq = layer_fwd(h1_drop, p["l2_W"], p["l2_U"], p["l2_b"], cfg.units2, steps2)
+    h2_drop = drop(h2_seq[:, -1, :], "m2")
+    z3_drop = drop(h2_drop @ p["dense_W"] + p["dense_b"], "m3")
     y_lin = z3_drop @ p["out_W"] + p["out_b"]
     y = np.maximum(y_lin, 0.0) if cfg.output_activation == "relu" else y_lin
     for name, val in (("l1 hidden", h1_seq), ("l2 hidden", h2_seq), ("output", y)):
         if not np.all(np.isfinite(val)):
             raise NumericError(f"non-finite values in {name}")
+    if not train:
+        return y, None
     cache = {
         "x": x, "masks": masks, "steps1": steps1, "steps2": steps2,
         "h1_drop": h1_drop, "h2_drop": h2_drop, "z3_drop": z3_drop,
-        "y_lin": y_lin, "mode": mode,
+        "y_lin": y_lin,
     }
     return y, cache
-
-
-def forward(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
-            dropout_rng: np.random.Generator | None = None):
-    """Single-sample forward; x has shape (T, input_dim)."""
-    y, cache = forward_batch(net, x[None, :, :], mode, dropout_rng)
-    return y[0], cache
 
 
 def backward(net: RecurrentNet, cache: dict, output_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the forward map w.r.t. every parameter.
 
-    output_grad: (B, output_dim) (or (output_dim,) for a single-sample
-    cache) upstream gradient on the activated output.
+    cache: from a train-mode ``forward_batch``; output_grad: (B, output_dim)
+    upstream gradient on the activated output.
     """
+    if cache is None:
+        raise ConfigError("backward needs the cache of a train-mode forward")
     cfg = net.config
     p = net.params
-    if output_grad.ndim == 1:
-        output_grad = output_grad[None, :]
     if output_grad.shape != cache["y_lin"].shape:
         raise ConfigError(
             f"output_grad shape {output_grad.shape} != {cache['y_lin'].shape}")

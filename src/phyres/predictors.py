@@ -97,18 +97,24 @@ def reconstruct_speed(v0: float, accel: np.ndarray, delta: float) -> np.ndarray:
     return v0 + delta * np.cumsum(accel, axis=-1)
 
 
+def _physics_rollouts(samples: list[TrajectorySample], params: PhysicsParams,
+                      delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Physics predictions (n, t_fwd) and collision flags (n,), one rollout
+    per sample."""
+    phys = np.empty((len(samples), samples[0].t_fwd))
+    flags = np.zeros(len(samples), dtype=bool)
+    for i, s in enumerate(samples):
+        phys[i], flags[i] = physics_rollout(s, params, delta)
+    return phys, flags
+
+
 def make_residual_targets(samples: list[TrajectorySample], params: PhysicsParams,
                           delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual targets r = truth - physics prediction, per sample.
 
     Returns (residuals (n, t_fwd), physics predictions (n, t_fwd),
     collision flags (n,))."""
-    n = len(samples)
-    t_fwd = samples[0].t_fwd
-    phys = np.empty((n, t_fwd))
-    flags = np.zeros(n, dtype=bool)
-    for i, s in enumerate(samples):
-        phys[i], flags[i] = physics_rollout(s, params, delta)
+    phys, flags = _physics_rollouts(samples, params, delta)
     truth = np.stack([s.ego_future_accel for s in samples])
     return truth - phys, phys, flags
 
@@ -140,16 +146,30 @@ def _val_metrics(pred: np.ndarray, truth: np.ndarray, v0: np.ndarray,
     return mse_a, mse_v
 
 
-def _train_loop(x_train, targets, pinn_phys, x_val, val_truth, val_phys, v0_val,
-                tconf: TrainConfig, nconf: NetConfig, stats: NormStats,
-                delta: float) -> tuple[RecurrentNet, TrainReport]:
-    """Shared Adam/BPTT loop.
+def _train(variant: str, samples, split, tconf: TrainConfig, nconf: NetConfig,
+           params: PhysicsParams | None, delta: float,
+           stats: NormStats | None) -> tuple[RecurrentNet, TrainReport]:
+    """Shared Adam/BPTT loop for the three learned variants.
 
-    targets are what the net regresses on (truth, or residuals for perl);
-    pinn_phys (n, t_fwd) switches on the blended pinn loss; val_phys is
-    added to the net's validation output before scoring (perl
-    composition).
+    The net regresses on the truth (nn, pinn) or on the physics residual
+    (perl); pinn blends a data term with weight mu and a term anchored on
+    the frozen physics prediction; perl adds the physics prediction to the
+    net's validation output before scoring.
     """
+    train, val = _split_lists(samples, split)
+    stats = stats or compute_norm_stats(samples, split)
+    x_train = _stack_features(train, stats)
+    x_val = _stack_features(val, stats)
+    val_truth = np.stack([s.ego_future_accel for s in val])
+    v0_val = np.array([s.ego_speed_at_t0 for s in val])
+    targets = np.stack([s.ego_future_accel for s in train])
+    pinn_phys = val_phys = None
+    if variant == "pinn":
+        _, pinn_phys, _ = make_residual_targets(train, params, delta)
+    elif variant == "perl":
+        targets, _, _ = make_residual_targets(train, params, delta)
+        _, val_phys, _ = make_residual_targets(val, params, delta)
+
     n, t_fwd = targets.shape
     net = init_net(nconf, norm_stats=stats)
     state = AdamState.for_net(net, lr=tconf.lr, beta1=tconf.beta1,
@@ -215,83 +235,63 @@ def _split_lists(samples, split: SplitIndex):
 
 def train_nn(samples, split, tconf: TrainConfig, nconf: NetConfig, delta: float,
              stats: NormStats | None = None):
-    train, val = _split_lists(samples, split)
-    stats = stats or compute_norm_stats(samples, split)
-    x_train = _stack_features(train, stats)
-    x_val = _stack_features(val, stats)
-    targets = np.stack([s.ego_future_accel for s in train])
-    val_truth = np.stack([s.ego_future_accel for s in val])
-    v0_val = np.array([s.ego_speed_at_t0 for s in val])
-    return _train_loop(x_train, targets, None, x_val, val_truth, None, v0_val,
-                       tconf, nconf, stats, delta)
+    return _train("nn", samples, split, tconf, nconf, None, delta, stats)
 
 
 def train_pinn(samples, split, tconf: TrainConfig, nconf: NetConfig,
                params: PhysicsParams, delta: float,
                stats: NormStats | None = None):
-    train, val = _split_lists(samples, split)
-    stats = stats or compute_norm_stats(samples, split)
-    x_train = _stack_features(train, stats)
-    x_val = _stack_features(val, stats)
-    targets = np.stack([s.ego_future_accel for s in train])
-    _, phys_train, _ = make_residual_targets(train, params, delta)
-    val_truth = np.stack([s.ego_future_accel for s in val])
-    v0_val = np.array([s.ego_speed_at_t0 for s in val])
-    return _train_loop(x_train, targets, phys_train, x_val, val_truth, None,
-                       v0_val, tconf, nconf, stats, delta)
+    return _train("pinn", samples, split, tconf, nconf, params, delta, stats)
 
 
 def train_perl(samples, split, tconf: TrainConfig, nconf: NetConfig,
                params: PhysicsParams, delta: float,
                stats: NormStats | None = None):
-    train, val = _split_lists(samples, split)
-    stats = stats or compute_norm_stats(samples, split)
-    x_train = _stack_features(train, stats)
-    x_val = _stack_features(val, stats)
-    residuals, _, _ = make_residual_targets(train, params, delta)
-    _, phys_val, _ = make_residual_targets(val, params, delta)
-    val_truth = np.stack([s.ego_future_accel for s in val])
-    v0_val = np.array([s.ego_speed_at_t0 for s in val])
-    return _train_loop(x_train, residuals, None, x_val, val_truth, phys_val,
-                       v0_val, tconf, nconf, stats, delta)
+    return _train("perl", samples, split, tconf, nconf, params, delta, stats)
+
+
+def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
+                 params: PhysicsParams | None = None,
+                 net: RecurrentNet | None = None) -> list[PredictionRecord]:
+    """Prediction records for ``samples``, in order, from one batched pass:
+    one physics rollout per sample (physics, perl) and one eval-mode
+    forward over all samples (nn, pinn, perl)."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if variant in ("physics", "perl") and params is None:
+        raise ConfigError(f"{variant} variant needs calibrated params")
+    if variant != "physics" and (net is None or net.norm_stats is None):
+        raise ConfigError(f"{variant} variant needs a trained net with norm stats")
+    if not samples:
+        return []
+    t_fwd = samples[0].t_fwd
+    if variant != "physics" and net.config.output_dim != t_fwd:
+        raise ConfigError(f"net predicts {net.config.output_dim} steps but the "
+                          f"samples have a {t_fwd}-step horizon")
+    phys_parts = resid_parts = None
+    flags = np.zeros(len(samples), dtype=bool)
+    if variant in ("physics", "perl"):
+        accel, flags = _physics_rollouts(samples, params, delta)
+    if variant != "physics":
+        y, _ = forward_batch(net, _stack_features(samples, net.norm_stats), "eval")
+        if variant == "perl":
+            accel, phys_parts, resid_parts = compose_prediction(accel, y)
+        else:
+            accel = y
+    v0 = np.array([s.ego_speed_at_t0 for s in samples])
+    speed = reconstruct_speed(v0[:, None], accel, delta)
+    return [PredictionRecord(
+        sample_id=s.sample_id,
+        predicted_accel=accel[i],
+        predicted_speed=speed[i],
+        physics_component=None if phys_parts is None else phys_parts[i],
+        residual_component=None if resid_parts is None else resid_parts[i],
+        collision_in_rollout=bool(flags[i]),
+    ) for i, s in enumerate(samples)]
 
 
 def predict(variant: str, sample: TrajectorySample, *, delta: float,
             params: PhysicsParams | None = None,
             net: RecurrentNet | None = None) -> PredictionRecord:
     """Produce a PredictionRecord for one sample with trained artifacts."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    collided = False
-    phys_stored = resid_stored = None
-    if variant == "physics":
-        if params is None:
-            raise ConfigError("physics variant needs calibrated params")
-        accel, collided = physics_rollout(sample, params, delta)
-    elif variant in ("nn", "pinn"):
-        if net is None or net.norm_stats is None:
-            raise ConfigError(f"{variant} variant needs a trained net with norm stats")
-        x = sample_features(sample, net.norm_stats)
-        accel, _ = forward_batch(net, x[None], "eval")
-        accel = accel[0]
-    else:  # perl
-        if net is None or net.norm_stats is None or params is None:
-            raise ConfigError("perl variant needs calibrated params and a trained net")
-        phys, collided = physics_rollout(sample, params, delta)
-        x = sample_features(sample, net.norm_stats)
-        resid, _ = forward_batch(net, x[None], "eval")
-        accel, phys_stored, resid_stored = compose_prediction(phys, resid[0])
-    return PredictionRecord(
-        sample_id=sample.sample_id,
-        predicted_accel=accel,
-        predicted_speed=reconstruct_speed(sample.ego_speed_at_t0, accel, delta),
-        physics_component=phys_stored,
-        residual_component=resid_stored,
-        collision_in_rollout=collided,
-    )
-
-
-def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
-                 params: PhysicsParams | None = None,
-                 net: RecurrentNet | None = None) -> list[PredictionRecord]:
-    return [predict(variant, s, delta=delta, params=params, net=net) for s in samples]
+    return predict_many(variant, [sample], delta=delta, params=params, net=net)[0]

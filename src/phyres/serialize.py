@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 
+from .errors import DataError
+
 
 def _fmt_float(x: float) -> str:
     if x != x:
@@ -50,4 +52,7 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: malformed JSON: {exc}") from exc

@@ -180,3 +180,62 @@ class TestPipeline:
                     "--seed", "0", "--variants", "physics,nn",
                     "--data-sizes", "20", "--model", "idm",
                     "--units1", "0", "--max-epochs", "1"]) == 4
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+class TestArtifactMismatch:
+    @pytest.fixture(scope="class")
+    def artifacts(self, workspace):
+        """A net trained on 5-step samples, hand-written Newell params and
+        the same corpus extracted with a 3-step horizon."""
+        root, corpus, samples = workspace
+        out = root / "mismatch"
+        params = out / "params.json"
+        out.mkdir()
+        params.write_text(json.dumps({"model": "newell", "param_mean": {"w": 4.0}}))
+        assert run(["train", "--samples", str(samples), "--out", str(out / "nn"),
+                    "--seed", "1", "--variant", "nn", "--units1", "4",
+                    "--units2", "3", "--dense-units", "4", "--max-epochs", "1"]) == 0
+        short = out / "samples_t3.jsonl"
+        assert run(["extract", "--input", str(corpus), "--out", str(short),
+                    "--t-fwd", "3"]) == 0
+        return samples, short, params, out / "nn" / "weights.json"
+
+    @pytest.mark.parametrize("variant", ["nn", "perl"])
+    def test_predict_horizon_mismatch(self, artifacts, variant, tmp_path, capsys):
+        _, short, params, weights = artifacts
+        capsys.readouterr()
+        assert run(["predict", "--samples", str(short), "--out", str(tmp_path / "p.jsonl"),
+                    "--variant", variant, "--params-file", str(params),
+                    "--weights", str(weights), "--t-fwd", "3"]) == 2
+        assert "horizon" in _one_error_line(capsys)
+
+    def test_evaluate_horizon_mismatch(self, artifacts, tmp_path, capsys):
+        samples, short, _, weights = artifacts
+        preds = tmp_path / "p.jsonl"
+        assert run(["predict", "--samples", str(samples), "--out", str(preds),
+                    "--variant", "nn", "--weights", str(weights)]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--samples", str(short), "--records", str(preds),
+                    "--out", str(tmp_path / "m.json")]) == 2
+        assert "horizon" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("content", [
+        '{"model": "newell"}',
+        '{"param_mean": {"w": 4.0}}',
+        '{"model": "idm", "param_mean": {"v_free": 20.0}}',
+        '{"model": "newell", "param_mean": ',
+    ], ids=["no-param-mean", "no-model", "missing-name", "malformed"])
+    def test_bad_params_file_is_data_error(self, artifacts, content, tmp_path, capsys):
+        samples = artifacts[0]
+        bad = tmp_path / "params.json"
+        bad.write_text(content)
+        capsys.readouterr()
+        assert run(["predict", "--samples", str(samples), "--out", str(tmp_path / "p.jsonl"),
+                    "--variant", "physics", "--params-file", str(bad)]) == 2
+        assert str(bad) in _one_error_line(capsys)

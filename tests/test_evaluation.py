@@ -95,14 +95,6 @@ class TestSweep:
         assert cells[0].error is not None
         assert cells[0].eval_report is None
 
-    def test_parallel_matches_serial(self, small_idm_corpus, sweep_result):
-        samples, dcfg, _ = small_idm_corpus
-        cells_serial, sweep = sweep_result
-        cells_par = run_sweep(samples, dcfg, sweep, jobs=4)
-        for a, b in zip(cells_serial, cells_par):
-            assert (a.variant, a.data_size, a.seed) == (b.variant, b.data_size, b.seed)
-            assert a.eval_report.mse_a_test == b.eval_report.mse_a_test
-
 
 class TestOutputs:
     def test_written_files_parse(self, sweep_result, tmp_path):

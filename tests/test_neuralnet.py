@@ -3,9 +3,8 @@ import pytest
 
 from phyres.errors import ConfigError, DataError
 from phyres.neuralnet import (AdamState, NetConfig, adam_step, backward,
-                              forward, forward_batch, gradient_check,
-                              init_net, load_net, make_dropout_masks,
-                              save_net)
+                              forward_batch, gradient_check, init_net,
+                              load_net, make_dropout_masks, save_net)
 
 
 def small_config(**overrides):
@@ -88,13 +87,6 @@ class TestForward:
         with pytest.raises(ConfigError):
             forward_batch(net, np.zeros((2, 5, 7)), "eval")
 
-    def test_single_sample_wrapper(self):
-        net = init_net(small_config())
-        x = np.random.default_rng(3).standard_normal((5, 6))
-        y, _ = forward(net, x)
-        yb, _ = forward_batch(net, x[None], "eval")
-        np.testing.assert_array_equal(y, yb[0])
-
     def test_dropout_masks_inverted_scaling(self):
         cfg = small_config(dropout=0.5)
         masks = make_dropout_masks(cfg, 200, 4, np.random.default_rng(0))
@@ -104,13 +96,18 @@ class TestForward:
         assert np.mean(masks["m1"]) == pytest.approx(1.0, abs=0.05)
 
 
+def _train_cache(net, x):
+    # small_config has dropout=0.0, so this forward equals the eval forward
+    _, cache = forward_batch(net, x, "train", dropout_rng=np.random.default_rng(0))
+    return cache
+
+
 class TestBackward:
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_zero_output_grad_gives_zero_grads(self, cell):
         net = init_net(small_config(cell=cell))
         x = np.random.default_rng(4).standard_normal((2, 5, 6))
-        _, cache = forward_batch(net, x, "eval")
-        grads = backward(net, cache, np.zeros((2, 3)))
+        grads = backward(net, _train_cache(net, x), np.zeros((2, 3)))
         for g in grads.values():
             assert np.all(g == 0.0)
 
@@ -118,7 +115,7 @@ class TestBackward:
     def test_doubling_output_grad_doubles_grads(self, cell):
         net = init_net(small_config(cell=cell))
         x = np.random.default_rng(5).standard_normal((2, 5, 6))
-        _, cache = forward_batch(net, x, "eval")
+        cache = _train_cache(net, x)
         og = np.random.default_rng(6).standard_normal((2, 3))
         g1 = backward(net, cache, og)
         g2 = backward(net, cache, 2.0 * og)
@@ -127,10 +124,16 @@ class TestBackward:
 
     def test_grad_shape_mismatch_rejected(self):
         net = init_net(small_config())
-        x = np.zeros((2, 5, 6))
-        _, cache = forward_batch(net, x, "eval")
+        cache = _train_cache(net, np.zeros((2, 5, 6)))
         with pytest.raises(ConfigError):
             backward(net, cache, np.zeros((2, 4)))
+
+    def test_eval_forward_keeps_no_cache(self):
+        net = init_net(small_config())
+        _, cache = forward_batch(net, np.zeros((2, 5, 6)), "eval")
+        assert cache is None
+        with pytest.raises(ConfigError, match="train-mode"):
+            backward(net, cache, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     @pytest.mark.parametrize("dropout", [0.0, 0.2])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IDM_TRUE, make_samples
+from conftest import IDM_TRUE, make_sample, make_samples
 from phyres.domain import SplitIndex
 from phyres.errors import ConfigError
 from phyres.neuralnet import NetConfig
@@ -202,3 +202,38 @@ class TestPredict:
         samples, params, _ = self._trained()
         recs = predict_many("physics", samples[:5], delta=DELTA, params=params)
         assert [r.sample_id for r in recs] == [s.sample_id for s in samples[:5]]
+
+    def test_horizon_mismatch_rejected(self):
+        _, params, net = self._trained()
+        short = make_sample(k=3, tb=6, tf=3)
+        for variant in ("nn", "perl"):
+            with pytest.raises(ConfigError, match="horizon"):
+                predict(variant, short, delta=DELTA, params=params, net=net)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("variant", ["physics", "nn", "pinn", "perl"])
+def test_batch_matches_one_row_calls(variant, cell):
+    samples = make_samples(24, k=3, tb=6, tf=4)
+    for s in samples[::3]:  # leader behind the ego: the IDM rollout collides
+        s.hist_position[-2, -1] = s.hist_position[-1, -1] - 1.0
+    tconf = TrainConfig(variant="perl", seed=1, max_epochs=2)
+    net, _ = train_perl(samples, _split(24), tconf, _net_config(cell=cell),
+                        IDM_TRUE, DELTA)
+    batch = predict_many(variant, samples, delta=DELTA, params=IDM_TRUE, net=net)
+    rows = [predict(variant, s, delta=DELTA, params=IDM_TRUE, net=net)
+            for s in samples]
+    assert [r.sample_id for r in batch] == [s.sample_id for s in samples]
+    flags = [r.collision_in_rollout for r in batch]
+    assert flags == [r.collision_in_rollout for r in rows]
+    assert any(flags) == (variant in ("physics", "perl"))
+    tol = 0.0 if variant == "physics" else 1e-15
+    for b, r in zip(batch, rows):
+        np.testing.assert_allclose(b.predicted_accel, r.predicted_accel, rtol=0, atol=tol)
+        np.testing.assert_allclose(b.predicted_speed, r.predicted_speed, rtol=tol, atol=0)
+        if variant == "perl":
+            assert np.all(b.predicted_accel - b.physics_component
+                          - b.residual_component == 0.0)
+        else:
+            assert b.physics_component is None and b.residual_component is None
+    assert predict_many(variant, [], delta=DELTA, params=IDM_TRUE, net=net) == []
