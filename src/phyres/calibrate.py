@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from . import serialize
-from .domain import TrajectorySample
+from .domain import SampleBatch, TrajectorySample
 from .errors import CalibrationError, ConfigError
 from .physics import (FVD_FIXED, FvdParams, IdmParams, NewellParams,
                       PhysicsParams, one_step_batch)
@@ -96,12 +96,15 @@ def params_to_dict(params: PhysicsParams) -> dict:
     return {"kappa": params.kappa, "lam": params.lam}
 
 
-def calibration_objective(samples: list[TrajectorySample], params: PhysicsParams,
-                          delta: float) -> float:
-    """Mean squared one-step acceleration error; inf on non-finite output."""
-    preds = one_step_batch(samples, params, delta)
-    targets = np.array([s.ego_future_accel[0] for s in samples])
-    err = preds - targets
+def calibration_objective(samples: list[TrajectorySample] | SampleBatch,
+                          params: PhysicsParams, delta: float) -> float:
+    """Mean squared one-step acceleration error; inf on non-finite output.
+
+    Takes a sample list or, to skip stacking it again, a prebuilt batch.
+    """
+    batch = samples if isinstance(samples, SampleBatch) else SampleBatch.of(samples)
+    preds = one_step_batch(batch, params, delta)
+    err = preds - batch.ego_future_accel[:, 0]
     if not np.all(np.isfinite(err)):
         return float("inf")
     return float(np.mean(err * err))
@@ -149,10 +152,11 @@ def fit_physics(samples: list[TrajectorySample], config: CalibrationConfig,
     names = PARAM_ORDER[config.model]
     lo = np.array([config.bounds[n][0] for n in names])
     hi = np.array([config.bounds[n][1] for n in names])
+    batch = SampleBatch.of(samples)  # stacked once, read by every objective call
 
     def obj_vec(x):
         return calibration_objective(
-            samples, make_params(config.model, dict(zip(names, x))), delta)
+            batch, make_params(config.model, dict(zip(names, x))), delta)
 
     if config.model == "newell":
         # coarse scan to bracket the global basin, then golden section

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage, 2 data/config error, 3 numeric error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -292,7 +293,8 @@ def _cmd_evaluate(args):
 def _cmd_sweep(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
-    dcfg = _dataset_config(args)
+    # the samples were extracted on the header's grid, whatever --delta says
+    dcfg = dataclasses.replace(_dataset_config(args), delta=header["delta"])
     sweep = SweepConfig(
         variants=tuple(args.variants.split(",")),
         data_sizes=tuple(int(s) for s in args.data_sizes.split(",")),

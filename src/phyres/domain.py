@@ -111,6 +111,40 @@ class TrajectorySample:
 
 
 @dataclass(frozen=True)
+class SampleBatch:
+    """The arrays of many samples, stacked once along a leading axis n.
+
+    Built with ``SampleBatch.of(samples)``; the arrays are read-only
+    copies.  Spacing is not stacked: it is a difference of positions.
+    """
+
+    sample_ids: np.ndarray           # (n,)
+    hist_accel: np.ndarray           # (n, K, t_back)
+    hist_speed: np.ndarray           # (n, K, t_back)
+    hist_position: np.ndarray        # (n, K, t_back)
+    ego_future_accel: np.ndarray     # (n, t_fwd)
+    ego_speed_at_t0: np.ndarray      # (n,)
+    leader_future_accel: np.ndarray  # (n, K-1, t_fwd)
+
+    @classmethod
+    def of(cls, samples: list[TrajectorySample]) -> "SampleBatch":
+        if not samples:
+            raise ConfigError("cannot batch an empty sample list")
+        batch = cls(
+            sample_ids=np.array([s.sample_id for s in samples]),
+            hist_accel=np.stack([s.hist_accel for s in samples]),
+            hist_speed=np.stack([s.hist_speed for s in samples]),
+            hist_position=np.stack([s.hist_position for s in samples]),
+            ego_future_accel=np.stack([s.ego_future_accel for s in samples]),
+            ego_speed_at_t0=np.array([s.ego_speed_at_t0 for s in samples], dtype=float),
+            leader_future_accel=np.stack([s.leader_future_accel for s in samples]),
+        )
+        for arr in vars(batch).values():
+            arr.flags.writeable = False
+        return batch
+
+
+@dataclass(frozen=True)
 class SplitIndex:
     """Disjoint train/val/test sample-id sets."""
 

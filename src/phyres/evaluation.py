@@ -98,23 +98,39 @@ class SweepCell:
     error: str | None = None
 
 
-def _run_cell(samples_by_id, dcfg: DatasetConfig, sweep: SweepConfig,
-              variant: str, subset_ids, test, seed: int) -> SweepCell:
-    size = len(subset_ids)
+PHYSICS_VARIANTS = ("physics", "pinn", "perl")
+
+
+def _calibrate_subset(subset, sweep: SweepConfig, delta: float, seed: int
+                      ) -> tuple[CalibrationReport | None, str | None]:
+    """The one physics fit that a (size, seed)'s physics-using cells share;
+    a failure is returned as its traceback, for each of those cells."""
+    try:
+        calib_cfg = CalibrationConfig(model=sweep.physics_model,
+                                      sample_size=len(subset), repetitions=1,
+                                      seed=seed)
+        return monte_carlo_calibrate(subset, calib_cfg, delta), None
+    except Exception:
+        return None, traceback.format_exc()
+
+
+def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
+              dcfg: DatasetConfig, sweep: SweepConfig, variant: str, test,
+              seed: int) -> SweepCell:
+    size = len(subset)
     cell = SweepCell(variant=variant, data_size=size, seed=seed)
     try:
-        subset = [samples_by_id[i] for i in subset_ids]
+        subset_ids = [s.sample_id for s in subset]
         # fixed-size inner split of the subset for validation during training
         n_val = max(1, int(0.2 * size))
         inner = SplitIndex(train_ids=frozenset(subset_ids[:-n_val]),
                            val_ids=frozenset(subset_ids[-n_val:]),
                            test_ids=frozenset())
         params = None
-        if variant in ("physics", "pinn", "perl"):
-            calib_cfg = CalibrationConfig(model=sweep.physics_model,
-                                          sample_size=size, repetitions=1,
-                                          seed=seed)
-            cell.calib_report = monte_carlo_calibrate(subset, calib_cfg, dcfg.delta)
+        if variant in PHYSICS_VARIANTS:
+            cell.calib_report, cell.error = calibration
+            if cell.error is not None:
+                return cell
             params = make_params(sweep.physics_model,
                                  cell.calib_report.per_repetition[0]["params"])
         net = None
@@ -172,10 +188,13 @@ def run_sweep(samples: list[TrajectorySample], dcfg: DatasetConfig,
         order = np.random.default_rng(seed).permutation(len(train_ids_sorted))
         shuffled = [train_ids_sorted[i] for i in order]
         for size in sweep.data_sizes:
-            subset_ids = shuffled[:size]
+            subset = [samples_by_id[i] for i in shuffled[:size]]
+            calibration = (None, None)
+            if any(v in PHYSICS_VARIANTS for v in sweep.variants):
+                calibration = _calibrate_subset(subset, sweep, dcfg.delta, seed)
             for variant in sweep.variants:
-                cells.append(_run_cell(samples_by_id, dcfg, sweep, variant,
-                                       subset_ids, test, seed))
+                cells.append(_run_cell(subset, calibration, dcfg, sweep, variant,
+                                       test, seed))
     cells.sort(key=lambda c: (c.data_size, c.variant, c.seed))
     return cells
 

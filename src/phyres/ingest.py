@@ -257,7 +257,11 @@ def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) 
 
 
 def read_samples(path) -> tuple[list[TrajectorySample], dict]:
-    """Load a sample file; returns (samples, header dict)."""
+    """Load a sample file; returns (samples, header dict).
+
+    The header's geometry is parsed and returned as numbers; every sample's
+    array shapes must match it, or a DataError names the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -266,12 +270,25 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:1: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}:1: the header is not a JSON object")
     if header.get("format_version") != SAMPLE_FORMAT_VERSION:
         raise DataError(
             f"{path}: format_version {header.get('format_version')!r}, "
             f"expected {SAMPLE_FORMAT_VERSION}"
         )
-    k = int(header["k_vehicles"])
+    try:
+        k, tb, tf = (int(header[key]) for key in ("k_vehicles", "t_back", "t_fwd"))
+        delta = float(header["delta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}:1: bad header: {exc!r}") from exc
+    if k < 2 or tb < 1 or tf < 1 or not delta > 0:
+        raise DataError(f"{path}:1: bad header geometry {header}")
+    header = dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
+    # every sample's arrays must have the geometry the header declares
+    shapes = {"hist_accel": (k, tb), "hist_speed": (k, tb),
+              "hist_spacing": (k - 1, tb), "hist_position": (k, tb),
+              "ego_future_accel": (tf,), "leader_future_accel": (k - 1, tf)}
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -281,19 +298,18 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
         try:
-            spacing_rows = np.array(obj["hist_spacing"], dtype=float)
-            spacing = np.full((k, spacing_rows.shape[1]), np.nan)
-            spacing[1:] = spacing_rows
-            samples.append(TrajectorySample(
-                sample_id=int(obj["sample_id"]),
-                hist_accel=np.array(obj["hist_accel"], dtype=float),
-                hist_speed=np.array(obj["hist_speed"], dtype=float),
-                hist_spacing=spacing,
-                hist_position=np.array(obj["hist_position"], dtype=float),
-                ego_future_accel=np.array(obj["ego_future_accel"], dtype=float),
-                ego_speed_at_t0=float(obj["ego_speed_at_t0"]),
-                leader_future_accel=np.array(obj["leader_future_accel"], dtype=float),
-            ))
-        except (KeyError, IndexError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad sample object: {exc}") from exc
+            arrays = {name: np.array(obj[name], dtype=float) for name in shapes}
+            sample_id = int(obj["sample_id"])
+            ego_speed_at_t0 = float(obj["ego_speed_at_t0"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad sample object: {exc!r}") from exc
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise DataError(f"{path}:{lineno}: {name} has shape "
+                                f"{arrays[name].shape}, the header implies {shape}")
+        spacing = np.empty((k, tb))
+        spacing[0] = np.nan
+        spacing[1:] = arrays.pop("hist_spacing")
+        samples.append(TrajectorySample(sample_id=sample_id, hist_spacing=spacing,
+                                        ego_speed_at_t0=ego_speed_at_t0, **arrays))
     return samples, header

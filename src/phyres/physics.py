@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TrajectorySample
+from .domain import SampleBatch, TrajectorySample
 from .errors import ConfigError, NumericError
 
 ROLLOUT_GAP_FLOOR = 0.1  # m; used when a rollout gap collapses
@@ -184,18 +184,17 @@ def physics_rollout(sample: TrajectorySample, params: PhysicsParams,
     return out, collided
 
 
-def one_step_batch(samples: list[TrajectorySample], params: PhysicsParams,
+def one_step_batch(batch: SampleBatch, params: PhysicsParams,
                    delta: float) -> np.ndarray:
-    """First-future-step predictions for many samples (calibration kernel)."""
+    """First-future-step predictions for a batch (calibration kernel)."""
+    pos_t0 = batch.hist_position[:, :, -1]  # (n, K)
     if isinstance(params, NewellParams):
-        lead_hist = np.stack([s.hist_accel[:-1] for s in samples])
-        dist = np.stack([s.hist_position[:-1, -1] - s.hist_position[-1, -1] for s in samples])
-        preds, _ = newell_predict_batch(lead_hist, dist / params.w, 1, delta)
+        dist = pos_t0[:, :-1] - pos_t0[:, -1:]
+        preds, _ = newell_predict_batch(batch.hist_accel[:, :-1], dist / params.w, 1, delta)
         return preds[:, 0]
-    v = np.array([s.ego_speed_at_t0 for s in samples])
-    v_l = np.array([s.hist_speed[-2, -1] for s in samples])
-    gap = np.array([s.hist_position[-2, -1] - s.hist_position[-1, -1] for s in samples])
-    dv = v - v_l
+    v = batch.ego_speed_at_t0
+    gap = pos_t0[:, -2] - pos_t0[:, -1]
+    dv = v - batch.hist_speed[:, -2, -1]
     if isinstance(params, IdmParams):
         return idm_accel(v, dv, gap, params)
     return fvd_accel(v, dv, gap, params)

@@ -5,7 +5,7 @@ from conftest import IDM_TRUE, make_sample
 from phyres.calibrate import (CalibrationConfig, calibration_objective,
                               fit_physics, make_params, monte_carlo_calibrate,
                               params_to_dict, DEFAULT_BOUNDS)
-from phyres.domain import DatasetConfig
+from phyres.domain import DatasetConfig, SampleBatch
 from phyres.errors import ConfigError
 from phyres.ingest import extract_samples, parse_trajectory_csv
 from phyres.physics import FvdParams, IdmParams, NewellParams, one_step_batch
@@ -54,13 +54,13 @@ class TestConfig:
 class TestObjective:
     def test_perfect_fit_is_zero(self):
         s = make_sample(k=2, tb=6, tf=3, seed=1)
-        pred = one_step_batch([s], IDM_TRUE, DELTA)
+        pred = one_step_batch(SampleBatch.of([s]), IDM_TRUE, DELTA)
         s.ego_future_accel[0] = pred[0]
         assert calibration_objective([s], IDM_TRUE, DELTA) == 0.0
 
     def test_mean_squared_error(self):
         samples = [make_sample(k=2, tb=6, tf=3, seed=i) for i in range(4)]
-        preds = one_step_batch(samples, IDM_TRUE, DELTA)
+        preds = one_step_batch(SampleBatch.of(samples), IDM_TRUE, DELTA)
         targets = np.array([s.ego_future_accel[0] for s in samples])
         expected = float(np.mean((preds - targets) ** 2))
         assert calibration_objective(samples, IDM_TRUE, DELTA) == expected
@@ -73,6 +73,15 @@ class TestObjective:
         bad = FvdParams(kappa=1e300, lam=1e300, v1=1e300, v2=1.0, c1=1.0,
                         c2=0.0, l_c=5.0)
         assert calibration_objective([s], bad, DELTA) == float("inf")
+        assert calibration_objective(SampleBatch.of([s]), bad, DELTA) == float("inf")
+
+    @pytest.mark.parametrize("params", [
+        IDM_TRUE, make_params("fvd", {"kappa": 0.4, "lam": 0.6}), NewellParams(w=4.0)])
+    def test_list_and_batch_bit_equal(self, params):
+        samples = [make_sample(k=3, tb=20, tf=3, seed=i) for i in range(30)]
+        from_list = calibration_objective(samples, params, DELTA)
+        assert calibration_objective(SampleBatch.of(samples), params, DELTA) == from_list
+        assert np.isfinite(from_list)
 
 
 class TestWaveSpeedFit:
@@ -103,7 +112,7 @@ class TestSimplexFit:
         out = []
         for i in range(n):
             s = make_sample(k=2, tb=6, tf=3, seed=seed * 1000 + i)
-            s.ego_future_accel[0] = one_step_batch([s], params, DELTA)[0]
+            s.ego_future_accel[0] = one_step_batch(SampleBatch.of([s]), params, DELTA)[0]
             out.append(s)
         return out
 

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from phyres.cli import main, read_records
+from phyres.domain import DatasetConfig
+from phyres.evaluation import SweepConfig, run_sweep
+from phyres.ingest import read_samples
 
 
 def run(argv):
@@ -182,6 +185,26 @@ class TestPipeline:
                     "--units1", "0", "--max-epochs", "1"]) == 4
 
 
+    def test_sweep_scores_with_the_samples_delta(self, tmp_path):
+        corpus, samples = tmp_path / "c.csv", tmp_path / "s.jsonl"
+        assert run(["synth", "--out", str(corpus), "--seed", "3", "--platoons", "4",
+                    "--delta", "0.2", "--generator", "newell_shift"]) == 0
+        assert run(["extract", "--input", str(corpus), "--out", str(samples),
+                    "--delta", "0.2"]) == 0
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--samples", str(samples), "--out", str(out),
+                    "--seed", "0", "--variants", "physics",
+                    "--data-sizes", "40"]) == 0
+        got = json.loads((out / "sweep" / "physics" / "40" / "0" / "report.json")
+                         .read_text())["eval"]
+        dcfg = DatasetConfig(delta=0.2, k_vehicles=4, t_back=20, t_fwd=5,
+                             omega_train=0.6, omega_val=0.2, seed=0)
+        [cell] = run_sweep(read_samples(samples)[0], dcfg,
+                           SweepConfig(variants=("physics",), data_sizes=(40,)))
+        assert got["mse_a_test"] == cell.eval_report.mse_a_test
+        assert got["mse_v_test"] == cell.eval_report.mse_v_test
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -224,6 +247,18 @@ class TestArtifactMismatch:
         assert run(["evaluate", "--samples", str(short), "--records", str(preds),
                     "--out", str(tmp_path / "m.json")]) == 2
         assert "horizon" in _one_error_line(capsys)
+
+    def test_sample_shape_mismatch_is_data_error(self, artifacts, tmp_path, capsys):
+        lines = artifacts[0].read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj["hist_speed"] = obj["hist_speed"][:-1]
+        lines[5] = json.dumps(obj)
+        bad = tmp_path / "samples.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["calibrate", "--samples", str(bad), "--out", str(tmp_path / "c.json"),
+                    "--seed", "0", "--model", "newell"]) == 2
+        assert ":6: hist_speed has shape" in _one_error_line(capsys)
 
     @pytest.mark.parametrize("content", [
         '{"model": "newell"}',

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample, make_samples
-from phyres.domain import DatasetConfig, SplitIndex, split_dataset
+from phyres.domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
 from phyres.errors import ConfigError, DataError
 
 
@@ -64,6 +64,33 @@ class TestTrajectorySample:
         s.hist_spacing[0] = 1.0
         with pytest.raises(DataError):
             s.validate()
+
+
+class TestSampleBatch:
+    FIELDS = ("hist_accel", "hist_speed", "hist_position", "ego_future_accel",
+              "ego_speed_at_t0", "leader_future_accel")
+
+    def test_round_trips_every_field(self):
+        samples = make_samples(5, k=3, tb=6, tf=4)
+        batch = SampleBatch.of(samples)
+        assert batch.sample_ids.tolist() == [s.sample_id for s in samples]
+        assert batch.hist_accel.shape == (5, 3, 6)
+        assert batch.leader_future_accel.shape == (5, 2, 4)
+        for i, s in enumerate(samples):
+            for name in self.FIELDS:
+                np.testing.assert_array_equal(getattr(batch, name)[i], getattr(s, name))
+
+    def test_arrays_are_read_only_copies(self):
+        samples = make_samples(2)
+        batch = SampleBatch.of(samples)
+        samples[0].hist_accel[0, 0] += 1.0
+        assert batch.hist_accel[0, 0, 0] != samples[0].hist_accel[0, 0]
+        with pytest.raises(ValueError):
+            batch.hist_speed[0, 0, 0] = 0.0
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigError, match="empty"):
+            SampleBatch.of([])
 
 
 class TestSplitIndex:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import make_samples
-from phyres.domain import DatasetConfig
-from phyres.errors import ConfigError, DataError
+from phyres import evaluation
+from phyres.calibrate import CalibrationConfig, monte_carlo_calibrate
+from phyres.domain import DatasetConfig, split_dataset
+from phyres.errors import CalibrationError, ConfigError, DataError
 from phyres.evaluation import (SweepCell, SweepConfig, emit_plot_data,
                                mse_metrics, run_sweep, write_sweep_outputs)
 from phyres.physics import NewellParams
@@ -94,6 +96,63 @@ class TestSweep:
         assert len(cells) == 1
         assert cells[0].error is not None
         assert cells[0].eval_report is None
+
+
+def _sweep_subset(samples, dcfg, seed, size):
+    """The training subset a sweep cell of this (seed, size) uses."""
+    train_ids = sorted(split_dataset([s.sample_id for s in samples], dcfg).train_ids)
+    order = np.random.default_rng(seed).permutation(len(train_ids))
+    by_id = {s.sample_id: s for s in samples}
+    return [by_id[train_ids[i]] for i in order[:size]]
+
+
+def _four_variant_sweep(samples, dcfg):
+    sweep = SweepConfig(variants=("physics", "nn", "pinn", "perl"),
+                        data_sizes=(20, 40), seeds=(3,), physics_model="idm",
+                        cell="gru", units1=4, units2=3, dense_units=4,
+                        max_epochs=1, batch_size=16)
+    return run_sweep(samples, dcfg, sweep)
+
+
+class TestSweepCalibration:
+    def test_one_fit_per_size_and_seed(self, small_idm_corpus, monkeypatch):
+        samples, dcfg, _ = small_idm_corpus
+        fits = []
+
+        def counting(subset, cfg, delta):
+            fits.append((len(subset), cfg.seed))
+            return monte_carlo_calibrate(subset, cfg, delta)
+
+        monkeypatch.setattr(evaluation, "monte_carlo_calibrate", counting)
+        cells = _four_variant_sweep(samples, dcfg)
+        assert fits == [(20, 3), (40, 3)]
+        assert all(c.error is None for c in cells), [c.error for c in cells]
+        for size in (20, 40):
+            subset = [c for c in cells if c.data_size == size]
+            reports = {c.variant: c.calib_report for c in subset}
+            assert reports["nn"] is None
+            fresh = monte_carlo_calibrate(
+                _sweep_subset(samples, dcfg, 3, size),
+                CalibrationConfig(model="idm", sample_size=size, repetitions=1, seed=3),
+                dcfg.delta)
+            for variant in ("physics", "pinn", "perl"):
+                assert reports[variant].to_dict() == fresh.to_dict(), variant
+
+    def test_failed_fit_is_each_physics_cells_error(self, small_idm_corpus, monkeypatch):
+        samples, dcfg, _ = small_idm_corpus
+
+        def failing(subset, cfg, delta):
+            raise CalibrationError("repetition 0: no finite optimum found")
+
+        monkeypatch.setattr(evaluation, "monte_carlo_calibrate", failing)
+        cells = _four_variant_sweep(samples, dcfg)
+        assert len(cells) == 8
+        for c in cells:
+            if c.variant == "nn":
+                assert c.error is None and c.eval_report is not None
+            else:
+                assert "CalibrationError: repetition 0: no finite optimum" in c.error
+                assert c.calib_report is None and c.eval_report is None
 
 
 class TestOutputs:

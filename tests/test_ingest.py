@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,36 @@ class TestSampleFilePersistence:
         lines[1] = lines[1].replace("ego_speed_at_t0", "nope")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="bad sample object"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("hist_accel", lambda a: a[:-1]),                  # one vehicle short
+        ("hist_position", lambda a: [r[:-1] for r in a]),  # one step short
+        ("hist_spacing", lambda a: a + a[:1]),             # a row too many
+        ("ego_future_accel", lambda a: a[:-1]),
+        ("leader_future_accel", lambda a: [a[0]]),
+    ])
+    def test_shape_mismatch_names_line(self, tmp_path, dataset_config, name, edit):
+        path = tmp_path / "samples.jsonl"
+        write_samples(make_samples(3), path, dataset_config)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[3])
+        obj[name] = edit(obj[name])
+        lines[3] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f":4: {name} has shape"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("header", [
+        '{"format_version": 1, "delta": 0.1, "t_back": 6, "t_fwd": 4}',
+        '{"format_version": 1, "delta": 0.1, "k_vehicles": 3, "t_back": 6, "t_fwd": "x"}',
+        '{"format_version": 1, "delta": 0.0, "k_vehicles": 3, "t_back": 6, "t_fwd": 4}',
+        '[1]',
+    ], ids=["no-k", "bad-t-fwd", "zero-delta", "not-object"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(DataError, match=":1:"):
             read_samples(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import IDM_TRUE, make_sample
+from phyres.domain import SampleBatch
 from phyres.errors import ConfigError, NumericError
 from phyres.physics import (FVD_FIXED, ROLLOUT_GAP_FLOOR, FvdParams, IdmParams,
                             NewellParams, fvd_accel, idm_accel, model_name,
-                            newell_predict, one_step_batch, physics_rollout)
+                            newell_predict, newell_predict_batch,
+                            one_step_batch, physics_rollout)
 
 FVD_REF = FvdParams(kappa=0.5, lam=0.3, **FVD_FIXED)
 
@@ -217,14 +219,34 @@ class TestRollout:
         assert ROLLOUT_GAP_FLOOR == 0.1
 
 
+def _one_step_from_list(samples, params, delta):
+    """Reference: the one-step kernel with arrays gathered per sample."""
+    if isinstance(params, NewellParams):
+        lead_hist = np.stack([s.hist_accel[:-1] for s in samples])
+        dist = np.stack([s.hist_position[:-1, -1] - s.hist_position[-1, -1] for s in samples])
+        return newell_predict_batch(lead_hist, dist / params.w, 1, delta)[0][:, 0]
+    v = np.array([s.ego_speed_at_t0 for s in samples])
+    v_l = np.array([s.hist_speed[-2, -1] for s in samples])
+    gap = np.array([s.hist_position[-2, -1] - s.hist_position[-1, -1] for s in samples])
+    accel = idm_accel if isinstance(params, IdmParams) else fvd_accel
+    return accel(v, v - v_l, gap, params)
+
+
 class TestOneStepBatch:
     @pytest.mark.parametrize("params", [IDM_TRUE, FVD_REF, NewellParams(w=4.0)])
     def test_matches_per_sample_rollout_first_step(self, params):
         samples = [make_sample(k=3, tb=10, tf=4, seed=s) for s in range(8)]
-        batch = one_step_batch(samples, params, delta=0.1)
+        batch = one_step_batch(SampleBatch.of(samples), params, delta=0.1)
         for i, s in enumerate(samples):
             single, _ = physics_rollout(s, params, delta=0.1)
             assert batch[i] == pytest.approx(single[0], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [IDM_TRUE, FVD_REF, NewellParams(w=4.0)])
+    def test_bit_equal_to_per_sample_gather(self, params):
+        samples = [make_sample(k=4, tb=20, tf=3, seed=s) for s in range(40)]
+        np.testing.assert_array_equal(
+            one_step_batch(SampleBatch.of(samples), params, delta=0.1),
+            _one_step_from_list(samples, params, 0.1))
 
 
 def test_model_name():

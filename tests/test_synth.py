@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import IDM_TRUE
-from phyres.domain import DatasetConfig
+from phyres.domain import DatasetConfig, SampleBatch
 from phyres.errors import ConfigError
 from phyres.ingest import extract_samples, parse_trajectory_csv
 from phyres.physics import (NewellParams, idm_accel, newell_predict,
@@ -109,7 +109,7 @@ class TestSelfConsistency:
     def test_zero_noise_idm_matches_model_one_step(self, tmp_path):
         samples = self._samples(tmp_path, _idm_config(), t_back=20, t_fwd=5)
         assert len(samples) > 0
-        preds = one_step_batch(samples, IDM_TRUE, DELTA)
+        preds = one_step_batch(SampleBatch.of(samples), IDM_TRUE, DELTA)
         targets = np.array([s.ego_future_accel[0] for s in samples])
         assert float(np.max(np.abs(preds - targets))) < 1e-9
 
@@ -125,7 +125,7 @@ class TestSelfConsistency:
     def test_noise_breaks_exactness(self, tmp_path):
         samples = self._samples(tmp_path, _idm_config(noise_sigma=0.1),
                                 t_back=20, t_fwd=5)
-        preds = one_step_batch(samples, IDM_TRUE, DELTA)
+        preds = one_step_batch(SampleBatch.of(samples), IDM_TRUE, DELTA)
         targets = np.array([s.ego_future_accel[0] for s in samples])
         assert float(np.max(np.abs(preds - targets))) > 1e-3
 
