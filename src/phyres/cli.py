@@ -29,10 +29,10 @@ from .domain import DatasetConfig, split_dataset
 from .errors import ConfigError, DataError, NumericError, PhyresError
 from .evaluation import (SweepConfig, emit_plot_data, mse_metrics, run_sweep,
                          write_sweep_outputs)
-from .ingest import (compute_norm_stats, extract_samples,
-                     parse_trajectory_csv, read_samples, write_samples)
+from .ingest import (extract_samples, parse_trajectory_csv, read_samples,
+                     write_samples)
 from .neuralnet import NetConfig, gradient_check, load_net, save_net
-from .physics import FvdParams, IdmParams, NewellParams
+from .physics import IdmParams, NewellParams
 from .predictors import (PredictionRecord, TrainConfig, predict_many,
                          train_nn, train_perl, train_pinn)
 from .synth import LeadProfile, SynthConfig, generate_corpus
@@ -227,20 +227,20 @@ def read_records(path) -> list[PredictionRecord]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
+            try:  # JSONDecodeError is a ValueError
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            records.append(PredictionRecord(
-                sample_id=int(obj["sample_id"]),
-                predicted_accel=np.array(obj["predicted_accel"], dtype=float),
-                predicted_speed=np.array(obj["predicted_speed"], dtype=float),
-                physics_component=None if obj["physics_component"] is None
-                else np.array(obj["physics_component"], dtype=float),
-                residual_component=None if obj["residual_component"] is None
-                else np.array(obj["residual_component"], dtype=float),
-                collision_in_rollout=bool(obj["collision_in_rollout"]),
-            ))
+                records.append(PredictionRecord(
+                    sample_id=int(obj["sample_id"]),
+                    predicted_accel=np.array(obj["predicted_accel"], dtype=float),
+                    predicted_speed=np.array(obj["predicted_speed"], dtype=float),
+                    physics_component=None if obj["physics_component"] is None
+                    else np.array(obj["physics_component"], dtype=float),
+                    residual_component=None if obj["residual_component"] is None
+                    else np.array(obj["residual_component"], dtype=float),
+                    collision_in_rollout=bool(obj["collision_in_rollout"]),
+                ))
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
     return records
 
 

@@ -5,7 +5,10 @@ Conventions used everywhere in the package:
 * positions are front-of-vehicle longitudinal coordinates increasing
   downstream (a leader has a larger position than its follower);
 * spacing is the front-position difference to the immediate predecessor
-  and ignores vehicle length;
+  and ignores vehicle length.  It is not a sample field:
+  ``SampleBatch.spacing`` derives it from positions as
+  ``hist_position[:-1] - hist_position[1:]``, whose row k-1 is vehicle k's
+  spacing; the lead vehicle has none;
 * vehicle index 0 is the most-downstream observed leader, index
   ``k_vehicles - 1`` is the ego whose future acceleration is predicted;
 * all time series live on a uniform grid with step ``delta`` seconds and
@@ -19,10 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-
-# Lead vehicle has no observed predecessor; its spacing slot is a NaN
-# sentinel so an accidental arithmetic read poisons the result.
-NO_LEADER = float("nan")
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,12 @@ class TrajectorySample:
 
     History arrays have shape (K, t_back) and cover times
     t0-(t_back-1)*delta .. t0; future arrays have length t_fwd and cover
-    t0+delta .. t0+t_fwd*delta.  ``hist_spacing[0]`` is the NO_LEADER
-    sentinel row and must never be read as a number.
+    t0+delta .. t0+t_fwd*delta.
     """
 
     sample_id: int
     hist_accel: np.ndarray       # (K, t_back)
     hist_speed: np.ndarray       # (K, t_back)
-    hist_spacing: np.ndarray     # (K, t_back); row 0 is NaN sentinel
     hist_position: np.ndarray    # (K, t_back) absolute positions, m
     ego_future_accel: np.ndarray   # (t_fwd,)
     ego_speed_at_t0: float
@@ -83,31 +80,20 @@ class TrajectorySample:
     def t_fwd(self) -> int:
         return self.ego_future_accel.shape[0]
 
-    def spacing_of(self, k: int) -> np.ndarray:
-        """Spacing series of vehicle k; fails loudly for the lead vehicle."""
-        if k == 0:
-            raise ValueError("lead vehicle has no spacing (no observed leader)")
-        return self.hist_spacing[k]
-
-    def validate(self, atol: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Check the structural invariants; raises DataError on violation."""
         from .errors import DataError
 
         k, tb = self.hist_accel.shape
-        for name in ("hist_speed", "hist_spacing", "hist_position"):
+        for name in ("hist_speed", "hist_position"):
             if getattr(self, name).shape != (k, tb):
                 raise DataError(f"{name} shape mismatch in sample {self.sample_id}")
         if self.leader_future_accel.shape != (k - 1, self.t_fwd):
             raise DataError(f"leader_future_accel shape mismatch in sample {self.sample_id}")
         if np.any(self.hist_speed < 0):
             raise DataError(f"negative speed in sample {self.sample_id}")
-        gaps = self.hist_position[:-1] - self.hist_position[1:]
-        if np.any(gaps <= 0):
+        if np.any(self.hist_position[:-1] - self.hist_position[1:] <= 0):
             raise DataError(f"non-positive spacing in sample {self.sample_id}")
-        if np.max(np.abs(self.hist_spacing[1:] - gaps)) > atol:
-            raise DataError(f"spacing/position inconsistency in sample {self.sample_id}")
-        if not np.all(np.isnan(self.hist_spacing[0])):
-            raise DataError(f"lead-vehicle spacing must be the sentinel in sample {self.sample_id}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +101,7 @@ class SampleBatch:
     """The arrays of many samples, stacked once along a leading axis n.
 
     Built with ``SampleBatch.of(samples)``; the arrays are read-only
-    copies.  Spacing is not stacked: it is a difference of positions.
+    copies.  Spacing is not stacked: ``spacing`` derives it from positions.
     """
 
     sample_ids: np.ndarray           # (n,)
@@ -142,6 +128,11 @@ class SampleBatch:
         for arr in vars(batch).values():
             arr.flags.writeable = False
         return batch
+
+    @property
+    def spacing(self) -> np.ndarray:
+        """(n, K-1, t_back): each follower's spacing to its predecessor."""
+        return self.hist_position[:, :-1] - self.hist_position[:, 1:]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ schema is the caller's responsibility.
 Sample file: JSON lines.  Line 1 is a header object
 ``{"format_version": 1, "delta": ..., "k_vehicles": ..., "t_back": ...,
 "t_fwd": ...}``; every following line is one sample object.  Floats carry
-17 significant digits so the round trip is bit-exact.
+17 significant digits so the round trip is bit-exact.  A sample object's
+``hist_spacing`` ((K-1, t_back), the followers' spacings) is redundant with
+its ``hist_position``: it is written for the v1 format, checked against the
+positions on read and not kept.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .domain import DatasetConfig, SplitIndex, TrajectorySample
+from .domain import DatasetConfig, SampleBatch, TrajectorySample
 from .errors import DataError
 
 SAMPLE_FORMAT_VERSION = 1
@@ -150,14 +153,10 @@ def extract_samples(series: list[VehicleSeries], config: DatasetConfig) -> list[
         for start in range(n_common - window + 1):
             h = slice(start, start + tb)
             f = slice(start + tb, start + window)
-            spacing = np.empty((k, tb))
-            spacing[0] = np.nan
-            spacing[1:] = pos[:-1, h] - pos[1:, h]
             samples.append(TrajectorySample(
                 sample_id=sid,
                 hist_accel=acc[:, h].copy(),
                 hist_speed=spd[:, h].copy(),
-                hist_spacing=spacing,
                 hist_position=pos[:, h].copy(),
                 ego_future_accel=acc[-1, f].copy(),
                 ego_speed_at_t0=float(spd[-1, start + tb - 1]),
@@ -171,8 +170,8 @@ def extract_samples(series: list[VehicleSeries], config: DatasetConfig) -> list[
 class NormStats:
     """Per-channel z-score statistics, pooled over vehicle slots.
 
-    Computed on training-set inputs only; the lead vehicle's sentinel
-    spacing row is excluded from the spacing channel.
+    Computed on training-set inputs only; the lead vehicle has no spacing
+    and adds nothing to the spacing channel.
     """
 
     accel_mean: float
@@ -196,16 +195,12 @@ class NormStats:
             "spacing_mean", "spacing_std")})
 
 
-def compute_norm_stats(samples: list[TrajectorySample], split: SplitIndex) -> NormStats:
-    """Channel statistics over the training split's history inputs."""
-    train = [s for s in samples if s.sample_id in split.train_ids]
-    if not train:
-        raise DataError("training split is empty")
-    acc = np.concatenate([s.hist_accel.ravel() for s in train])
-    spd = np.concatenate([s.hist_speed.ravel() for s in train])
-    spc = np.concatenate([s.hist_spacing[1:].ravel() for s in train])
+def compute_norm_stats(batch: SampleBatch) -> NormStats:
+    """Channel statistics over a batch's history inputs (the training split)."""
     stats = {}
-    for name, vals in (("accel", acc), ("speed", spd), ("spacing", spc)):
+    for name, vals in (("accel", batch.hist_accel), ("speed", batch.hist_speed),
+                       ("spacing", batch.spacing)):
+        vals = vals.ravel()
         std = float(np.std(vals))
         if std <= 0:
             raise DataError(f"zero-variance {name} channel in training data")
@@ -214,20 +209,17 @@ def compute_norm_stats(samples: list[TrajectorySample], split: SplitIndex) -> No
     return NormStats(**stats)
 
 
-def sample_features(sample: TrajectorySample, stats: NormStats) -> np.ndarray:
-    """Normalized network input, shape (t_back, 3K).
+def sample_features(batch: SampleBatch, stats: NormStats) -> np.ndarray:
+    """Normalized network input, shape (n, t_back, 3K).
 
     Columns are per-vehicle blocks [accel, speed, spacing].  The lead
-    vehicle's spacing slot is a constant 0 after normalization (there is
-    no observed leader; the sentinel itself is never read).
+    vehicle has no observed leader, so its spacing slot is a constant 0.
     """
-    k, tb = sample.hist_accel.shape
-    out = np.empty((tb, 3 * k))
-    out[:, 0::3] = ((sample.hist_accel - stats.accel_mean) / stats.accel_std).T
-    out[:, 1::3] = ((sample.hist_speed - stats.speed_mean) / stats.speed_std).T
-    spc = (sample.hist_spacing - stats.spacing_mean) / stats.spacing_std
-    out[:, 2::3] = spc.T
-    out[:, 2] = 0.0
+    n, k, tb = batch.hist_accel.shape
+    out = np.zeros((n, tb, 3 * k))
+    out[:, :, 0::3] = ((batch.hist_accel - stats.accel_mean) / stats.accel_std).transpose(0, 2, 1)
+    out[:, :, 1::3] = ((batch.hist_speed - stats.speed_mean) / stats.speed_std).transpose(0, 2, 1)
+    out[:, :, 5::3] = ((batch.spacing - stats.spacing_mean) / stats.spacing_std).transpose(0, 2, 1)
     return out
 
 
@@ -247,7 +239,7 @@ def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) 
                 "sample_id": s.sample_id,
                 "hist_accel": s.hist_accel,
                 "hist_speed": s.hist_speed,
-                "hist_spacing": s.hist_spacing[1:],  # sentinel row not stored
+                "hist_spacing": s.hist_position[:-1] - s.hist_position[1:],
                 "hist_position": s.hist_position,
                 "ego_future_accel": s.ego_future_accel,
                 "ego_speed_at_t0": s.ego_speed_at_t0,
@@ -260,7 +252,8 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
     """Load a sample file; returns (samples, header dict).
 
     The header's geometry is parsed and returned as numbers; every sample's
-    array shapes must match it, or a DataError names the line.
+    array shapes must match it, and its stored spacing its positions, or a
+    DataError names the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -301,15 +294,17 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
             arrays = {name: np.array(obj[name], dtype=float) for name in shapes}
             sample_id = int(obj["sample_id"])
             ego_speed_at_t0 = float(obj["ego_speed_at_t0"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad sample object: {exc!r}") from exc
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise DataError(f"{path}:{lineno}: {name} has shape "
                                 f"{arrays[name].shape}, the header implies {shape}")
-        spacing = np.empty((k, tb))
-        spacing[0] = np.nan
-        spacing[1:] = arrays.pop("hist_spacing")
-        samples.append(TrajectorySample(sample_id=sample_id, hist_spacing=spacing,
+        pos = arrays["hist_position"]
+        mismatch = abs(arrays.pop("hist_spacing") - (pos[:-1] - pos[1:])).max()
+        if not mismatch <= 1e-6:  # metres; a NaN fails too
+            raise DataError(f"{path}:{lineno}: hist_spacing differs from the "
+                            f"position differences by {mismatch:.3g} m")
+        samples.append(TrajectorySample(sample_id=sample_id,
                                         ego_speed_at_t0=ego_speed_at_t0, **arrays))
     return samples, header

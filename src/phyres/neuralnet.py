@@ -433,15 +433,19 @@ def load_net(path) -> RecurrentNet:
     from . import serialize
     from .errors import DataError
     obj = serialize.read_json(path)
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: a weights file must be a JSON object")
     if obj.get("format_version") != WEIGHTS_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported weight format_version "
                         f"{obj.get('format_version')!r}")
-    cfg = NetConfig.from_dict(obj["net_config"])
-    params = {}
-    for name, t in obj["tensors"].items():
-        params[name] = np.array(t["values"], dtype=float).reshape(t["shape"])
+    try:
+        cfg = NetConfig.from_dict(obj["net_config"])
+        params = {name: np.array(t["values"], dtype=float).reshape(t["shape"])
+                  for name, t in obj["tensors"].items()}
+        stats = NormStats.from_dict(obj["norm_stats"]) if obj.get("norm_stats") else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad weights file: {exc!r}") from exc
     expected = _tensor_shapes(cfg)
     if set(params) != set(expected) or any(params[k].shape != expected[k] for k in expected):
         raise DataError(f"{path}: tensor set/shape mismatch with net_config")
-    stats = NormStats.from_dict(obj["norm_stats"]) if obj.get("norm_stats") else None
     return RecurrentNet(config=cfg, params=params, norm_stats=stats)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .domain import SplitIndex, TrajectorySample
+from .domain import SampleBatch, SplitIndex, TrajectorySample
 from .errors import ConfigError, NumericError
-from .ingest import NormStats, compute_norm_stats, sample_features
+from .ingest import compute_norm_stats, sample_features
 from .neuralnet import AdamState, NetConfig, RecurrentNet, adam_step, forward_batch, backward, init_net
 from .physics import PhysicsParams, physics_rollout
 
@@ -133,10 +133,6 @@ def compose_prediction(phys: np.ndarray, resid: np.ndarray):
     return total, np.where(phys_big, phys, small), np.where(phys_big, small, resid)
 
 
-def _stack_features(samples, stats: NormStats) -> np.ndarray:
-    return np.stack([sample_features(s, stats) for s in samples])
-
-
 def _val_metrics(pred: np.ndarray, truth: np.ndarray, v0: np.ndarray,
                  delta: float) -> tuple[float, float]:
     mse_a = float(np.mean((truth - pred) ** 2))
@@ -147,8 +143,7 @@ def _val_metrics(pred: np.ndarray, truth: np.ndarray, v0: np.ndarray,
 
 
 def _train(variant: str, samples, split, tconf: TrainConfig, nconf: NetConfig,
-           params: PhysicsParams | None, delta: float,
-           stats: NormStats | None) -> tuple[RecurrentNet, TrainReport]:
+           params: PhysicsParams | None, delta: float) -> tuple[RecurrentNet, TrainReport]:
     """Shared Adam/BPTT loop for the three learned variants.
 
     The net regresses on the truth (nn, pinn) or on the physics residual
@@ -157,12 +152,11 @@ def _train(variant: str, samples, split, tconf: TrainConfig, nconf: NetConfig,
     net's validation output before scoring.
     """
     train, val = _split_lists(samples, split)
-    stats = stats or compute_norm_stats(samples, split)
-    x_train = _stack_features(train, stats)
-    x_val = _stack_features(val, stats)
-    val_truth = np.stack([s.ego_future_accel for s in val])
-    v0_val = np.array([s.ego_speed_at_t0 for s in val])
-    targets = np.stack([s.ego_future_accel for s in train])
+    train_batch, val_batch = SampleBatch.of(train), SampleBatch.of(val)
+    stats = compute_norm_stats(train_batch)
+    x_train = sample_features(train_batch, stats)
+    x_val = sample_features(val_batch, stats)
+    targets = train_batch.ego_future_accel
     pinn_phys = val_phys = None
     if variant == "pinn":
         _, pinn_phys, _ = make_residual_targets(train, params, delta)
@@ -202,7 +196,8 @@ def _train(variant: str, samples, split, tconf: TrainConfig, nconf: NetConfig,
             epoch_losses.append(loss)
         y_val, _ = forward_batch(net, x_val, "eval")
         pred_val = y_val if val_phys is None else val_phys + y_val
-        mse_a, mse_v = _val_metrics(pred_val, val_truth, v0_val, delta)
+        mse_a, mse_v = _val_metrics(pred_val, val_batch.ego_future_accel,
+                                    val_batch.ego_speed_at_t0, delta)
         per_epoch.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
@@ -233,21 +228,18 @@ def _split_lists(samples, split: SplitIndex):
     return train, val
 
 
-def train_nn(samples, split, tconf: TrainConfig, nconf: NetConfig, delta: float,
-             stats: NormStats | None = None):
-    return _train("nn", samples, split, tconf, nconf, None, delta, stats)
+def train_nn(samples, split, tconf: TrainConfig, nconf: NetConfig, delta: float):
+    return _train("nn", samples, split, tconf, nconf, None, delta)
 
 
 def train_pinn(samples, split, tconf: TrainConfig, nconf: NetConfig,
-               params: PhysicsParams, delta: float,
-               stats: NormStats | None = None):
-    return _train("pinn", samples, split, tconf, nconf, params, delta, stats)
+               params: PhysicsParams, delta: float):
+    return _train("pinn", samples, split, tconf, nconf, params, delta)
 
 
 def train_perl(samples, split, tconf: TrainConfig, nconf: NetConfig,
-               params: PhysicsParams, delta: float,
-               stats: NormStats | None = None):
-    return _train("perl", samples, split, tconf, nconf, params, delta, stats)
+               params: PhysicsParams, delta: float):
+    return _train("perl", samples, split, tconf, nconf, params, delta)
 
 
 def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
@@ -268,18 +260,18 @@ def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
     if variant != "physics" and net.config.output_dim != t_fwd:
         raise ConfigError(f"net predicts {net.config.output_dim} steps but the "
                           f"samples have a {t_fwd}-step horizon")
+    batch = SampleBatch.of(samples)
     phys_parts = resid_parts = None
     flags = np.zeros(len(samples), dtype=bool)
     if variant in ("physics", "perl"):
         accel, flags = _physics_rollouts(samples, params, delta)
     if variant != "physics":
-        y, _ = forward_batch(net, _stack_features(samples, net.norm_stats), "eval")
+        y, _ = forward_batch(net, sample_features(batch, net.norm_stats), "eval")
         if variant == "perl":
             accel, phys_parts, resid_parts = compose_prediction(accel, y)
         else:
             accel = y
-    v0 = np.array([s.ego_speed_at_t0 for s in samples])
-    speed = reconstruct_speed(v0[:, None], accel, delta)
+    speed = reconstruct_speed(batch.ego_speed_at_t0[:, None], accel, delta)
     return [PredictionRecord(
         sample_id=s.sample_id,
         predicted_accel=accel[i],

@@ -23,14 +23,10 @@ def make_sample(sample_id=0, k=3, tb=6, tf=4, seed=0, delta=0.1):
     pos[k - 1] = np.cumsum(speed[k - 1]) * delta
     for i in range(k - 2, -1, -1):
         pos[i] = pos[i + 1] + rng.uniform(5.0, 15.0)
-    spacing = np.empty((k, tb))
-    spacing[0] = np.nan
-    spacing[1:] = pos[:-1] - pos[1:]
     return TrajectorySample(
         sample_id=sample_id,
         hist_accel=accel,
         hist_speed=speed,
-        hist_spacing=spacing,
         hist_position=pos,
         ego_future_accel=rng.uniform(-1.0, 1.0, size=tf),
         ego_speed_at_t0=float(speed[k - 1, -1]),

@@ -260,6 +260,53 @@ class TestArtifactMismatch:
                     "--seed", "0", "--model", "newell"]) == 2
         assert ":6: hist_speed has shape" in _one_error_line(capsys)
 
+    def test_spacing_position_mismatch_is_data_error(self, artifacts, tmp_path, capsys):
+        lines = artifacts[0].read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj["hist_spacing"][1][0] += 0.5
+        lines[5] = json.dumps(obj)
+        bad = tmp_path / "samples.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["calibrate", "--samples", str(bad), "--out", str(tmp_path / "c.json"),
+                    "--seed", "0", "--model", "newell"]) == 2
+        assert ":6: hist_spacing differs" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: [obj],
+        lambda obj: {k: v for k, v in obj.items() if k != "predicted_speed"},
+        lambda obj: dict(obj, predicted_accel=["x"] * len(obj["predicted_accel"])),
+        lambda obj: dict(obj, sample_id=float("inf")),  # written as Infinity
+    ], ids=["not-object", "missing-key", "non-numeric", "infinite-id"])
+    def test_malformed_record_is_data_error(self, artifacts, edit, tmp_path, capsys):
+        samples, _, _, weights = artifacts
+        preds = tmp_path / "p.jsonl"
+        assert run(["predict", "--samples", str(samples), "--out", str(preds),
+                    "--variant", "nn", "--weights", str(weights)]) == 0
+        lines = preds.read_text().splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])))
+        preds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--samples", str(samples), "--records", str(preds),
+                    "--out", str(tmp_path / "m.json")]) == 2
+        assert f"{preds}:3: malformed record" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: [obj],
+        lambda obj: {k: v for k, v in obj.items() if k != "net_config"},
+        lambda obj: {k: v for k, v in obj.items() if k != "tensors"},
+        lambda obj: dict(obj, tensors={
+            name: dict(t, values=t["values"][:-1]) for name, t in obj["tensors"].items()}),
+    ], ids=["not-object", "no-net-config", "no-tensors", "values-misfit-shape"])
+    def test_malformed_weights_is_data_error(self, artifacts, edit, tmp_path, capsys):
+        samples, _, _, weights = artifacts
+        bad = tmp_path / "weights.json"
+        bad.write_text(json.dumps(edit(json.loads(weights.read_text()))))
+        capsys.readouterr()
+        assert run(["predict", "--samples", str(samples), "--out", str(tmp_path / "p.jsonl"),
+                    "--variant", "nn", "--weights", str(bad)]) == 2
+        assert str(bad) in _one_error_line(capsys)
+
     @pytest.mark.parametrize("content", [
         '{"model": "newell"}',
         '{"param_mean": {"w": 4.0}}',

@@ -35,12 +35,6 @@ class TestTrajectorySample:
         assert s.k_vehicles == 3 and s.t_back == 6 and s.t_fwd == 4
         s.validate()
 
-    def test_spacing_of_lead_vehicle_fails(self):
-        s = make_sample()
-        with pytest.raises(ValueError):
-            s.spacing_of(0)
-        assert np.all(np.isfinite(s.spacing_of(1)))
-
     def test_validate_rejects_negative_speed(self):
         s = make_sample()
         s.hist_speed[1, 2] = -0.5
@@ -50,18 +44,6 @@ class TestTrajectorySample:
     def test_validate_rejects_non_positive_gap(self):
         s = make_sample()
         s.hist_position[0] = s.hist_position[1] - 1.0
-        with pytest.raises(DataError):
-            s.validate()
-
-    def test_validate_rejects_spacing_mismatch(self):
-        s = make_sample()
-        s.hist_spacing[1, 0] += 1.0
-        with pytest.raises(DataError):
-            s.validate()
-
-    def test_validate_requires_sentinel_row(self):
-        s = make_sample()
-        s.hist_spacing[0] = 1.0
         with pytest.raises(DataError):
             s.validate()
 
@@ -87,6 +69,16 @@ class TestSampleBatch:
         assert batch.hist_accel[0, 0, 0] != samples[0].hist_accel[0, 0]
         with pytest.raises(ValueError):
             batch.hist_speed[0, 0, 0] = 0.0
+
+    def test_spacing_is_position_difference(self):
+        samples = make_samples(4, k=3, tb=6)
+        spacing = SampleBatch.of(samples).spacing
+        assert spacing.shape == (4, 2, 6)
+        for i, s in enumerate(samples):
+            for k in (1, 2):  # vehicle k's spacing to vehicle k-1
+                np.testing.assert_array_equal(
+                    spacing[i, k - 1], s.hist_position[k - 1] - s.hist_position[k])
+        assert np.all(spacing > 0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="empty"):

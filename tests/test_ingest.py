@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_samples
-from phyres.domain import DatasetConfig, SplitIndex
-from phyres.errors import DataError
+from phyres.domain import DatasetConfig, SampleBatch, SplitIndex
+from phyres.errors import ConfigError, DataError
 from phyres.ingest import (compute_norm_stats, extract_samples, NormStats,
                            parse_trajectory_csv, read_samples, sample_features,
                            write_samples)
@@ -109,7 +109,7 @@ class TestExtractSamples:
         s = extract_samples(series, self._config())[0]
         assert np.all(s.hist_speed == 4.0)
         assert np.all(s.ego_future_accel == 0.0)
-        np.testing.assert_allclose(s.hist_spacing[1:], 8.0)
+        np.testing.assert_allclose(SampleBatch.of([s]).spacing, 8.0)
         assert s.ego_speed_at_t0 == 4.0
 
     def test_short_series_yields_nothing(self, tmp_path):
@@ -130,28 +130,31 @@ class TestExtractSamples:
 
 class TestNormStats:
     def test_train_only_and_sentinel_excluded(self):
-        samples = make_samples(10)
-        split = SplitIndex(train_ids=frozenset(range(6)),
-                           val_ids=frozenset({6, 7}), test_ids=frozenset({8, 9}))
-        stats = compute_norm_stats(samples, split)
-        train = samples[:6]
-        acc = np.concatenate([s.hist_accel.ravel() for s in train])
-        assert stats.accel_mean == pytest.approx(float(np.mean(acc)))
-        assert np.isfinite(stats.spacing_mean)
+        """Stats of the training batch equal the per-sample pooling of its
+        channels; the spacing channel pools the K-1 followers only."""
+        train = make_samples(10)[:6]
+        stats = compute_norm_stats(SampleBatch.of(train))
+        for name, per_sample in (
+                ("accel", lambda s: s.hist_accel),
+                ("speed", lambda s: s.hist_speed),
+                ("spacing", lambda s: s.hist_position[:-1] - s.hist_position[1:])):
+            vals = np.concatenate([per_sample(s).ravel() for s in train])
+            assert getattr(stats, f"{name}_mean") == float(np.mean(vals))
+            assert getattr(stats, f"{name}_std") == float(np.std(vals))
 
     def test_empty_train_rejected(self):
         samples = make_samples(4)
         split = SplitIndex(frozenset(), frozenset({0, 1}), frozenset({2, 3}))
-        with pytest.raises(DataError, match="empty"):
-            compute_norm_stats(samples, split)
+        train = [s for s in samples if s.sample_id in split.train_ids]
+        with pytest.raises(ConfigError, match="empty"):
+            compute_norm_stats(SampleBatch.of(train))
 
     def test_zero_variance_rejected(self):
         samples = make_samples(4)
         for s in samples:
             s.hist_speed[:] = 5.0
-        split = SplitIndex(frozenset({0, 1}), frozenset({2}), frozenset({3}))
         with pytest.raises(DataError, match="zero-variance"):
-            compute_norm_stats(samples, split)
+            compute_norm_stats(SampleBatch.of(samples[:2]))
 
     def test_round_trip(self):
         stats = NormStats(accel_mean=0.1, accel_std=1.0, speed_mean=5.0,
@@ -162,19 +165,22 @@ class TestNormStats:
 class TestSampleFeatures:
     def test_layout_and_normalization(self):
         samples = make_samples(5, k=3, tb=6)
-        split = SplitIndex(frozenset({0, 1, 2}), frozenset({3}), frozenset({4}))
-        stats = compute_norm_stats(samples, split)
-        s = samples[0]
-        x = sample_features(s, stats)
-        assert x.shape == (6, 9)
-        np.testing.assert_allclose(
-            x[:, 0], (s.hist_accel[0] - stats.accel_mean) / stats.accel_std)
-        np.testing.assert_allclose(
-            x[:, 4], (s.hist_speed[1] - stats.speed_mean) / stats.speed_std)
-        np.testing.assert_allclose(
-            x[:, 5], (s.hist_spacing[1] - stats.spacing_mean) / stats.spacing_std)
+        stats = compute_norm_stats(SampleBatch.of(samples[:3]))
+        x = sample_features(SampleBatch.of(samples), stats)
+        assert x.shape == (5, 6, 9)
+        for i, s in enumerate(samples):
+            spacing = s.hist_position[:-1] - s.hist_position[1:]
+            for k in range(3):
+                np.testing.assert_array_equal(
+                    x[i, :, 3 * k], (s.hist_accel[k] - stats.accel_mean) / stats.accel_std)
+                np.testing.assert_array_equal(
+                    x[i, :, 3 * k + 1], (s.hist_speed[k] - stats.speed_mean) / stats.speed_std)
+                if k > 0:
+                    np.testing.assert_array_equal(
+                        x[i, :, 3 * k + 2],
+                        (spacing[k - 1] - stats.spacing_mean) / stats.spacing_std)
         # the lead vehicle has no observed spacing; its slot is constant 0
-        assert np.all(x[:, 2] == 0.0)
+        assert np.all(x[:, :, 2] == 0.0)
         assert np.all(np.isfinite(x))
 
 
@@ -189,12 +195,33 @@ class TestSampleFilePersistence:
         assert len(restored) == 6
         for a, b in zip(samples, restored):
             assert a.sample_id == b.sample_id
-            np.testing.assert_array_equal(a.hist_accel, b.hist_accel)
-            np.testing.assert_array_equal(a.hist_position, b.hist_position)
-            np.testing.assert_array_equal(a.hist_spacing[1:], b.hist_spacing[1:])
-            assert np.all(np.isnan(b.hist_spacing[0]))
-            np.testing.assert_array_equal(a.ego_future_accel, b.ego_future_accel)
             assert a.ego_speed_at_t0 == b.ego_speed_at_t0
+            for name in ("hist_accel", "hist_speed", "hist_position",
+                         "ego_future_accel", "leader_future_accel"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_rewrite_is_byte_identical(self, tmp_path, dataset_config):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_samples(make_samples(6), first, dataset_config)
+        write_samples(read_samples(first)[0], second, dataset_config)
+        assert first.read_bytes() == second.read_bytes()
+        # the v1 file still carries the followers' spacing, from positions
+        obj = json.loads(first.read_text().splitlines()[1])
+        pos = np.array(obj["hist_position"])
+        np.testing.assert_array_equal(obj["hist_spacing"], pos[:-1] - pos[1:])
+
+    def test_spacing_position_mismatch_names_line(self, tmp_path, dataset_config):
+        path = tmp_path / "samples.jsonl"
+        write_samples(make_samples(3), path, dataset_config)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[3])
+        obj["hist_spacing"][0][2] += 1e-9  # within the tolerance: accepted
+        path.write_text("\n".join(lines[:3] + [json.dumps(obj)]) + "\n")
+        read_samples(path)
+        obj["hist_spacing"][0][2] += 1e-3
+        path.write_text("\n".join(lines[:3] + [json.dumps(obj)]) + "\n")
+        with pytest.raises(DataError, match=":4: hist_spacing differs"):
+            read_samples(path)
 
     def test_format_version_mismatch(self, tmp_path):
         path = tmp_path / "samples.jsonl"
@@ -220,6 +247,15 @@ class TestSampleFilePersistence:
         lines[1] = lines[1].replace("ego_speed_at_t0", "nope")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="bad sample object"):
+            read_samples(path)
+
+    def test_infinite_sample_id_rejected(self, tmp_path, dataset_config):
+        path = tmp_path / "samples.jsonl"
+        write_samples(make_samples(2), path, dataset_config)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"sample_id":1', '"sample_id":1e999')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=":3: bad sample object"):
             read_samples(path)
 
     @pytest.mark.parametrize("name, edit", [
