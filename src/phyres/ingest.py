@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
 from .domain import DatasetConfig, SampleBatch, TrajectorySample
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 SAMPLE_FORMAT_VERSION = 1
 CSV_HEADER = ["vehicle_id", "time", "position", "speed", "accel", "leader_id"]
+WRITE_CHUNK = 16  # samples stacked at a time: larger chunks raise the peak memory
 
 
 @dataclass
@@ -53,9 +55,9 @@ class VehicleSeries:
 def parse_trajectory_csv(path, delta: float, grid_atol: float = 1e-6) -> list[VehicleSeries]:
     """Parse a raw trajectory CSV into per-vehicle series.
 
-    Validates the header, timestep uniformity against ``delta`` and
-    duplicate (vehicle, time) pairs; errors name the offending row number
-    (1-based, header = row 1).
+    Validates the header, finite numbers, timestep uniformity against
+    ``delta`` and duplicate (vehicle, time) pairs; errors name the offending
+    row number (1-based, header = row 1).
     """
     rows_by_vehicle: dict[int, list[tuple[int, float, float, float, float, int | None]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -79,6 +81,8 @@ def parse_trajectory_csv(path, delta: float, grid_atol: float = 1e-6) -> list[Ve
                 lid = int(row[5]) if row[5].strip() != "" else None
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, (t, pos, spd, acc))):
+                raise DataError(f"{path}:{lineno}: non-finite value in {row[1:5]}")
             rows_by_vehicle.setdefault(vid, []).append((lineno, t, pos, spd, acc, lid))
             n_rows += 1
     if n_rows == 0:
@@ -223,29 +227,48 @@ def sample_features(batch: SampleBatch, stats: NormStats) -> np.ndarray:
     return out
 
 
+def _sample_shapes(k: int, tb: int, tf: int) -> dict[str, tuple]:
+    """A v1 sample object's float fields, in file order, with their shapes."""
+    return {"hist_accel": (k, tb), "hist_speed": (k, tb), "hist_spacing": (k - 1, tb),
+            "hist_position": (k, tb), "ego_future_accel": (tf,),
+            "ego_speed_at_t0": (), "leader_future_accel": (k - 1, tf)}
+
+
+def _json_slots(shape: tuple) -> str:
+    """Nested JSON arrays of '%.17g' slots (the float bytes of serialize.dumps)."""
+    return "[" + ",".join([_json_slots(shape[1:])] * shape[0]) + "]" if shape else "%.17g"
+
+
 def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) -> None:
-    """Persist samples as JSON lines (see module docstring for the schema)."""
+    """Persist samples as JSON lines (see module docstring for the schema):
+    the bytes of ``serialize.dumps``, from one '%'-format line template."""
+    shapes = _sample_shapes(config.k_vehicles, config.t_back, config.t_fwd)
+    template = '{"sample_id":%d,' + ",".join(
+        f'"{name}":{_json_slots(shape)}' for name, shape in shapes.items()) + "}\n"
+    header = {"format_version": SAMPLE_FORMAT_VERSION, "delta": config.delta,
+              "k_vehicles": config.k_vehicles, "t_back": config.t_back, "t_fwd": config.t_fwd}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize.dumps({
-            "format_version": SAMPLE_FORMAT_VERSION,
-            "delta": config.delta,
-            "k_vehicles": config.k_vehicles,
-            "t_back": config.t_back,
-            "t_fwd": config.t_fwd,
-        }))
-        fh.write("\n")
-        for s in samples:
-            fh.write(serialize.dumps({
-                "sample_id": s.sample_id,
-                "hist_accel": s.hist_accel,
-                "hist_speed": s.hist_speed,
-                "hist_spacing": s.hist_position[:-1] - s.hist_position[1:],
-                "hist_position": s.hist_position,
-                "ego_future_accel": s.ego_future_accel,
-                "ego_speed_at_t0": s.ego_speed_at_t0,
-                "leader_future_accel": s.leader_future_accel,
-            }))
-            fh.write("\n")
+        fh.write(serialize.dumps(header) + "\n")
+        for start in range(0, len(samples), WRITE_CHUNK):
+            batch = SampleBatch.of(samples[start:start + WRITE_CHUNK])
+            fields = dict(vars(batch), hist_spacing=batch.spacing)
+            got = {name: fields[name].shape[1:] for name in shapes}
+            if got != shapes:
+                raise ConfigError(f"sample shapes {got} differ from the header's {shapes}")
+            rows = np.hstack([fields[name].reshape(len(batch.sample_ids), -1) for name in shapes])
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                raise DataError(f"non-finite value in sample {batch.sample_ids[finite.argmin()]}")
+            fh.writelines(template % (sid, *row.tolist())
+                          for sid, row in zip(batch.sample_ids.tolist(), rows))
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
+# json reads NaN and Infinity tokens; a sample file holds finite numbers only
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def read_samples(path) -> tuple[list[TrajectorySample], dict]:
@@ -260,8 +283,8 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
     if not lines:
         raise DataError(f"{path}: empty file")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = _DECODER.decode(lines[0])
+    except ValueError as exc:
         raise DataError(f"{path}:1: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}:1: the header is not a JSON object")
@@ -273,38 +296,38 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
     try:
         k, tb, tf = (int(header[key]) for key in ("k_vehicles", "t_back", "t_fwd"))
         delta = float(header["delta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{path}:1: bad header: {exc!r}") from exc
-    if k < 2 or tb < 1 or tf < 1 or not delta > 0:
+    if k < 2 or tb < 1 or tf < 1 or not 0 < delta < math.inf:
         raise DataError(f"{path}:1: bad header geometry {header}")
     header = dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
     # every sample's arrays must have the geometry the header declares
-    shapes = {"hist_accel": (k, tb), "hist_speed": (k, tb),
-              "hist_spacing": (k - 1, tb), "hist_position": (k, tb),
-              "ego_future_accel": (tf,), "leader_future_accel": (k - 1, tf)}
+    shapes = _sample_shapes(k, tb, tf)
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = _DECODER.decode(line)
+        except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
         try:
             arrays = {name: np.array(obj[name], dtype=float) for name in shapes}
             sample_id = int(obj["sample_id"])
-            ego_speed_at_t0 = float(obj["ego_speed_at_t0"])
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad sample object: {exc!r}") from exc
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise DataError(f"{path}:{lineno}: {name} has shape "
                                 f"{arrays[name].shape}, the header implies {shape}")
+        # json reads an overflowing literal such as 1e999 as infinity
+        if not np.isfinite(np.concatenate([a.ravel() for a in arrays.values()])).all():
+            raise DataError(f"{path}:{lineno}: a number beyond the float range")
         pos = arrays["hist_position"]
         mismatch = abs(arrays.pop("hist_spacing") - (pos[:-1] - pos[1:])).max()
-        if not mismatch <= 1e-6:  # metres; a NaN fails too
+        if mismatch > 1e-6:  # metres
             raise DataError(f"{path}:{lineno}: hist_spacing differs from the "
                             f"position differences by {mismatch:.3g} m")
-        samples.append(TrajectorySample(sample_id=sample_id,
-                                        ego_speed_at_t0=ego_speed_at_t0, **arrays))
+        samples.append(TrajectorySample(
+            sample_id=sample_id, ego_speed_at_t0=float(arrays.pop("ego_speed_at_t0")), **arrays))
     return samples, header

@@ -97,13 +97,12 @@ def fvd_accel(v, dv, gap, params: FvdParams):
 
 
 def newell_predict_batch(lead_hist_accel: np.ndarray, dist_t0: np.ndarray,
-                         t_fwd: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized time-shift prediction for a batch of samples.
+                         t_fwd: int, delta: float) -> np.ndarray:
+    """Vectorized time-shift prediction (n, t_fwd) for a batch of samples.
 
     lead_hist_accel: (n, K-1, t_back) leader acceleration histories
     (row 0 = farthest leader).  dist_t0: (n, K-1) position distances from
-    the ego at t0.  Returns (predictions (n, t_fwd), chosen leader index
-    (n,)).
+    the ego at t0.
 
     Leader choice: the closest leader whose shifted source times all fall
     inside the observed history window; if none qualifies, the farthest
@@ -125,62 +124,50 @@ def newell_predict_batch(lead_hist_accel: np.ndarray, dist_t0: np.ndarray,
         hi = np.minimum(lo + 1, tb - 1)
         frac = idx - lo
         preds[:, j - 1] = (1.0 - frac) * src_series[rows, lo] + frac * src_series[rows, hi]
-    return preds, chosen
-
-
-def newell_predict(sample: TrajectorySample, params: NewellParams, delta: float) -> np.ndarray:
-    """Time-shift prediction for one sample over its horizon.
-
-    The position distance to each leader is frozen at its t0 value for
-    the whole horizon (the ego's future position is the very quantity
-    being predicted).
-    """
-    ego_pos = sample.hist_position[-1, -1]
-    dist = sample.hist_position[:-1, -1] - ego_pos  # (K-1,)
-    preds, _ = newell_predict_batch(
-        sample.hist_accel[None, :-1, :], dist[None, :] / params.w,
-        sample.t_fwd, delta,
-    )
-    return preds[0]
+    return preds
 
 
 def physics_rollout(sample: TrajectorySample, params: PhysicsParams,
                     delta: float) -> tuple[np.ndarray, bool]:
-    """Predict the ego's future accelerations over the sample horizon.
+    """One-row call of ``rollout_batch``: (accel (t_fwd,), collision flag)."""
+    accel, collided = rollout_batch(SampleBatch.of([sample]), params, delta)
+    return accel[0], bool(collided[0])
 
-    Returns (accel vector of length t_fwd, collision-in-rollout flag).
-    The time-shift model reads the leader's observed history directly;
-    IDM/FVD self-roll the ego forward while the immediate leader follows
-    its realized future accelerations.
-    """
+
+def rollout_batch(batch: SampleBatch, params: PhysicsParams,
+                  delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample's future ego accelerations (n, t_fwd) and collision flags (n,).
+
+    The time-shift model reads the leaders' observed histories at their t0
+    distances.  IDM/FVD self-roll the ego while the immediate leader follows
+    its realized future accelerations; a closed gap is floored at
+    ``ROLLOUT_GAP_FLOOR`` and flags the sample."""
+    n, t_fwd = batch.ego_future_accel.shape
+    pos_t0 = batch.hist_position[:, :, -1]  # (n, K)
     if isinstance(params, NewellParams):
-        return newell_predict(sample, params, delta), False
+        dist = pos_t0[:, :-1] - pos_t0[:, -1:]
+        return (newell_predict_batch(batch.hist_accel[:, :-1], dist / params.w, t_fwd, delta),
+                np.zeros(n, dtype=bool))
 
-    t_fwd = sample.t_fwd
-    v_e = sample.ego_speed_at_t0
-    x_e = sample.hist_position[-1, -1]
-    v_l = sample.hist_speed[-2, -1]
-    x_l = sample.hist_position[-2, -1]
-    lead_acc = sample.leader_future_accel[-1]
-    out = np.empty(t_fwd)
-    collided = False
+    accel_fn = idm_accel if isinstance(params, IdmParams) else fvd_accel
+    v_e, x_e = batch.ego_speed_at_t0, pos_t0[:, -1]
+    v_l, x_l = batch.hist_speed[:, -2, -1], pos_t0[:, -2]
+    lead_acc = batch.leader_future_accel[:, -1]
+    out = np.empty((n, t_fwd))
+    collided = np.zeros(n, dtype=bool)
     for j in range(t_fwd):
         gap = x_l - x_e
-        if gap <= 0.0:
-            gap = ROLLOUT_GAP_FLOOR
-            collided = True
-        dv = v_e - v_l
-        if isinstance(params, IdmParams):
-            a = float(idm_accel(v_e, dv, gap, params))
-        else:
-            a = float(fvd_accel(v_e, dv, gap, params))
-        if not np.isfinite(a):
-            raise NumericError(f"non-finite rollout acceleration in sample {sample.sample_id}")
-        out[j] = a
-        v_e = max(v_e + a * delta, 0.0)
+        closed = gap <= 0.0
+        collided |= closed
+        out[:, j] = a = accel_fn(v_e, v_e - v_l, np.where(closed, ROLLOUT_GAP_FLOOR, gap), params)
+        v_e = np.maximum(v_e + a * delta, 0.0)
         x_e = x_e + v_e * delta
-        v_l = max(v_l + lead_acc[j] * delta, 0.0)
+        v_l = np.maximum(v_l + lead_acc[:, j] * delta, 0.0)
         x_l = x_l + v_l * delta
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise NumericError("non-finite rollout acceleration in sample "
+                           f"{batch.sample_ids[bad.argmax()]}")
     return out, collided
 
 
@@ -190,8 +177,7 @@ def one_step_batch(batch: SampleBatch, params: PhysicsParams,
     pos_t0 = batch.hist_position[:, :, -1]  # (n, K)
     if isinstance(params, NewellParams):
         dist = pos_t0[:, :-1] - pos_t0[:, -1:]
-        preds, _ = newell_predict_batch(batch.hist_accel[:, :-1], dist / params.w, 1, delta)
-        return preds[:, 0]
+        return newell_predict_batch(batch.hist_accel[:, :-1], dist / params.w, 1, delta)[:, 0]
     v = batch.ego_speed_at_t0
     gap = pos_t0[:, -2] - pos_t0[:, -1]
     dv = v - batch.hist_speed[:, -2, -1]

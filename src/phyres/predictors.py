@@ -23,7 +23,8 @@ from .domain import SampleBatch, SplitIndex, TrajectorySample
 from .errors import ConfigError, NumericError
 from .ingest import compute_norm_stats, sample_features
 from .neuralnet import AdamState, NetConfig, RecurrentNet, adam_step, forward_batch, backward, init_net
-from .physics import PhysicsParams, physics_rollout
+# physics_rollout is unused here: perfbench/tracing.py wraps this module's attribute
+from .physics import PhysicsParams, physics_rollout, rollout_batch
 
 VARIANTS = ("physics", "nn", "pinn", "perl")
 
@@ -97,26 +98,16 @@ def reconstruct_speed(v0: float, accel: np.ndarray, delta: float) -> np.ndarray:
     return v0 + delta * np.cumsum(accel, axis=-1)
 
 
-def _physics_rollouts(samples: list[TrajectorySample], params: PhysicsParams,
-                      delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Physics predictions (n, t_fwd) and collision flags (n,), one rollout
-    per sample."""
-    phys = np.empty((len(samples), samples[0].t_fwd))
-    flags = np.zeros(len(samples), dtype=bool)
-    for i, s in enumerate(samples):
-        phys[i], flags[i] = physics_rollout(s, params, delta)
-    return phys, flags
-
-
-def make_residual_targets(samples: list[TrajectorySample], params: PhysicsParams,
+def make_residual_targets(samples: list[TrajectorySample] | SampleBatch,
+                          params: PhysicsParams,
                           delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual targets r = truth - physics prediction, per sample.
 
-    Returns (residuals (n, t_fwd), physics predictions (n, t_fwd),
-    collision flags (n,))."""
-    phys, flags = _physics_rollouts(samples, params, delta)
-    truth = np.stack([s.ego_future_accel for s in samples])
-    return truth - phys, phys, flags
+    Takes a sample list or a prebuilt batch; returns (residuals (n, t_fwd),
+    physics predictions (n, t_fwd), collision flags (n,))."""
+    batch = samples if isinstance(samples, SampleBatch) else SampleBatch.of(samples)
+    phys, flags = rollout_batch(batch, params, delta)
+    return batch.ego_future_accel - phys, phys, flags
 
 
 def compose_prediction(phys: np.ndarray, resid: np.ndarray):
@@ -159,10 +150,10 @@ def _train(variant: str, samples, split, tconf: TrainConfig, nconf: NetConfig,
     targets = train_batch.ego_future_accel
     pinn_phys = val_phys = None
     if variant == "pinn":
-        _, pinn_phys, _ = make_residual_targets(train, params, delta)
+        _, pinn_phys, _ = make_residual_targets(train_batch, params, delta)
     elif variant == "perl":
-        targets, _, _ = make_residual_targets(train, params, delta)
-        _, val_phys, _ = make_residual_targets(val, params, delta)
+        targets, _, _ = make_residual_targets(train_batch, params, delta)
+        _, val_phys, _ = make_residual_targets(val_batch, params, delta)
 
     n, t_fwd = targets.shape
     net = init_net(nconf, norm_stats=stats)
@@ -246,7 +237,7 @@ def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
                  params: PhysicsParams | None = None,
                  net: RecurrentNet | None = None) -> list[PredictionRecord]:
     """Prediction records for ``samples``, in order, from one batched pass:
-    one physics rollout per sample (physics, perl) and one eval-mode
+    one physics rollout over all samples (physics, perl) and one eval-mode
     forward over all samples (nn, pinn, perl)."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
@@ -264,7 +255,7 @@ def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
     phys_parts = resid_parts = None
     flags = np.zeros(len(samples), dtype=bool)
     if variant in ("physics", "perl"):
-        accel, flags = _physics_rollouts(samples, params, delta)
+        accel, flags = rollout_batch(batch, params, delta)
     if variant != "physics":
         y, _ = forward_batch(net, sample_features(batch, net.norm_stats), "eval")
         if variant == "perl":

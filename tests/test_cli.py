@@ -272,6 +272,37 @@ class TestArtifactMismatch:
                     "--seed", "0", "--model", "newell"]) == 2
         assert ":6: hist_spacing differs" in _one_error_line(capsys)
 
+    def test_non_finite_csv_value_is_data_error(self, workspace, tmp_path, capsys):
+        rows = workspace[1].read_text().splitlines()
+        cells = rows[40].split(",")
+        cells[3] = "nan"  # speed
+        rows[40] = ",".join(cells)
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "samples.jsonl"
+        capsys.readouterr()
+        assert run(["extract", "--input", str(corpus), "--out", str(out)]) == 2
+        assert f"{corpus}:41: non-finite value" in _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_non_finite_sample_token_is_data_error(self, artifacts, tmp_path, capsys):
+        samples, _, _, weights = artifacts
+        preds = tmp_path / "p.jsonl"
+        assert run(["predict", "--samples", str(samples), "--out", str(preds),
+                    "--variant", "nn", "--weights", str(weights)]) == 0
+        lines = samples.read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj["ego_future_accel"][2] = float("nan")
+        lines[5] = json.dumps(obj)  # writes the bare NaN token
+        bad = tmp_path / "samples.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        metrics = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["evaluate", "--samples", str(bad), "--records", str(preds),
+                    "--out", str(metrics)]) == 2
+        assert f"{bad}:6: malformed sample: NaN" in _one_error_line(capsys)
+        assert not metrics.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda obj: [obj],
         lambda obj: {k: v for k, v in obj.items() if k != "predicted_speed"},

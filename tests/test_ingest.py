@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import make_samples
+from phyres import serialize
 from phyres.domain import DatasetConfig, SampleBatch, SplitIndex
 from phyres.errors import ConfigError, DataError
-from phyres.ingest import (compute_norm_stats, extract_samples, NormStats,
+from phyres.ingest import (WRITE_CHUNK, compute_norm_stats, extract_samples, NormStats,
                            parse_trajectory_csv, read_samples, sample_features,
                            write_samples)
 
@@ -64,6 +65,17 @@ class TestParseCsv:
         rows[0] = "1,0.0,zero,5.0,0.0,"
         path = _write_csv(tmp_path / "c.csv", rows)
         with pytest.raises(DataError, match=":2:"):
+            parse_trajectory_csv(path, 0.1)
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_row(self, tmp_path, column, value):
+        rows = _linear_platoon()
+        cells = rows[4].split(",")
+        cells[column] = value
+        rows[4] = ",".join(cells)
+        path = _write_csv(tmp_path / "c.csv", rows)
+        with pytest.raises(DataError, match=":6: non-finite value"):
             parse_trajectory_csv(path, 0.1)
 
     def test_duplicate_time_rejected(self, tmp_path):
@@ -184,7 +196,56 @@ class TestSampleFeatures:
         assert np.all(np.isfinite(x))
 
 
+def _dumps_writer(samples, path, config):
+    """Reference: the per-sample ``serialize.dumps`` writer that the
+    template writer replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize.dumps({
+            "format_version": 1, "delta": config.delta, "k_vehicles": config.k_vehicles,
+            "t_back": config.t_back, "t_fwd": config.t_fwd}) + "\n")
+        for s in samples:
+            fh.write(serialize.dumps({
+                "sample_id": s.sample_id,
+                "hist_accel": s.hist_accel,
+                "hist_speed": s.hist_speed,
+                "hist_spacing": s.hist_position[:-1] - s.hist_position[1:],
+                "hist_position": s.hist_position,
+                "ego_future_accel": s.ego_future_accel,
+                "ego_speed_at_t0": s.ego_speed_at_t0,
+                "leader_future_accel": s.leader_future_accel,
+            }) + "\n")
+
+
 class TestSampleFilePersistence:
+    def test_bytes_match_per_sample_dumps(self, tmp_path, dataset_config):
+        samples = make_samples(300)  # more than one chunk, and a partial last one
+        edge = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.0, 1e-5, 123456789.0]
+        for i, s in enumerate(samples[::7]):
+            s.hist_accel[i % 3, i % 6] = edge[i % len(edge)]
+            s.ego_future_accel[i % 4] = edge[(i + 1) % len(edge)]
+            s.leader_future_accel[i % 2, i % 4] = edge[(i + 2) % len(edge)]
+            s.hist_speed[0, i % 6] = edge[(i + 3) % len(edge)]
+            s.ego_speed_at_t0 = edge[(i + 4) % len(edge)]
+            s.hist_position[0] = s.hist_position[1] + edge[(i + 5) % len(edge)]
+        samples[3].ego_speed_at_t0 = 8  # an int, as a caller may pass
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        _dumps_writer(samples, want, dataset_config)
+        write_samples(samples, got, dataset_config)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["hist_speed", "hist_position", "ego_future_accel"])
+    def test_non_finite_value_rejected(self, tmp_path, dataset_config, field, value):
+        samples = make_samples(WRITE_CHUNK + 10)
+        getattr(samples[WRITE_CHUNK + 4], field)[-1] = value
+        getattr(samples[WRITE_CHUNK + 7], field)[0] = value
+        with pytest.raises(DataError, match=f"non-finite value in sample {WRITE_CHUNK + 4}$"):
+            write_samples(samples, tmp_path / "s.jsonl", dataset_config)
+
+    def test_geometry_mismatch_rejected(self, tmp_path, dataset_config):
+        with pytest.raises(ConfigError, match="header"):
+            write_samples(make_samples(3, tf=5), tmp_path / "s.jsonl", dataset_config)
+
     def test_round_trip_bit_exact(self, tmp_path, dataset_config):
         samples = make_samples(6)
         path = tmp_path / "samples.jsonl"
@@ -247,6 +308,43 @@ class TestSampleFilePersistence:
         lines[1] = lines[1].replace("ego_speed_at_t0", "nope")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="bad sample object"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_names_line(self, tmp_path, dataset_config, token):
+        path = tmp_path / "samples.jsonl"
+        write_samples(make_samples(3), path, dataset_config)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["ego_future_accel"][1] = float(token.replace("Infinity", "inf"))
+        lines[2] = json.dumps(obj)  # writes the bare token
+        assert token in lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f":3: malformed sample: {token} is not a finite"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("field", ["hist_accel", "ego_speed_at_t0", "hist_position"])
+    def test_overflowing_literal_names_line(self, tmp_path, dataset_config, field):
+        path = tmp_path / "samples.jsonl"
+        write_samples(make_samples(3), path, dataset_config)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[3])
+        if field == "ego_speed_at_t0":
+            obj[field] = "OVERFLOW"
+        else:
+            obj[field][0][0] = "OVERFLOW"
+        lines[3] = json.dumps(obj).replace('"OVERFLOW"', "1e999")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=":4: a number beyond the float range"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("delta, t_back", [("Infinity", "6"), ("1e999", "6"),
+                                                ("0.1", "1e999")])
+    def test_non_finite_header_rejected(self, tmp_path, delta, t_back):
+        path = tmp_path / "samples.jsonl"
+        path.write_text('{"format_version": 1, "delta": %s, "k_vehicles": 3, '
+                        '"t_back": %s, "t_fwd": 4}\n' % (delta, t_back))
+        with pytest.raises(DataError, match=":1:"):
             read_samples(path)
 
     def test_infinite_sample_id_rejected(self, tmp_path, dataset_config):

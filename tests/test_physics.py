@@ -11,8 +11,8 @@ from phyres.domain import SampleBatch
 from phyres.errors import ConfigError, NumericError
 from phyres.physics import (FVD_FIXED, ROLLOUT_GAP_FLOOR, FvdParams, IdmParams,
                             NewellParams, fvd_accel, idm_accel, model_name,
-                            newell_predict, newell_predict_batch,
-                            one_step_batch, physics_rollout)
+                            newell_predict_batch, one_step_batch,
+                            physics_rollout, rollout_batch)
 
 FVD_REF = FvdParams(kappa=0.5, lam=0.3, **FVD_FIXED)
 
@@ -131,7 +131,7 @@ class TestTimeShiftPrediction:
         for seed in range(20):
             s = make_sample(k=3, tb=10, tf=3, seed=seed)
             params = NewellParams(w=3.0)
-            got = newell_predict(s, params, delta=0.5)
+            got = physics_rollout(s, params, delta=0.5)[0]
             want = oracle_time_shift(s, 3.0, 0.5)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -140,7 +140,7 @@ class TestTimeShiftPrediction:
         s = make_sample(k=2, tb=8, tf=2, seed=1)
         s.hist_accel[0] = np.arange(8.0)  # leader accel = its grid index
         s.hist_position[0] = s.hist_position[1] + 4.0
-        got = newell_predict(s, NewellParams(w=2.0), delta=0.5)
+        got = physics_rollout(s, NewellParams(w=2.0), delta=0.5)[0]
         # sources: (7 + j) - 4 for j=1,2
         np.testing.assert_allclose(got, [4.0, 5.0], atol=1e-12)
 
@@ -148,7 +148,7 @@ class TestTimeShiftPrediction:
         s = make_sample(k=2, tb=8, tf=1, seed=2)
         s.hist_accel[0] = np.arange(8.0) ** 2
         s.hist_position[0] = s.hist_position[1] + 3.5  # shift = 3.5 steps
-        got = newell_predict(s, NewellParams(w=2.0), delta=0.5)
+        got = physics_rollout(s, NewellParams(w=2.0), delta=0.5)[0]
         # source 4.5 -> midpoint of 16 and 25
         assert got[0] == pytest.approx(20.5, abs=1e-12)
 
@@ -159,7 +159,7 @@ class TestTimeShiftPrediction:
         # both leaders qualify; the immediate one (index 1) must be used
         s.hist_position[1] = s.hist_position[2] + 2.0   # shift 4 steps
         s.hist_position[0] = s.hist_position[1] + 2.0   # shift 8 steps
-        got = newell_predict(s, NewellParams(w=1.0), delta=0.5)
+        got = physics_rollout(s, NewellParams(w=1.0), delta=0.5)[0]
         np.testing.assert_allclose(got, [7.0, 7.0])
 
     def test_falls_back_to_farthest_leader_with_clamping(self):
@@ -168,7 +168,7 @@ class TestTimeShiftPrediction:
         # both shifts below t_fwd: no leader qualifies
         s.hist_position[1] = s.hist_position[2] + 0.05
         s.hist_position[0] = s.hist_position[1] + 0.05
-        got = newell_predict(s, NewellParams(w=10.0), delta=0.5)
+        got = physics_rollout(s, NewellParams(w=10.0), delta=0.5)[0]
         # sources beyond the window clamp to the last history value
         np.testing.assert_allclose(got, [2.0, 2.0], atol=1e-9)
 
@@ -219,12 +219,110 @@ class TestRollout:
         assert ROLLOUT_GAP_FLOOR == 0.1
 
 
+def _scalar_rollout(sample, params, delta):
+    """Reference: the per-sample rollout that ``rollout_batch`` replaced."""
+    if isinstance(params, NewellParams):
+        dist = sample.hist_position[:-1, -1] - sample.hist_position[-1, -1]
+        preds = newell_predict_batch(sample.hist_accel[None, :-1, :], dist[None, :] / params.w,
+                                     sample.t_fwd, delta)
+        return preds[0], False
+    v_e = sample.ego_speed_at_t0
+    x_e = sample.hist_position[-1, -1]
+    v_l = sample.hist_speed[-2, -1]
+    x_l = sample.hist_position[-2, -1]
+    lead_acc = sample.leader_future_accel[-1]
+    out = np.empty(sample.t_fwd)
+    collided = False
+    for j in range(sample.t_fwd):
+        gap = x_l - x_e
+        if gap <= 0.0:
+            gap = ROLLOUT_GAP_FLOOR
+            collided = True
+        dv = v_e - v_l
+        if isinstance(params, IdmParams):
+            a = float(idm_accel(v_e, dv, gap, params))
+        else:
+            a = float(fvd_accel(v_e, dv, gap, params))
+        if not np.isfinite(a):
+            raise NumericError(f"non-finite rollout acceleration in sample {sample.sample_id}")
+        out[j] = a
+        v_e = max(v_e + a * delta, 0.0)
+        x_e = x_e + v_e * delta
+        v_l = max(v_l + lead_acc[j] * delta, 0.0)
+        x_l = x_l + v_l * delta
+    return out, collided
+
+
+def _rollout_samples():
+    """40 samples; every fifth starts with the leader behind the ego and
+    every fifth (offset one) closes its gap during the rollout."""
+    samples = [make_sample(sample_id=100 + i, k=3, tb=10, tf=6, seed=i) for i in range(40)]
+    for s in samples[::5]:
+        s.hist_position[-2, -1] = s.hist_position[-1, -1] - 1.0
+    for s in samples[1::5]:
+        s.hist_position[-2, -1] = s.hist_position[-1, -1] + 0.5
+        s.hist_speed[-2, -1] = 0.0
+        s.ego_speed_at_t0 = 10.0
+        s.leader_future_accel[-1] = 0.0
+    return samples
+
+
+class TestRolloutBatch:
+    @pytest.mark.parametrize("params", [FVD_REF, NewellParams(w=4.0)])
+    def test_bit_equal_to_scalar_reference(self, params):
+        samples = _rollout_samples()
+        accel, collided = rollout_batch(SampleBatch.of(samples), params, delta=0.1)
+        ref = [_scalar_rollout(s, params, 0.1) for s in samples]
+        np.testing.assert_array_equal(accel, np.stack([a for a, _ in ref]))
+        assert collided.tolist() == [c for _, c in ref]
+        if isinstance(params, FvdParams):  # from the start, and during the rollout
+            assert collided[::5].all() and collided[1::5].all()
+        else:
+            assert not collided.any()
+
+    def test_idm_within_ulp_bound(self):
+        # numpy's array ``** 4`` and the scalar pow round differently, so IDM
+        # rollouts move by an ulp or so of the acceleration scale: measured
+        # 1.4 ulp of max(|a|, a_max) here, with 1.4% of the values changed
+        rng = np.random.default_rng(0)
+        free = [make_sample(sample_id=i, k=3, tb=10, tf=6, seed=i) for i in range(300)]
+        for s in free:
+            s.ego_speed_at_t0 = rng.uniform(0.0, 30.0)
+            s.hist_speed[-2, -1] = rng.uniform(0.0, 30.0)
+            s.hist_position[-2, -1] = s.hist_position[-1, -1] + rng.uniform(2.0, 60.0)
+        samples = _rollout_samples() + free
+        accel, collided = rollout_batch(SampleBatch.of(samples), IDM_TRUE, delta=0.1)
+        ref = [_scalar_rollout(s, IDM_TRUE, 0.1) for s in samples]
+        want = np.stack([a for a, _ in ref])
+        ulp = np.finfo(float).eps * np.maximum(np.abs(want), IDM_TRUE.a_max)
+        assert np.all(np.abs(accel - want) <= 4 * ulp)
+        assert collided.tolist() == [c for _, c in ref]
+        assert collided[:40:5].all()
+
+    @pytest.mark.parametrize("params", [IDM_TRUE, FVD_REF])
+    def test_non_finite_names_first_bad_sample(self, params):
+        samples = _rollout_samples()[:10]
+        samples[6].ego_speed_at_t0 = float("nan")     # bad from the first step
+        samples[3].leader_future_accel[-1, 1] = np.nan  # bad from the third step
+        with pytest.raises(NumericError, match="in sample 103$"):
+            rollout_batch(SampleBatch.of(samples), params, delta=0.1)
+        with pytest.raises(NumericError, match="in sample 103$"):
+            for s in samples:
+                _scalar_rollout(s, params, 0.1)
+
+    def test_one_row_call(self):
+        s = _rollout_samples()[0]
+        accel, collided = physics_rollout(s, FVD_REF, delta=0.1)
+        assert collided is True
+        np.testing.assert_array_equal(accel, _scalar_rollout(s, FVD_REF, 0.1)[0])
+
+
 def _one_step_from_list(samples, params, delta):
     """Reference: the one-step kernel with arrays gathered per sample."""
     if isinstance(params, NewellParams):
         lead_hist = np.stack([s.hist_accel[:-1] for s in samples])
         dist = np.stack([s.hist_position[:-1, -1] - s.hist_position[-1, -1] for s in samples])
-        return newell_predict_batch(lead_hist, dist / params.w, 1, delta)[0][:, 0]
+        return newell_predict_batch(lead_hist, dist / params.w, 1, delta)[:, 0]
     v = np.array([s.ego_speed_at_t0 for s in samples])
     v_l = np.array([s.hist_speed[-2, -1] for s in samples])
     gap = np.array([s.hist_position[-2, -1] - s.hist_position[-1, -1] for s in samples])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import IDM_TRUE, make_sample, make_samples
-from phyres.domain import SplitIndex
+from phyres.domain import SampleBatch, SplitIndex
 from phyres.errors import ConfigError
 from phyres.neuralnet import NetConfig
 from phyres.physics import NewellParams, physics_rollout
@@ -75,6 +75,16 @@ class TestResidualTargets:
             np.testing.assert_array_equal(phys[i], expected)
             np.testing.assert_array_equal(residuals[i], s.ego_future_accel - expected)
             assert flags[i] == collided
+
+    def test_list_and_batch_bit_equal(self):
+        samples = make_samples(12, k=3, tb=6, tf=4)
+        samples[2].hist_position[-2, -1] = samples[2].hist_position[-1, -1] - 1.0
+        for params in (NewellParams(w=4.0), IDM_TRUE):
+            from_list = make_residual_targets(samples, params, DELTA)
+            from_batch = make_residual_targets(SampleBatch.of(samples), params, DELTA)
+            for a, b in zip(from_list, from_batch):
+                np.testing.assert_array_equal(a, b)
+            assert from_batch[2][2] == (params is IDM_TRUE)
 
 
 class TestComposition:

@@ -5,8 +5,7 @@ from conftest import IDM_TRUE
 from phyres.domain import DatasetConfig, SampleBatch
 from phyres.errors import ConfigError
 from phyres.ingest import extract_samples, parse_trajectory_csv
-from phyres.physics import (NewellParams, idm_accel, newell_predict,
-                            one_step_batch)
+from phyres.physics import NewellParams, idm_accel, one_step_batch, rollout_batch
 from phyres.synth import LeadProfile, SynthConfig, generate_corpus
 
 DELTA = 0.1
@@ -116,11 +115,9 @@ class TestSelfConsistency:
     def test_zero_noise_shift_generator_matches_predictor(self, tmp_path):
         samples = self._samples(tmp_path, _newell_config(), t_back=50, t_fwd=1)
         assert len(samples) > 0
-        err = max(
-            abs(newell_predict(s, NewellParams(w=4.0), DELTA)[0]
-                - s.ego_future_accel[0])
-            for s in samples)
-        assert err < 1e-9
+        batch = SampleBatch.of(samples)
+        preds, _ = rollout_batch(batch, NewellParams(w=4.0), DELTA)
+        assert float(np.max(np.abs(preds - batch.ego_future_accel))) < 1e-9
 
     def test_noise_breaks_exactness(self, tmp_path):
         samples = self._samples(tmp_path, _idm_config(noise_sigma=0.1),
