@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -29,12 +30,13 @@ from .domain import DatasetConfig, split_dataset
 from .errors import ConfigError, DataError, NumericError, PhyresError
 from .evaluation import (SweepConfig, emit_plot_data, mse_metrics, run_sweep,
                          write_sweep_outputs)
-from .ingest import (extract_samples, parse_trajectory_csv, read_samples,
-                     write_samples)
+from .ingest import (_DECODER, extract_samples, parse_trajectory_csv,
+                     read_samples, write_samples)
 from .neuralnet import NetConfig, gradient_check, load_net, save_net
 from .physics import IdmParams, NewellParams
-from .predictors import (PredictionRecord, TrainConfig, predict_many,
-                         train_nn, train_perl, train_pinn)
+# train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
+from .predictors import (VARIANTS, PredictionRecord, TrainConfig, predict_many,
+                         train, train_nn, train_perl, train_pinn)
 from .synth import LeadProfile, SynthConfig, generate_corpus
 
 
@@ -86,6 +88,20 @@ def _add_dataset_flags(p):
     p.add_argument("--split-seed", type=int, default=0)
 
 
+def _add_training_flags(p, max_epochs, patience):
+    p.add_argument("--cell", choices=["lstm", "gru"], default="lstm")
+    p.add_argument("--units1", type=int, default=32)
+    p.add_argument("--units2", type=int, default=16)
+    p.add_argument("--dense-units", type=int, default=32)
+    p.add_argument("--dropout", type=float, default=0.2)
+    p.add_argument("--activation", choices=["linear", "relu"], default="linear")
+    p.add_argument("--max-epochs", type=int, default=max_epochs)
+    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--patience", type=int, default=patience)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--mu", type=float, default=0.5)
+
+
 def _load_params(path):
     """Physics params from a calibration report."""
     obj = serialize.read_json(path)
@@ -93,10 +109,15 @@ def _load_params(path):
             or not isinstance(obj.get("param_mean"), dict):
         raise DataError(f"{path}: not a calibration report (needs a known "
                         f"model and a param_mean object)")
-    missing = [k for k in PARAM_ORDER[obj["model"]] if k not in obj["param_mean"]]
+    values = obj["param_mean"]
+    missing = [k for k in PARAM_ORDER[obj["model"]] if k not in values]
     if missing:
         raise DataError(f"{path}: param_mean lacks {', '.join(missing)}")
-    return make_params(obj["model"], obj["param_mean"])
+    for k in PARAM_ORDER[obj["model"]]:
+        v = values[k]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise DataError(f"{path}: param_mean.{k} is {v!r}, not a finite number")
+    return make_params(obj["model"], values)
 
 
 # ---------------------------------------------------------------- synth
@@ -179,20 +200,8 @@ def _cmd_train(args):
     tconf = TrainConfig(variant=args.variant, seed=args.seed,
                         max_epochs=args.max_epochs, batch_size=args.batch_size,
                         patience=args.patience, lr=args.lr, mu=args.mu)
-    inputs = [args.samples]
-    if args.variant == "nn":
-        net, report = train_nn(samples, split, tconf, nconf, delta)
-    else:
-        if not args.params_file:
-            raise ConfigError(f"--params-file is required for variant {args.variant}")
-        params = _load_params(args.params_file)
-        inputs.append(args.params_file)
-        if args.variant == "pinn":
-            net, report = train_pinn(samples, split, tconf, nconf, params, delta)
-        elif args.variant == "perl":
-            net, report = train_perl(samples, split, tconf, nconf, params, delta)
-        else:
-            raise ConfigError("variant 'physics' has no training step; use calibrate")
+    params = _load_params(args.params_file) if args.params_file else None
+    net, report = train(samples, split, tconf, nconf, delta, params)
     os.makedirs(args.out, exist_ok=True)
     weights = os.path.join(args.out, "weights.json")
     rpt = os.path.join(args.out, "train_report.json")
@@ -201,6 +210,7 @@ def _cmd_train(args):
     last = report.per_epoch[-1]
     print(f"trained {args.variant}: {len(report.per_epoch)} epochs, "
           f"best epoch {report.best_epoch}, final val mse_a {last['mse_a_val']:.6g}")
+    inputs = [p for p in (args.samples, args.params_file) if p]
     _write_manifest(args.out, "train", args, inputs, [weights, rpt], started)
     return 0
 
@@ -228,8 +238,8 @@ def read_records(path) -> list[PredictionRecord]:
             if not line.strip():
                 continue
             try:  # JSONDecodeError is a ValueError
-                obj = json.loads(line)
-                records.append(PredictionRecord(
+                obj = _DECODER.decode(line)
+                rec = PredictionRecord(
                     sample_id=int(obj["sample_id"]),
                     predicted_accel=np.array(obj["predicted_accel"], dtype=float),
                     predicted_speed=np.array(obj["predicted_speed"], dtype=float),
@@ -238,9 +248,14 @@ def read_records(path) -> list[PredictionRecord]:
                     residual_component=None if obj["residual_component"] is None
                     else np.array(obj["residual_component"], dtype=float),
                     collision_in_rollout=bool(obj["collision_in_rollout"]),
-                ))
+                )
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
+            arrays = (rec.predicted_accel, rec.predicted_speed,
+                      rec.physics_component, rec.residual_component)
+            if not all(np.isfinite(a).all() for a in arrays if a is not None):
+                raise DataError(f"{path}:{lineno}: a number beyond the float range")
+            records.append(rec)
     return records
 
 
@@ -290,15 +305,27 @@ def _cmd_evaluate(args):
 
 # ---------------------------------------------------------------- sweep
 
+def _int_list(flag, text) -> tuple:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise UsageError(f"argument {flag}: not a comma list of integers: {text!r}") from None
+
+
 def _cmd_sweep(args):
     started = time.monotonic()
+    variants = tuple(args.variants.split(","))
+    for v in variants:
+        if v not in VARIANTS:
+            raise UsageError(f"argument --variants: invalid choice: {v!r} "
+                             f"(choose from {', '.join(VARIANTS)})")
+    data_sizes = _int_list("--data-sizes", args.data_sizes)
+    seeds = _int_list("--seeds", args.seeds) if args.seeds else (args.seed,)
     samples, header = read_samples(args.samples)
     # the samples were extracted on the header's grid, whatever --delta says
     dcfg = dataclasses.replace(_dataset_config(args), delta=header["delta"])
     sweep = SweepConfig(
-        variants=tuple(args.variants.split(",")),
-        data_sizes=tuple(int(s) for s in args.data_sizes.split(",")),
-        seeds=tuple(int(s) for s in args.seeds.split(",")) if args.seeds else (args.seed,),
+        variants=variants, data_sizes=data_sizes, seeds=seeds,
         physics_model=args.model, cell=args.cell,
         units1=args.units1, units2=args.units2, dense_units=args.dense_units,
         dropout=args.dropout, output_activation=args.activation,
@@ -386,17 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", choices=["nn", "pinn", "perl"], required=True)
     p.add_argument("--params-file", default=None,
                    help="calibration report JSON (pinn/perl)")
-    p.add_argument("--cell", choices=["lstm", "gru"], default="lstm")
-    p.add_argument("--units1", type=int, default=32)
-    p.add_argument("--units2", type=int, default=16)
-    p.add_argument("--dense-units", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--activation", choices=["linear", "relu"], default="linear")
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--mu", type=float, default=0.5)
+    _add_training_flags(p, max_epochs=200, patience=20)
     _add_dataset_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -427,17 +444,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variants", default="physics,nn,pinn,perl")
     p.add_argument("--data-sizes", default="300,500,1000")
     p.add_argument("--model", choices=["newell", "idm", "fvd"], default="newell")
-    p.add_argument("--cell", choices=["lstm", "gru"], default="lstm")
-    p.add_argument("--units1", type=int, default=32)
-    p.add_argument("--units2", type=int, default=16)
-    p.add_argument("--dense-units", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--activation", choices=["linear", "relu"], default="linear")
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--patience", type=int, default=15)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--mu", type=float, default=0.5)
+    _add_training_flags(p, max_epochs=100, patience=15)
     _add_dataset_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

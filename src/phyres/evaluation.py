@@ -23,9 +23,10 @@ from .calibrate import CalibrationConfig, CalibrationReport, make_params, monte_
 from .domain import DatasetConfig, SplitIndex, TrajectorySample, split_dataset
 from .errors import ConfigError, DataError
 from .neuralnet import NetConfig
-from .predictors import (PredictionRecord, TrainConfig, TrainReport,
-                         predict_many, reconstruct_speed, train_nn,
-                         train_perl, train_pinn)
+# train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
+from .predictors import (PHYSICS_VARIANTS, PredictionRecord, TrainConfig,
+                         TrainReport, predict_many, reconstruct_speed, train,
+                         train_nn, train_perl, train_pinn)
 
 DEFAULT_DATA_SIZES = (300, 500, 1000, 2000, 5000, 10000, 12000)
 
@@ -98,9 +99,6 @@ class SweepCell:
     error: str | None = None
 
 
-PHYSICS_VARIANTS = ("physics", "pinn", "perl")
-
-
 def _calibrate_subset(subset, sweep: SweepConfig, delta: float, seed: int
                       ) -> tuple[CalibrationReport | None, str | None]:
     """The one physics fit that a (size, seed)'s physics-using cells share;
@@ -147,12 +145,7 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
                                 max_epochs=sweep.max_epochs,
                                 batch_size=sweep.batch_size,
                                 patience=sweep.patience, lr=sweep.lr, mu=sweep.mu)
-            if variant == "nn":
-                net, cell.train_report = train_nn(subset, inner, tconf, nconf, dcfg.delta)
-            elif variant == "pinn":
-                net, cell.train_report = train_pinn(subset, inner, tconf, nconf, params, dcfg.delta)
-            else:
-                net, cell.train_report = train_perl(subset, inner, tconf, nconf, params, dcfg.delta)
+            net, cell.train_report = train(subset, inner, tconf, nconf, dcfg.delta, params)
         records = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
         mse_a, mse_v = mse_metrics(records, test, dcfg.delta)
         per_sample = [float(np.mean((s.ego_future_accel - r.predicted_accel) ** 2))

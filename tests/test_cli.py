@@ -157,11 +157,35 @@ class TestPipeline:
         assert obj["n_samples"] == len(records)
         assert obj["mse_a_test"] >= 0.0
 
-    def test_train_without_params_file_is_config_error(self, workspace, tmp_path):
+    def test_train_without_params_file_is_config_error(self, workspace, tmp_path, capsys):
         _, _, samples = workspace
+        capsys.readouterr()
         assert run(["train", "--samples", str(samples),
                     "--out", str(tmp_path / "t"), "--seed", "1",
                     "--variant", "pinn", "--max-epochs", "1"]) == 2
+        assert "pinn variant needs calibrated params" in _one_error_line(capsys)
+        assert not (tmp_path / "t").exists()
+
+    def test_zero_max_epochs_is_config_error(self, workspace, tmp_path, capsys):
+        _, _, samples = workspace
+        capsys.readouterr()
+        assert run(["train", "--samples", str(samples),
+                    "--out", str(tmp_path / "t"), "--seed", "1",
+                    "--variant", "nn", "--max-epochs", "0"]) == 2
+        assert "max_epochs must be >= 1" in _one_error_line(capsys)
+        assert not (tmp_path / "t" / "weights.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--data-sizes", "20,abc"), ("--seeds", "1,x"), ("--variants", "physics,foo"),
+    ])
+    def test_bad_sweep_list_is_usage_error(self, tmp_path, capsys, flag, value):
+        # the lists are checked before the (here missing) samples file is read
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--samples", str(tmp_path / "none.jsonl"),
+                    "--out", str(out), "--seed", "0", flag, value]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: "), err
+        assert flag in err[0] and not out.exists()
 
     def test_sweep_outputs_and_exit_code(self, workspace, tmp_path):
         _, _, samples = workspace
@@ -322,6 +346,28 @@ class TestArtifactMismatch:
                     "--out", str(tmp_path / "m.json")]) == 2
         assert f"{preds}:3: malformed record" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize("token, message", [
+        ("NaN", ":3: malformed record: ValueError('NaN is not a finite number')"),
+        ("1e999", ":3: a number beyond the float range"),
+    ], ids=["nan-token", "overflow"])
+    def test_non_finite_record_is_data_error(self, artifacts, token, message,
+                                             tmp_path, capsys):
+        samples, _, _, weights = artifacts
+        preds = tmp_path / "p.jsonl"
+        assert run(["predict", "--samples", str(samples), "--out", str(preds),
+                    "--variant", "nn", "--weights", str(weights)]) == 0
+        lines = preds.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["predicted_accel"][1] = "TOKEN"
+        lines[2] = json.dumps(obj).replace('"TOKEN"', token)
+        preds.write_text("\n".join(lines) + "\n")
+        metrics = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["evaluate", "--samples", str(samples), "--records", str(preds),
+                    "--out", str(metrics)]) == 2
+        assert f"{preds}{message}" in _one_error_line(capsys)
+        assert not metrics.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda obj: [obj],
         lambda obj: {k: v for k, v in obj.items() if k != "net_config"},
@@ -338,17 +384,21 @@ class TestArtifactMismatch:
                     "--variant", "nn", "--weights", str(bad)]) == 2
         assert str(bad) in _one_error_line(capsys)
 
-    @pytest.mark.parametrize("content", [
-        '{"model": "newell"}',
-        '{"param_mean": {"w": 4.0}}',
-        '{"model": "idm", "param_mean": {"v_free": 20.0}}',
-        '{"model": "newell", "param_mean": ',
-    ], ids=["no-param-mean", "no-model", "missing-name", "malformed"])
-    def test_bad_params_file_is_data_error(self, artifacts, content, tmp_path, capsys):
+    @pytest.mark.parametrize("content, detail", [
+        ('{"model": "newell"}', "not a calibration report"),
+        ('{"param_mean": {"w": 4.0}}', "not a calibration report"),
+        ('{"model": "idm", "param_mean": {"v_free": 20.0}}', "param_mean lacks a_max"),
+        ('{"model": "newell", "param_mean": ', "malformed JSON"),
+        ('{"model": "newell", "param_mean": {"w": null}}', "param_mean.w is None"),
+        ('{"model": "newell", "param_mean": {"w": "4"}}', "param_mean.w is '4'"),
+    ], ids=["no-param-mean", "no-model", "missing-name", "malformed", "null-value",
+            "string-value"])
+    def test_bad_params_file_is_data_error(self, artifacts, content, detail, tmp_path,
+                                           capsys):
         samples = artifacts[0]
         bad = tmp_path / "params.json"
         bad.write_text(content)
         capsys.readouterr()
         assert run(["predict", "--samples", str(samples), "--out", str(tmp_path / "p.jsonl"),
                     "--variant", "physics", "--params-file", str(bad)]) == 2
-        assert str(bad) in _one_error_line(capsys)
+        assert f"{bad}: {detail}" in _one_error_line(capsys)

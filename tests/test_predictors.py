@@ -9,8 +9,8 @@ from phyres.errors import ConfigError
 from phyres.neuralnet import NetConfig
 from phyres.physics import NewellParams, physics_rollout
 from phyres.predictors import (TrainConfig, compose_prediction,
-                               make_residual_targets, predict, predict_many,
-                               reconstruct_speed, train_nn, train_perl,
+                               make_residual_targets, predict_many,
+                               reconstruct_speed, train, train_nn, train_perl,
                                train_pinn)
 
 DELTA = 0.1
@@ -38,6 +38,9 @@ class TestTrainConfig:
             TrainConfig(variant="nn", seed=0, batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(variant="pinn", seed=0, mu=1.5)
+        for max_epochs in (0, -1):
+            with pytest.raises(ConfigError, match="max_epochs"):
+                TrainConfig(variant="nn", seed=0, max_epochs=max_epochs)
 
 
 class TestReconstructSpeed:
@@ -163,6 +166,30 @@ class TestTraining:
         assert report.best_epoch == best["epoch"]
         assert len(report.per_epoch) <= 50
 
+    def test_physics_has_no_training_step(self):
+        samples, split = self._data(10)
+        tconf = TrainConfig(variant="physics", seed=0, max_epochs=1)
+        with pytest.raises(ConfigError, match="no training step"):
+            train(samples, split, tconf, _net_config(), DELTA, NewellParams(w=4.0))
+
+    @pytest.mark.parametrize("variant", ["pinn", "perl"])
+    def test_physics_variant_without_params_rejected(self, variant):
+        samples, split = self._data(10)
+        tconf = TrainConfig(variant=variant, seed=0, max_epochs=1)
+        with pytest.raises(ConfigError, match="needs calibrated params"):
+            train(samples, split, tconf, _net_config(), DELTA)
+
+    def test_aliases_match_train(self):
+        samples, split = self._data()
+        nconf, params = _net_config(), NewellParams(w=4.0)
+        for variant, alias, args in (("nn", train_nn, ()),
+                                     ("pinn", train_pinn, (params,)),
+                                     ("perl", train_perl, (params,))):
+            tconf = TrainConfig(variant=variant, seed=2, max_epochs=2)
+            _, r_alias = alias(samples, split, tconf, nconf, *args, DELTA)
+            _, r_train = train(samples, split, tconf, nconf, DELTA, *args)
+            assert r_alias.to_dict() == r_train.to_dict()
+
     def test_empty_split_rejected(self):
         samples, _ = self._data(10)
         bad = SplitIndex(frozenset(range(10)), frozenset(), frozenset())
@@ -182,7 +209,7 @@ class TestPredict:
 
     def test_physics_record(self):
         samples, params, _ = self._trained()
-        rec = predict("physics", samples[0], delta=DELTA, params=params)
+        rec = predict_many("physics", [samples[0]], delta=DELTA, params=params)[0]
         expected, _ = physics_rollout(samples[0], params, DELTA)
         np.testing.assert_array_equal(rec.predicted_accel, expected)
         np.testing.assert_array_equal(
@@ -192,7 +219,7 @@ class TestPredict:
 
     def test_residual_variant_decomposition(self):
         samples, params, net = self._trained()
-        rec = predict("perl", samples[0], delta=DELTA, params=params, net=net)
+        rec = predict_many("perl", [samples[0]], delta=DELTA, params=params, net=net)[0]
         assert rec.physics_component is not None
         assert np.all(rec.predicted_accel - rec.physics_component
                       - rec.residual_component == 0.0)
@@ -200,13 +227,13 @@ class TestPredict:
     def test_missing_artifacts_rejected(self):
         samples, params, net = self._trained()
         with pytest.raises(ConfigError):
-            predict("physics", samples[0], delta=DELTA)
+            predict_many("physics", [samples[0]], delta=DELTA)
         with pytest.raises(ConfigError):
-            predict("nn", samples[0], delta=DELTA)
+            predict_many("nn", [samples[0]], delta=DELTA)
         with pytest.raises(ConfigError):
-            predict("perl", samples[0], delta=DELTA, params=params)
+            predict_many("perl", [samples[0]], delta=DELTA, params=params)
         with pytest.raises(ConfigError):
-            predict("warp", samples[0], delta=DELTA)
+            predict_many("warp", [samples[0]], delta=DELTA)
 
     def test_predict_many_preserves_order(self):
         samples, params, _ = self._trained()
@@ -218,7 +245,7 @@ class TestPredict:
         short = make_sample(k=3, tb=6, tf=3)
         for variant in ("nn", "perl"):
             with pytest.raises(ConfigError, match="horizon"):
-                predict(variant, short, delta=DELTA, params=params, net=net)
+                predict_many(variant, [short], delta=DELTA, params=params, net=net)
 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
@@ -231,7 +258,7 @@ def test_batch_matches_one_row_calls(variant, cell):
     net, _ = train_perl(samples, _split(24), tconf, _net_config(cell=cell),
                         IDM_TRUE, DELTA)
     batch = predict_many(variant, samples, delta=DELTA, params=IDM_TRUE, net=net)
-    rows = [predict(variant, s, delta=DELTA, params=IDM_TRUE, net=net)
+    rows = [predict_many(variant, [s], delta=DELTA, params=IDM_TRUE, net=net)[0]
             for s in samples]
     assert [r.sample_id for r in batch] == [s.sample_id for s in samples]
     flags = [r.collision_in_rollout for r in batch]
