@@ -57,15 +57,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir, command, args, inputs, outputs, started):
+def _write_manifest(outdir, command, args, inputs, outputs, started, digests=None):
+    """``digests`` maps input paths whose sha256 is already known to it."""
     os.makedirs(outdir, exist_ok=True)
+    digests = digests or {}
     resolved = {k: v for k, v in vars(args).items()
                 if k not in ("func",) and not callable(v)}
     serialize.write_json(os.path.join(outdir, "manifest.json"), {
         "tool_version": __version__,
         "command": command,
         "config": resolved,
-        "input_digests": {os.path.basename(p): _sha256(p) for p in inputs},
+        "input_digests": {os.path.basename(p): digests.get(p) or _sha256(p) for p in inputs},
         "outputs": sorted(os.path.relpath(p, outdir) for p in outputs),
         "wall_clock_s": time.monotonic() - started,
     })
@@ -158,9 +160,9 @@ def _cmd_extract(args):
         s.validate()
     outdir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(outdir, exist_ok=True)
-    write_samples(samples, args.out, dcfg)
+    sidecar = write_samples(samples, args.out, dcfg)
     print(f"extracted {len(samples)} samples from {len(series)} vehicle series")
-    _write_manifest(outdir, "extract", args, [args.input], [args.out], started)
+    _write_manifest(outdir, "extract", args, [args.input], [args.out, sidecar], started)
     return 0
 
 
@@ -179,7 +181,8 @@ def _cmd_calibrate(args):
     os.makedirs(outdir, exist_ok=True)
     report.write_json(args.out)
     print(f"calibrated {args.model}: mean params {report.param_mean}")
-    _write_manifest(outdir, "calibrate", args, [args.samples], [args.out], started)
+    _write_manifest(outdir, "calibrate", args, [args.samples], [args.out], started,
+                    {args.samples: header["sha256"]})
     return 0
 
 
@@ -211,24 +214,39 @@ def _cmd_train(args):
     print(f"trained {args.variant}: {len(report.per_epoch)} epochs, "
           f"best epoch {report.best_epoch}, final val mse_a {last['mse_a_val']:.6g}")
     inputs = [p for p in (args.samples, args.params_file) if p]
-    _write_manifest(args.out, "train", args, inputs, [weights, rpt], started)
+    _write_manifest(args.out, "train", args, inputs, [weights, rpt], started,
+                    {args.samples: header["sha256"]})
     return 0
 
 
 # -------------------------------------------------------------- predict
 
+_RECORD_ARRAYS = ("predicted_accel", "predicted_speed", "physics_component",
+                  "residual_component")
+
+
+def _record_template(lengths) -> str:
+    """A record line's '%'-format template; a length of None is a null."""
+    slots = ("null" if n is None else serialize.json_slots((n,)) for n in lengths)
+    return ('{"sample_id":%d,' + "".join(f'"{k}":{v},' for k, v in zip(_RECORD_ARRAYS, slots))
+            + '"collision_in_rollout":%s}\n')
+
+
 def _write_records(records, path):
+    """One JSON line per record: the bytes of ``serialize.dumps``, from one
+    line template per layout of the (perl-only) components."""
+    templates = {}
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(serialize.dumps({
-                "sample_id": r.sample_id,
-                "predicted_accel": r.predicted_accel,
-                "predicted_speed": r.predicted_speed,
-                "physics_component": r.physics_component,
-                "residual_component": r.residual_component,
-                "collision_in_rollout": r.collision_in_rollout,
-            }))
-            fh.write("\n")
+            arrays = [getattr(r, name) for name in _RECORD_ARRAYS]
+            values = [v for a in arrays if a is not None for v in a.tolist()]
+            if not all(map(math.isfinite, values)):
+                raise NumericError(f"non-finite prediction for sample {r.sample_id}")
+            lengths = tuple(None if a is None else len(a) for a in arrays)
+            if lengths not in templates:
+                templates[lengths] = _record_template(lengths)
+            fh.write(templates[lengths] % (
+                r.sample_id, *values, "true" if r.collision_in_rollout else "false"))
 
 
 def read_records(path) -> list[PredictionRecord]:
@@ -276,7 +294,8 @@ def _cmd_predict(args):
     _write_records(records, args.out)
     print(f"wrote {len(records)} prediction records to {args.out}")
     inputs = [p for p in (args.samples, args.params_file, args.weights) if p]
-    _write_manifest(outdir, "predict", args, inputs, [args.out], started)
+    _write_manifest(outdir, "predict", args, inputs, [args.out], started,
+                    {args.samples: header["sha256"]})
     return 0
 
 
@@ -299,7 +318,7 @@ def _cmd_evaluate(args):
     })
     print(f"mse_a={mse_a:.6g} mse_v={mse_v:.6g} over {len(records)} samples")
     _write_manifest(outdir, "evaluate", args, [args.samples, args.records],
-                    [args.out], started)
+                    [args.out], started, {args.samples: header["sha256"]})
     return 0
 
 
@@ -340,7 +359,8 @@ def _cmd_sweep(args):
     for c in failures:
         print(f"cell failed: {c.variant}/{c.data_size}/{c.seed}", file=sys.stderr)
     print(f"sweep: {len(cells) - len(failures)}/{len(cells)} cells succeeded")
-    _write_manifest(args.out, "sweep", args, [args.samples], paths, started)
+    _write_manifest(args.out, "sweep", args, [args.samples], paths, started,
+                    {args.samples: header["sha256"]})
     return 4 if failures else 0
 
 

@@ -12,13 +12,24 @@ Sample file: JSON lines.  Line 1 is a header object
 ``hist_spacing`` ((K-1, t_back), the followers' spacings) is redundant with
 its ``hist_position``: it is written for the v1 format, checked against the
 positions on read and not kept.
+
+Sidecar: ``write_samples`` also writes ``<file>.<sha256 of its bytes>.npy``,
+one float64 matrix with a row per sample: ``sample_id``, then the v1 fields
+above in file order, flattened.  ``read_samples`` hashes the file and loads
+the sidecar that digest names instead of decoding every line, so an edited
+file, or one whose sidecar was deleted, is parsed as JSON lines; both ways
+give bit-equal samples.  The sidecar is a cache, safe to delete; the v1 JSON
+lines stay the format of record.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,21 +245,31 @@ def _sample_shapes(k: int, tb: int, tf: int) -> dict[str, tuple]:
             "ego_speed_at_t0": (), "leader_future_accel": (k - 1, tf)}
 
 
-def _json_slots(shape: tuple) -> str:
-    """Nested JSON arrays of '%.17g' slots (the float bytes of serialize.dumps)."""
-    return "[" + ",".join([_json_slots(shape[1:])] * shape[0]) + "]" if shape else "%.17g"
+def sidecar_path(path, digest: str) -> str:
+    """The sidecar of the sample file ``path`` whose bytes hash to ``digest``."""
+    return f"{os.fspath(path)}.{digest}.npy"
 
 
-def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) -> None:
+def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) -> str:
     """Persist samples as JSON lines (see module docstring for the schema):
-    the bytes of ``serialize.dumps``, from one '%'-format line template."""
+    the bytes of ``serialize.dumps``, from one '%'-format line template.
+
+    Also writes the file's sidecar and removes its older ones; returns the
+    sidecar's path."""
     shapes = _sample_shapes(config.k_vehicles, config.t_back, config.t_fwd)
     template = '{"sample_id":%d,' + ",".join(
-        f'"{name}":{_json_slots(shape)}' for name, shape in shapes.items()) + "}\n"
+        f'"{name}":{serialize.json_slots(shape)}' for name, shape in shapes.items()) + "}\n"
     header = {"format_version": SAMPLE_FORMAT_VERSION, "delta": config.delta,
               "k_vehicles": config.k_vehicles, "t_back": config.t_back, "t_fwd": config.t_fwd}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize.dumps(header) + "\n")
+    matrix = np.empty((len(samples), 1 + sum(math.prod(s) for s in shapes.values())))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+
+        put(serialize.dumps(header) + "\n")
         for start in range(0, len(samples), WRITE_CHUNK):
             batch = SampleBatch.of(samples[start:start + WRITE_CHUNK])
             fields = dict(vars(batch), hist_spacing=batch.spacing)
@@ -259,31 +280,59 @@ def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) 
             finite = np.isfinite(rows).all(axis=1)
             if not finite.all():
                 raise DataError(f"non-finite value in sample {batch.sample_ids[finite.argmin()]}")
-            fh.writelines(template % (sid, *row.tolist())
-                          for sid, row in zip(batch.sample_ids.tolist(), rows))
+            matrix[start:start + len(rows), 0] = batch.sample_ids
+            matrix[start:start + len(rows), 1:] = rows
+            put("".join(template % (sid, *row.tolist())
+                        for sid, row in zip(batch.sample_ids.tolist(), rows)))
+    return _replace_sidecar(path, digest.hexdigest(), matrix)
+
+
+def _replace_sidecar(path, digest: str, matrix: np.ndarray) -> str:
+    """Write the sidecar for ``digest`` and remove the file's other sidecars."""
+    folder, name = os.path.split(os.path.abspath(path))
+    sidecar_name = re.compile(re.escape(name) + r"\.[0-9a-f]{64}\.npy")
+    for entry in os.listdir(folder):
+        if sidecar_name.fullmatch(entry):
+            os.remove(os.path.join(folder, entry))
+    sidecar = sidecar_path(path, digest)
+    with open(sidecar + ".tmp", "wb") as fh:  # no reader sees a partial sidecar
+        np.save(fh, matrix, allow_pickle=False)
+    os.replace(sidecar + ".tmp", sidecar)
+    return sidecar
 
 
 def _reject_constant(token: str):
     raise ValueError(f"{token} is not a finite number")
 
 
+def _parse_int(token: str):
+    # '%.17g' writes -0.0 as "-0", which int() would read as 0
+    return -0.0 if token == "-0" else int(token)
+
+
 # json reads NaN and Infinity tokens; a sample file holds finite numbers only
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_parse_int)
 
 
-def read_samples(path) -> tuple[list[TrajectorySample], dict]:
-    """Load a sample file; returns (samples, header dict).
+def _scan(path) -> tuple[str, bytes | None, int]:
+    """One streaming pass over a sample file: the sha256 of its bytes, its
+    first line and the number of non-blank lines after it."""
+    digest = hashlib.sha256()
+    first, n_lines = None, 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            digest.update(line)
+            if first is None:
+                first = line
+            elif line.strip():
+                n_lines += 1
+    return digest.hexdigest(), first, n_lines
 
-    The header's geometry is parsed and returned as numbers; every sample's
-    array shapes must match it, and its stored spacing its positions, or a
-    DataError names the line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
+
+def _parse_header(path, line: bytes) -> dict:
+    """The header object, with its geometry parsed as numbers."""
     try:
-        header = _DECODER.decode(lines[0])
+        header = _DECODER.decode(line.decode("utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}:1: malformed header: {exc}") from exc
     if not isinstance(header, dict):
@@ -300,34 +349,100 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
         raise DataError(f"{path}:1: bad header: {exc!r}") from exc
     if k < 2 or tb < 1 or tf < 1 or not 0 < delta < math.inf:
         raise DataError(f"{path}:1: bad header geometry {header}")
-    header = dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
-    # every sample's arrays must have the geometry the header declares
-    shapes = _sample_shapes(k, tb, tf)
+    return dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
+
+
+def _parse_lines(path, shapes: dict) -> list[TrajectorySample]:
+    """Decode every sample line after the header; a DataError names the line."""
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = _DECODER.decode(line)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
-        try:
-            arrays = {name: np.array(obj[name], dtype=float) for name in shapes}
-            sample_id = int(obj["sample_id"])
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad sample object: {exc!r}") from exc
-        for name, shape in shapes.items():
-            if arrays[name].shape != shape:
-                raise DataError(f"{path}:{lineno}: {name} has shape "
-                                f"{arrays[name].shape}, the header implies {shape}")
-        # json reads an overflowing literal such as 1e999 as infinity
-        if not np.isfinite(np.concatenate([a.ravel() for a in arrays.values()])).all():
-            raise DataError(f"{path}:{lineno}: a number beyond the float range")
-        pos = arrays["hist_position"]
-        mismatch = abs(arrays.pop("hist_spacing") - (pos[:-1] - pos[1:])).max()
-        if mismatch > 1e-6:  # metres
-            raise DataError(f"{path}:{lineno}: hist_spacing differs from the "
-                            f"position differences by {mismatch:.3g} m")
-        samples.append(TrajectorySample(
-            sample_id=sample_id, ego_speed_at_t0=float(arrays.pop("ego_speed_at_t0")), **arrays))
-    return samples, header
+    with open(path, "r", encoding="utf-8") as fh:
+        next(fh)  # the header
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                obj = _DECODER.decode(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
+            try:
+                arrays = {name: np.array(obj[name], dtype=float) for name in shapes}
+                sample_id = int(obj["sample_id"])
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: bad sample object: {exc!r}") from exc
+            for name, shape in shapes.items():
+                if arrays[name].shape != shape:
+                    raise DataError(f"{path}:{lineno}: {name} has shape "
+                                    f"{arrays[name].shape}, the header implies {shape}")
+            # json reads an overflowing literal such as 1e999 as infinity
+            if not np.isfinite(np.concatenate([a.ravel() for a in arrays.values()])).all():
+                raise DataError(f"{path}:{lineno}: a number beyond the float range")
+            pos = arrays["hist_position"]
+            mismatch = abs(arrays.pop("hist_spacing") - (pos[:-1] - pos[1:])).max()
+            if mismatch > 1e-6:  # metres
+                raise DataError(f"{path}:{lineno}: hist_spacing differs from the "
+                                f"position differences by {mismatch:.3g} m")
+            samples.append(TrajectorySample(
+                sample_id=sample_id, ego_speed_at_t0=float(arrays.pop("ego_speed_at_t0")),
+                **arrays))
+    return samples
+
+
+def _load_sidecar(sidecar: str, shapes: dict, n_lines: int) -> list[TrajectorySample]:
+    """Samples from a sidecar, checked as the lines would be and against the
+    file's number of sample lines; a DataError names the sidecar.  Each
+    sample's arrays are views of the one loaded matrix."""
+    try:
+        matrix = np.load(sidecar, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"{sidecar}: unreadable sidecar: {exc}") from exc
+    widths = [math.prod(shape) for shape in shapes.values()]
+    if matrix.ndim != 2 or matrix.dtype != np.float64:
+        raise DataError(f"{sidecar}: a {matrix.ndim}-D {matrix.dtype} array, "
+                        f"not a 2-D float64 matrix")
+    if matrix.shape[1] != 1 + sum(widths):
+        raise DataError(f"{sidecar}: {matrix.shape[1]} columns, "
+                        f"the header implies {1 + sum(widths)}")
+    if len(matrix) != n_lines:
+        raise DataError(f"{sidecar}: {len(matrix)} rows for {n_lines} sample lines")
+    ids = matrix[:, 0]
+    if not (np.isfinite(ids) & (ids == np.floor(ids))).all():
+        raise DataError(f"{sidecar}: a sample id that is not a finite integer")
+    if not np.isfinite(matrix).all():
+        raise DataError(f"{sidecar}: a non-finite value")
+    n = len(matrix)
+    bounds = np.cumsum([1] + widths).tolist()
+    fields = {name: matrix[:, a:b].reshape((n, *shape))
+              for (name, shape), a, b in zip(shapes.items(), bounds, bounds[1:])}
+    pos = fields["hist_position"]
+    mismatch = abs(fields.pop("hist_spacing") - (pos[:, :-1] - pos[:, 1:])).max(axis=(1, 2))
+    bad = np.flatnonzero(mismatch > 1e-6)  # metres
+    if bad.size:
+        raise DataError(f"{sidecar}: hist_spacing of sample {int(ids[bad[0]])} differs "
+                        f"from the position differences by {mismatch[bad[0]]:.3g} m")
+    speeds = fields.pop("ego_speed_at_t0").tolist()
+    return [TrajectorySample(sample_id=int(sid), ego_speed_at_t0=speed,
+                             **{name: a[i] for name, a in fields.items()})
+            for i, (sid, speed) in enumerate(zip(ids.tolist(), speeds))]
+
+
+def read_samples(path) -> tuple[list[TrajectorySample], dict]:
+    """Load a sample file; returns (samples, header dict).
+
+    The header's geometry is parsed and returned as numbers, together with
+    the sha256 of the file's bytes under ``"sha256"``.  The samples come
+    from the sidecar that digest names when it exists, else from the JSON
+    lines.  Either way every sample's array shapes must match the header,
+    and its stored spacing its positions, or a DataError names the line or
+    the sidecar.
+    """
+    digest, first, n_lines = _scan(path)
+    if first is None:
+        raise DataError(f"{path}: empty file")
+    header = _parse_header(path, first)
+    shapes = _sample_shapes(header["k_vehicles"], header["t_back"], header["t_fwd"])
+    sidecar = sidecar_path(path, digest)
+    if os.path.isfile(sidecar):
+        samples = _load_sidecar(sidecar, shapes, n_lines)
+    else:
+        samples = _parse_lines(path, shapes)
+    return samples, dict(header, sha256=digest)

@@ -44,6 +44,12 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def json_slots(shape: tuple) -> str:
+    """Nested JSON arrays of '%.17g' slots for an array of ``shape``: a
+    '%'-format template whose float bytes are those of ``dumps``."""
+    return "[" + ",".join([json_slots(shape[1:])] * shape[0]) + "]" if shape else "%.17g"
+
+
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,41 @@ def small_idm_corpus(tmp_path_factory):
                          omega_train=0.6, omega_val=0.2, seed=0)
     samples = extract_samples(parse_trajectory_csv(csv_path, 0.1), dcfg)
     return samples, dcfg, csv_path
+
+
+def _spacing_nudge(m, k, tb):
+    m = m.copy()
+    m[1, 1 + 2 * k * tb] += 1e-3  # the first hist_spacing column, 1 mm off
+    return m
+
+
+def _set(m, index, value):
+    m = m.copy()
+    m[index] = value
+    return m
+
+
+# Ways to spoil a sample file's sidecar, each a DataError on read: a function
+# of (matrix, K, t_back) giving the new matrix, or None for a truncated file.
+SIDECAR_CORRUPTIONS = {
+    "truncated": None,
+    "float32": lambda m, k, tb: np.zeros(m.shape, dtype=np.float32),
+    "3-d": lambda m, k, tb: m[None],
+    "wrong-width": lambda m, k, tb: m[:, :-1],
+    "wrong-rows": lambda m, k, tb: m[:-1],
+    "fractional-id": lambda m, k, tb: _set(m, (0, 0), 0.5),
+    "infinite-id": lambda m, k, tb: _set(m, (0, 0), np.inf),
+    "nan-value": lambda m, k, tb: _set(m, (1, 5), np.nan),
+    "spacing-off": _spacing_nudge,
+}
+
+
+def corrupt_sidecar(sidecar, case, k, tb):
+    """Rewrite ``sidecar`` in place as SIDECAR_CORRUPTIONS[case] says."""
+    if SIDECAR_CORRUPTIONS[case] is None:
+        data = Path(sidecar).read_bytes()
+        Path(sidecar).write_bytes(data[:len(data) // 2])
+        return
+    matrix = SIDECAR_CORRUPTIONS[case](np.load(sidecar), k, tb)
+    with open(sidecar, "wb") as fh:
+        np.save(fh, matrix, allow_pickle=False)

@@ -1,11 +1,18 @@
+import hashlib
 import json
+import shutil
 
+import numpy as np
 import pytest
 
-from phyres.cli import main, read_records
+from conftest import SIDECAR_CORRUPTIONS, corrupt_sidecar
+from phyres import cli, serialize
+from phyres.cli import _write_records, main, read_records
 from phyres.domain import DatasetConfig
+from phyres.errors import NumericError
 from phyres.evaluation import SweepConfig, run_sweep
-from phyres.ingest import read_samples
+from phyres.ingest import read_samples, sidecar_path
+from phyres.predictors import PredictionRecord
 
 
 def run(argv):
@@ -70,7 +77,7 @@ class TestManifests:
         manifest = json.loads((out.parent / "manifest.json").read_text())
         assert manifest["command"] == "calibrate"
         digest = manifest["input_digests"]["samples.jsonl"]
-        assert len(digest) == 64
+        assert digest == hashlib.sha256(samples.read_bytes()).hexdigest()
         report = json.loads(out.read_text())
         assert report["model"] == "idm"
         assert set(report["param_mean"]) == {"v_free", "a_max", "b_comf",
@@ -124,6 +131,91 @@ class TestDeterminism:
         for out in (a, b):
             assert run(["extract", "--input", str(corpus), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_extract_sidecar_byte_identical_and_listed(self, workspace, tmp_path):
+        _, corpus, _ = workspace
+        sidecars = []
+        for run_dir in (tmp_path / "a", tmp_path / "b"):
+            out = run_dir / "samples.jsonl"
+            assert run(["extract", "--input", str(corpus), "--out", str(out)]) == 0
+            sidecar = sidecar_path(out, hashlib.sha256(out.read_bytes()).hexdigest())
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["outputs"] == sorted(["samples.jsonl", sidecar.split("/")[-1]])
+            sidecars.append(sidecar)
+        with open(sidecars[0], "rb") as a, open(sidecars[1], "rb") as b:
+            assert a.read() == b.read()
+
+    def test_samples_hashed_once_per_command(self, workspace, tmp_path, monkeypatch):
+        _, _, samples = workspace
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(str(p)) or sha256(p))
+        out = tmp_path / "calib" / "report.json"
+        assert run(["calibrate", "--samples", str(samples), "--out", str(out),
+                    "--seed", "3", "--model", "newell", "--sample-size", "50",
+                    "--repetitions", "1"]) == 0
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            "samples.jsonl": hashlib.sha256(samples.read_bytes()).hexdigest()}
+        assert hashed == []
+
+
+def _dumps_records(records, path):
+    """Reference: the per-record ``serialize.dumps`` writer that the template
+    writer replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(serialize.dumps({
+                "sample_id": r.sample_id,
+                "predicted_accel": r.predicted_accel,
+                "predicted_speed": r.predicted_speed,
+                "physics_component": r.physics_component,
+                "residual_component": r.residual_component,
+                "collision_in_rollout": r.collision_in_rollout,
+            }))
+            fh.write("\n")
+
+
+class TestRecordWriter:
+    EDGE = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.0]
+
+    def _records(self, variant, n=12, t_fwd=5):
+        rng = np.random.default_rng(len(variant))
+        records = []
+        for i in range(n):
+            accel, speed = rng.normal(size=t_fwd), rng.uniform(0, 30, size=t_fwd)
+            accel[i % t_fwd] = self.EDGE[i % len(self.EDGE)]
+            speed[(i + 1) % t_fwd] = self.EDGE[(i + 3) % len(self.EDGE)]
+            phys = resid = None
+            if variant == "perl":
+                phys = rng.normal(size=t_fwd)
+                phys[i % t_fwd] = self.EDGE[(i + 5) % len(self.EDGE)]
+                resid = accel - phys
+            records.append(PredictionRecord(
+                sample_id=100 + i, predicted_accel=accel, predicted_speed=speed,
+                physics_component=phys, residual_component=resid,
+                collision_in_rollout=variant == "physics" and i % 3 == 0))
+        return records
+
+    @pytest.mark.parametrize("variant", ["physics", "nn", "perl", "mixed"])
+    def test_bytes_match_per_record_dumps(self, variant, tmp_path):
+        if variant == "mixed":  # a layout change mid-file, and a shorter horizon
+            records = self._records("perl", 4) + self._records("nn", 4, t_fwd=3)
+        else:
+            records = self._records(variant)
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        _dumps_records(records, want)
+        _write_records(records, got)
+        assert got.read_bytes() == want.read_bytes()
+        # and the reader returns the written doubles, -0.0 included
+        for a, b in zip(records, read_records(got)):
+            assert a.predicted_accel.tobytes() == b.predicted_accel.tobytes()
+
+    def test_non_finite_prediction_is_numeric_error(self, tmp_path):
+        records = self._records("perl", 3)
+        records[1].residual_component[2] = np.nan
+        with pytest.raises(NumericError, match="sample 101$"):
+            _write_records(records, tmp_path / "p.jsonl")
 
 
 class TestPipeline:
@@ -295,6 +387,19 @@ class TestArtifactMismatch:
         assert run(["calibrate", "--samples", str(bad), "--out", str(tmp_path / "c.json"),
                     "--seed", "0", "--model", "newell"]) == 2
         assert ":6: hist_spacing differs" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("case", list(SIDECAR_CORRUPTIONS))
+    def test_corrupt_sidecar_is_data_error(self, workspace, case, tmp_path, capsys):
+        samples = tmp_path / "samples.jsonl"
+        shutil.copy(workspace[2], samples)
+        sidecar = sidecar_path(samples, hashlib.sha256(samples.read_bytes()).hexdigest())
+        shutil.copy(sidecar_path(workspace[2], sidecar.split(".")[-2]), sidecar)
+        corrupt_sidecar(sidecar, case, k=4, tb=20)
+        capsys.readouterr()
+        assert run(["calibrate", "--samples", str(samples), "--out", str(tmp_path / "c.json"),
+                    "--seed", "0", "--model", "newell"]) == 2
+        assert _one_error_line(capsys).startswith(f"error: {sidecar}: ")
+        assert not (tmp_path / "c.json").exists()
 
     def test_non_finite_csv_value_is_data_error(self, workspace, tmp_path, capsys):
         rows = workspace[1].read_text().splitlines()

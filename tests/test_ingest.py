@@ -1,15 +1,18 @@
+import hashlib
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
-from conftest import make_samples
-from phyres import serialize
+from conftest import SIDECAR_CORRUPTIONS, corrupt_sidecar, make_samples
+from phyres import ingest, serialize
 from phyres.domain import DatasetConfig, SampleBatch, SplitIndex
 from phyres.errors import ConfigError, DataError
 from phyres.ingest import (WRITE_CHUNK, compute_norm_stats, extract_samples, NormStats,
                            parse_trajectory_csv, read_samples, sample_features,
-                           write_samples)
+                           sidecar_path, write_samples)
 
 
 def _write_csv(path, rows, header="vehicle_id,time,position,speed,accel,leader_id"):
@@ -391,3 +394,96 @@ class TestSampleFilePersistence:
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
             read_samples(path)
+
+
+SAMPLE_FIELDS = ("hist_accel", "hist_speed", "hist_position", "ego_future_accel",
+                 "ego_speed_at_t0", "leader_future_accel")
+
+
+def _assert_bit_equal(a, b):
+    """Equal ids of type int and bit-equal fields (so -0.0 differs from 0.0)."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert type(y.sample_id) is int and x.sample_id == y.sample_id
+        assert type(y.ego_speed_at_t0) is float
+        for name in SAMPLE_FIELDS:
+            u, v = np.asarray(getattr(x, name), dtype=float), np.asarray(getattr(y, name))
+            assert u.shape == v.shape and u.tobytes() == v.tobytes(), name
+
+
+class TestSidecar:
+    @pytest.fixture(params=[(3, 6, 4), (4, 20, 5)], ids=["k3-tb6-tf4", "default"])
+    def written(self, request, tmp_path):
+        """Samples with edge-case floats, written at one geometry."""
+        k, tb, tf = request.param
+        config = DatasetConfig(delta=0.1, k_vehicles=k, t_back=tb, t_fwd=tf,
+                               omega_train=0.6, omega_val=0.2, seed=0)
+        samples = make_samples(WRITE_CHUNK + 5, k=k, tb=tb, tf=tf)
+        edge = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0]
+        for i, s in enumerate(samples[:len(edge)]):
+            s.hist_accel[0, 0] = edge[i]
+            s.ego_future_accel[-1] = edge[i]
+            s.leader_future_accel[0, 0] = edge[-1 - i]
+        path = tmp_path / "samples.jsonl"
+        sidecar = write_samples(samples, path, config)
+        return samples, path, sidecar, (k, tb)
+
+    def test_sidecar_named_by_the_file_digest(self, written):
+        _, path, sidecar, _ = written
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sidecar == sidecar_path(path, digest) == f"{path}.{digest}.npy"
+        assert read_samples(path)[1]["sha256"] == digest
+
+    def test_sidecar_and_parse_give_equal_samples(self, written, monkeypatch):
+        samples, path, sidecar, _ = written
+        with monkeypatch.context() as m:  # the sidecar is read, no line decoded
+            m.setattr(ingest, "_parse_lines", None)
+            from_sidecar, header_sidecar = read_samples(path)
+        _assert_bit_equal(samples, from_sidecar)
+        # a deleted sidecar falls back to parsing the lines
+        os.remove(sidecar)
+        parsed, header_parsed = read_samples(path)
+        _assert_bit_equal(samples, parsed)
+        assert header_parsed == header_sidecar
+
+    def test_edited_file_falls_back_to_parsing(self, written):
+        _, path, sidecar, _ = written
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["ego_speed_at_t0"] = 12.25
+        lines[2] = serialize.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        restored, header = read_samples(path)
+        assert restored[1].ego_speed_at_t0 == 12.25
+        assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sidecar_path(path, header["sha256"]) != sidecar
+
+    @pytest.mark.parametrize("case", list(SIDECAR_CORRUPTIONS))
+    def test_corrupt_sidecar_is_data_error(self, written, case):
+        _, path, sidecar, (k, tb) = written
+        corrupt_sidecar(sidecar, case, k, tb)
+        with pytest.raises(DataError, match="^" + re.escape(sidecar) + ": "):
+            read_samples(path)
+
+    def test_rewrite_leaves_one_sidecar(self, tmp_path, dataset_config):
+        path = tmp_path / "samples.jsonl"
+        # neighbours that are not this file's sidecars stay
+        others = [tmp_path / ("other.jsonl." + "0" * 64 + ".npy"),
+                  tmp_path / "samples.jsonl.npy", tmp_path / ("samples.jsonl." + "A" * 64 + ".npy")]
+        for p in others:
+            p.write_bytes(b"")
+        first = write_samples(make_samples(5), path, dataset_config)
+        second = write_samples(make_samples(7)[2:], path, dataset_config)
+        assert first != second
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        sidecars = sorted(p.name for p in tmp_path.glob("samples.jsonl.*.npy")
+                          if re.fullmatch(r"samples\.jsonl\.[0-9a-f]{64}\.npy", p.name))
+        assert sidecars == [f"samples.jsonl.{digest}.npy"]
+        assert all(p.exists() for p in others)
+        assert [s.sample_id for s in read_samples(path)[0]] == [2, 3, 4, 5, 6]
+
+    def test_empty_sample_list(self, tmp_path, dataset_config):
+        path = tmp_path / "samples.jsonl"
+        write_samples([], path, dataset_config)
+        samples, header = read_samples(path)
+        assert samples == [] and header["k_vehicles"] == 3
