@@ -19,7 +19,7 @@ and variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,7 +29,7 @@ from . import serialize
 from .domain import SampleBatch, TrajectorySample
 from .errors import CalibrationError, ConfigError
 from .physics import (FVD_FIXED, FvdParams, IdmParams, NewellParams,
-                      PhysicsParams, one_step_batch)
+                      PhysicsParams, model_name, one_step_batch)
 
 __all__ = ["CalibrationConfig", "CalibrationReport", "fit_physics",
            "monte_carlo_calibrate", "calibration_objective", "make_params",
@@ -53,6 +53,11 @@ PARAM_ORDER = {
     "fvd": ["kappa", "lam"],
 }
 
+NM_XATOL = 1e-6
+# golden-section bracket width at termination: well below the 1e-3 m/s
+# requirement so held-out error is optimizer-noise free
+GSS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CalibrationConfig:
@@ -63,10 +68,6 @@ class CalibrationConfig:
     bounds: dict = field(default_factory=dict)  # per-parameter overrides
     nm_restarts: int = 5
     nm_maxiter: int = 2000
-    nm_xatol: float = 1e-6
-    # bracket width at termination; default well below the 1e-3 m/s
-    # requirement so held-out error is optimizer-noise free
-    gss_tol: float = 1e-8
 
     def __post_init__(self):
         if self.model not in PARAM_ORDER:
@@ -89,11 +90,7 @@ def make_params(model: str, values: dict) -> PhysicsParams:
 
 
 def params_to_dict(params: PhysicsParams) -> dict:
-    if isinstance(params, NewellParams):
-        return {"w": params.w}
-    if isinstance(params, IdmParams):
-        return {k: getattr(params, k) for k in PARAM_ORDER["idm"]}
-    return {"kappa": params.kappa, "lam": params.lam}
+    return {k: getattr(params, k) for k in PARAM_ORDER[model_name(params)]}
 
 
 def calibration_objective(samples: list[TrajectorySample] | SampleBatch,
@@ -165,7 +162,7 @@ def fit_physics(samples: list[TrajectorySample], config: CalibrationConfig,
         best = int(np.argmin(vals))
         blo = grid[max(best - 1, 0)]
         bhi = grid[min(best + 1, len(grid) - 1)]
-        w_star, f_star = _golden_section(lambda w: obj_vec([w]), blo, bhi, config.gss_tol)
+        w_star, f_star = _golden_section(lambda w: obj_vec([w]), blo, bhi, GSS_TOL)
         if not np.isfinite(f_star):
             raise CalibrationError("all wave-speed candidates produced non-finite errors")
         return make_params("newell", {"w": float(w_star)}), f_star
@@ -173,7 +170,7 @@ def fit_physics(samples: list[TrajectorySample], config: CalibrationConfig,
     def obj_u(u):
         return obj_vec(_unbounded_to_box(u, lo, hi))
 
-    nm_options = {"xatol": config.nm_xatol, "fatol": float("inf"),
+    nm_options = {"xatol": NM_XATOL, "fatol": float("inf"),
                   "maxiter": config.nm_maxiter, "maxfev": 4 * config.nm_maxiter}
     best_u, best_f = None, float("inf")
     for _ in range(config.nm_restarts):
@@ -205,12 +202,7 @@ class CalibrationReport:
     param_variance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model, "sample_size": self.sample_size,
-            "repetitions": self.repetitions, "seed": self.seed,
-            "per_repetition": self.per_repetition,
-            "param_mean": self.param_mean, "param_variance": self.param_variance,
-        }
+        return asdict(self)
 
     def write_json(self, path) -> None:
         serialize.write_json(path, self.to_dict())

@@ -4,7 +4,9 @@ Subcommands: synth, extract, calibrate, train, predict, evaluate, sweep,
 gradcheck.  Every subcommand accepts ``--config FILE`` (a flat JSON object
 whose keys are flag names with dashes replaced by underscores); explicit
 flags override config values.  Commands that draw random numbers require
-``--seed``.  Each run writes a manifest next to its outputs.
+``--seed``.  Each run writes a manifest next to its outputs.  ``extract``
+takes the sample geometry (delta, K, t_back, t_fwd) from its flags; every
+later command reads it from the samples file's header.
 
 Exit codes: 0 success, 1 usage, 2 data/config error, 3 numeric error,
 4 partial sweep failure.
@@ -13,9 +15,7 @@ Exit codes: 0 success, 1 usage, 2 data/config error, 3 numeric error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
-import json
 import math
 import os
 import sys
@@ -27,11 +27,11 @@ from . import __version__, serialize
 from .calibrate import (PARAM_ORDER, CalibrationConfig, make_params,
                         monte_carlo_calibrate)
 from .domain import DatasetConfig, split_dataset
-from .errors import ConfigError, DataError, NumericError, PhyresError
+from .errors import DataError, NumericError, PhyresError
 from .evaluation import (SweepConfig, emit_plot_data, mse_metrics, run_sweep,
                          write_sweep_outputs)
-from .ingest import (_DECODER, extract_samples, parse_trajectory_csv,
-                     read_samples, write_samples)
+from .ingest import (extract_samples, parse_trajectory_csv, read_samples,
+                     write_samples)
 from .neuralnet import NetConfig, gradient_check, load_net, save_net
 from .physics import IdmParams, NewellParams
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
@@ -73,18 +73,23 @@ def _write_manifest(outdir, command, args, inputs, outputs, started, digests=Non
     })
 
 
-def _dataset_config(args) -> DatasetConfig:
-    return DatasetConfig(delta=args.delta, k_vehicles=args.k_vehicles,
-                         t_back=args.t_back, t_fwd=args.t_fwd,
+def _out_dir(path) -> str:
+    """Make the folder that will hold ``path``; returns it."""
+    outdir = os.path.dirname(os.path.abspath(path))
+    os.makedirs(outdir, exist_ok=True)
+    return outdir
+
+
+def _dataset_config(args, geometry: dict) -> DatasetConfig:
+    """The split flags of ``args`` with the delta, k_vehicles, t_back and
+    t_fwd of ``geometry``: a samples header, or extract's own flags."""
+    return DatasetConfig(delta=geometry["delta"], k_vehicles=geometry["k_vehicles"],
+                         t_back=geometry["t_back"], t_fwd=geometry["t_fwd"],
                          omega_train=args.omega_train, omega_val=args.omega_val,
                          seed=args.split_seed)
 
 
-def _add_dataset_flags(p):
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--k-vehicles", type=int, default=4)
-    p.add_argument("--t-back", type=int, default=20)
-    p.add_argument("--t-fwd", type=int, default=5)
+def _add_split_flags(p):
     p.add_argument("--omega-train", type=float, default=0.6)
     p.add_argument("--omega-val", type=float, default=0.2)
     p.add_argument("--split-seed", type=int, default=0)
@@ -141,8 +146,7 @@ def _cmd_synth(args):
                             base_jump_max=args.base_jump_max),
         initial_gap=args.initial_gap,
     )
-    outdir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _out_dir(args.out)
     diag = generate_corpus(cfg, args.out)
     print(f"wrote {diag['rows']} rows ({diag['vehicles']} vehicles) to {args.out}")
     _write_manifest(outdir, "synth", args, [], [args.out], started)
@@ -153,13 +157,12 @@ def _cmd_synth(args):
 
 def _cmd_extract(args):
     started = time.monotonic()
-    dcfg = _dataset_config(args)
+    dcfg = _dataset_config(args, vars(args))
     series = parse_trajectory_csv(args.input, dcfg.delta)
     samples = extract_samples(series, dcfg)
     for s in samples:
         s.validate()
-    outdir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _out_dir(args.out)
     sidecar = write_samples(samples, args.out, dcfg)
     print(f"extracted {len(samples)} samples from {len(series)} vehicle series")
     _write_manifest(outdir, "extract", args, [args.input], [args.out, sidecar], started)
@@ -171,14 +174,13 @@ def _cmd_extract(args):
 def _cmd_calibrate(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
-    dcfg = _dataset_config(args)
+    dcfg = _dataset_config(args, header)
     split = split_dataset([s.sample_id for s in samples], dcfg)
     train = [s for s in samples if s.sample_id in split.train_ids]
     ccfg = CalibrationConfig(model=args.model, sample_size=args.sample_size,
                              repetitions=args.repetitions, seed=args.seed)
-    report = monte_carlo_calibrate(train, ccfg, header["delta"])
-    outdir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(outdir, exist_ok=True)
+    report = monte_carlo_calibrate(train, ccfg, dcfg.delta)
+    outdir = _out_dir(args.out)
     report.write_json(args.out)
     print(f"calibrated {args.model}: mean params {report.param_mean}")
     _write_manifest(outdir, "calibrate", args, [args.samples], [args.out], started,
@@ -191,20 +193,19 @@ def _cmd_calibrate(args):
 def _cmd_train(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
-    delta = header["delta"]
-    dcfg = _dataset_config(args)
+    dcfg = _dataset_config(args, header)
     split = split_dataset([s.sample_id for s in samples], dcfg)
     nconf = NetConfig(cell=args.cell, units1=args.units1, units2=args.units2,
                       dense_units=args.dense_units,
-                      output_dim=int(header["t_fwd"]),
-                      input_dim=3 * int(header["k_vehicles"]),
+                      output_dim=dcfg.t_fwd,
+                      input_dim=3 * dcfg.k_vehicles,
                       dropout=args.dropout,
                       output_activation=args.activation, seed=args.seed)
     tconf = TrainConfig(variant=args.variant, seed=args.seed,
                         max_epochs=args.max_epochs, batch_size=args.batch_size,
                         patience=args.patience, lr=args.lr, mu=args.mu)
     params = _load_params(args.params_file) if args.params_file else None
-    net, report = train(samples, split, tconf, nconf, delta, params)
+    net, report = train(samples, split, tconf, nconf, dcfg.delta, params)
     os.makedirs(args.out, exist_ok=True)
     weights = os.path.join(args.out, "weights.json")
     rpt = os.path.join(args.out, "train_report.json")
@@ -256,7 +257,7 @@ def read_records(path) -> list[PredictionRecord]:
             if not line.strip():
                 continue
             try:  # JSONDecodeError is a ValueError
-                obj = _DECODER.decode(line)
+                obj = serialize.DECODER.decode(line)
                 rec = PredictionRecord(
                     sample_id=int(obj["sample_id"]),
                     predicted_accel=np.array(obj["predicted_accel"], dtype=float),
@@ -280,17 +281,15 @@ def read_records(path) -> list[PredictionRecord]:
 def _cmd_predict(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
-    delta = header["delta"]
-    dcfg = _dataset_config(args)
+    dcfg = _dataset_config(args, header)
     split = split_dataset([s.sample_id for s in samples], dcfg)
     subset = {"train": split.train_ids, "val": split.val_ids,
               "test": split.test_ids, "all": None}[args.subset]
     targets = samples if subset is None else [s for s in samples if s.sample_id in subset]
     params = _load_params(args.params_file) if args.params_file else None
     net = load_net(args.weights) if args.weights else None
-    records = predict_many(args.variant, targets, delta=delta, params=params, net=net)
-    outdir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(outdir, exist_ok=True)
+    records = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
+    outdir = _out_dir(args.out)
     _write_records(records, args.out)
     print(f"wrote {len(records)} prediction records to {args.out}")
     inputs = [p for p in (args.samples, args.params_file, args.weights) if p]
@@ -308,8 +307,7 @@ def _cmd_evaluate(args):
     ids = {r.sample_id for r in records}
     truth = [s for s in samples if s.sample_id in ids]
     mse_a, mse_v = mse_metrics(records, truth, header["delta"])
-    outdir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _out_dir(args.out)
     serialize.write_json(args.out, {
         "n_samples": len(records),
         "mse_a_test": mse_a,
@@ -341,8 +339,7 @@ def _cmd_sweep(args):
     data_sizes = _int_list("--data-sizes", args.data_sizes)
     seeds = _int_list("--seeds", args.seeds) if args.seeds else (args.seed,)
     samples, header = read_samples(args.samples)
-    # the samples were extracted on the header's grid, whatever --delta says
-    dcfg = dataclasses.replace(_dataset_config(args), delta=header["delta"])
+    dcfg = _dataset_config(args, header)
     sweep = SweepConfig(
         variants=variants, data_sizes=data_sizes, seeds=seeds,
         physics_model=args.model, cell=args.cell,
@@ -411,7 +408,11 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_dataset_flags(p)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--k-vehicles", type=int, default=4)
+    p.add_argument("--t-back", type=int, default=20)
+    p.add_argument("--t-fwd", type=int, default=5)
+    _add_split_flags(p)  # unread; perfbench's pipeline workload passes --split-seed
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("calibrate", help="fit physics parameters on the train split")
@@ -422,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=["newell", "idm", "fvd"], required=True)
     p.add_argument("--sample-size", type=int, default=300)
     p.add_argument("--repetitions", type=int, default=5)
-    _add_dataset_flags(p)
+    _add_split_flags(p)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("train", help="train a predictor variant")
@@ -434,7 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params-file", default=None,
                    help="calibration report JSON (pinn/perl)")
     _add_training_flags(p, max_epochs=200, patience=20)
-    _add_dataset_flags(p)
+    _add_split_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="emit prediction records")
@@ -445,7 +446,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", default=None)
     p.add_argument("--params-file", default=None)
     p.add_argument("--subset", choices=["train", "val", "test", "all"], default="test")
-    _add_dataset_flags(p)
+    _add_split_flags(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score prediction records")
@@ -465,7 +466,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data-sizes", default="300,500,1000")
     p.add_argument("--model", choices=["newell", "idm", "fvd"], default="newell")
     _add_training_flags(p, max_epochs=100, patience=15)
-    _add_dataset_flags(p)
+    _add_split_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="verify BPTT gradients vs finite differences")
@@ -494,9 +495,8 @@ def _apply_config_file(parser, argv):
         return  # argparse reports the missing value
     path = argv[idx + 1]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = serialize.read_json(path)
+    except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DataError(f"config {path} must be a JSON object")
@@ -521,16 +521,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except PhyresError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PhyresError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -42,13 +42,7 @@ class EvalReport:
     collision_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "data_size": self.data_size,
-            "seed": self.seed, "mse_a_test": self.mse_a_test,
-            "mse_v_test": self.mse_v_test,
-            "per_sample_mse_a": self.per_sample_mse_a,
-            "collision_count": self.collision_count,
-        }
+        return asdict(self)
 
 
 def mse_metrics(records: list[PredictionRecord], truth: list[TrajectorySample],
@@ -113,8 +107,8 @@ def _calibrate_subset(subset, sweep: SweepConfig, delta: float, seed: int
 
 
 def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
-              dcfg: DatasetConfig, sweep: SweepConfig, variant: str, test,
-              seed: int) -> SweepCell:
+              dcfg: DatasetConfig, sweep: SweepConfig, tconf: TrainConfig | None,
+              variant: str, test, seed: int) -> SweepCell:
     size = len(subset)
     cell = SweepCell(variant=variant, data_size=size, seed=seed)
     try:
@@ -141,11 +135,9 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
                               dropout=sweep.dropout,
                               output_activation=sweep.output_activation,
                               seed=seed)
-            tconf = TrainConfig(variant=variant, seed=seed,
-                                max_epochs=sweep.max_epochs,
-                                batch_size=sweep.batch_size,
-                                patience=sweep.patience, lr=sweep.lr, mu=sweep.mu)
-            net, cell.train_report = train(subset, inner, tconf, nconf, dcfg.delta, params)
+            net, cell.train_report = train(subset, inner,
+                                           replace(tconf, variant=variant, seed=seed),
+                                           nconf, dcfg.delta, params)
         records = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
         mse_a, mse_v = mse_metrics(records, test, dcfg.delta)
         per_sample = [float(np.mean((s.ego_future_accel - r.predicted_accel) ** 2))
@@ -166,7 +158,14 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
 def run_sweep(samples: list[TrajectorySample], dcfg: DatasetConfig,
               sweep: SweepConfig) -> list[SweepCell]:
     """Run the (data_size x variant x seed) grid; cells never abort the
-    sweep, failures are recorded on the cell."""
+    sweep, failures are recorded on the cell.  The training settings are
+    checked once, before any fit: a bad one is a ConfigError."""
+    learned = [v for v in sweep.variants if v != "physics"]
+    tconf = None
+    if learned:  # each cell replaces the variant and the seed
+        tconf = TrainConfig(variant=learned[0], seed=sweep.seeds[0],
+                            max_epochs=sweep.max_epochs, batch_size=sweep.batch_size,
+                            patience=sweep.patience, lr=sweep.lr, mu=sweep.mu)
     split = split_dataset([s.sample_id for s in samples], dcfg)
     samples_by_id = {s.sample_id: s for s in samples}
     train_ids_sorted = sorted(split.train_ids)
@@ -186,8 +185,8 @@ def run_sweep(samples: list[TrajectorySample], dcfg: DatasetConfig,
             if any(v in PHYSICS_VARIANTS for v in sweep.variants):
                 calibration = _calibrate_subset(subset, sweep, dcfg.delta, seed)
             for variant in sweep.variants:
-                cells.append(_run_cell(subset, calibration, dcfg, sweep, variant,
-                                       test, seed))
+                cells.append(_run_cell(subset, calibration, dcfg, sweep, tconf,
+                                       variant, test, seed))
     cells.sort(key=lambda c: (c.data_size, c.variant, c.seed))
     return cells
 

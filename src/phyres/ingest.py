@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import ConfigError, DataError
 SAMPLE_FORMAT_VERSION = 1
 CSV_HEADER = ["vehicle_id", "time", "position", "speed", "accel", "leader_id"]
 WRITE_CHUNK = 16  # samples stacked at a time: larger chunks raise the peak memory
+GRID_ATOL = 1e-6  # seconds a CSV timestep may stray from delta
 
 
 @dataclass
@@ -63,7 +63,7 @@ class VehicleSeries:
         return self.t_start + (len(self) - 1) * self.delta
 
 
-def parse_trajectory_csv(path, delta: float, grid_atol: float = 1e-6) -> list[VehicleSeries]:
+def parse_trajectory_csv(path, delta: float) -> list[VehicleSeries]:
     """Parse a raw trajectory CSV into per-vehicle series.
 
     Validates the header, finite numbers, timestep uniformity against
@@ -104,9 +104,9 @@ def parse_trajectory_csv(path, delta: float, grid_atol: float = 1e-6) -> list[Ve
         rows.sort(key=lambda r: r[1])
         for (ln_a, t_a, *_), (ln_b, t_b, *_) in zip(rows, rows[1:]):
             dt = t_b - t_a
-            if abs(dt) <= grid_atol:
+            if abs(dt) <= GRID_ATOL:
                 raise DataError(f"{path}:{ln_b}: duplicate time {t_b} for vehicle {vid}")
-            if abs(dt - delta) > grid_atol:
+            if abs(dt - delta) > GRID_ATOL:
                 raise DataError(
                     f"{path}:{ln_b}: non-uniform timestep {dt!r} for vehicle {vid} (expected {delta})"
                 )
@@ -197,17 +197,11 @@ class NormStats:
     spacing_std: float
 
     def to_dict(self) -> dict:
-        return {
-            "accel_mean": self.accel_mean, "accel_std": self.accel_std,
-            "speed_mean": self.speed_mean, "speed_std": self.speed_std,
-            "spacing_mean": self.spacing_mean, "spacing_std": self.spacing_std,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        return cls(**{k: float(d[k]) for k in (
-            "accel_mean", "accel_std", "speed_mean", "speed_std",
-            "spacing_mean", "spacing_std")})
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 
 def compute_norm_stats(batch: SampleBatch) -> NormStats:
@@ -301,19 +295,6 @@ def _replace_sidecar(path, digest: str, matrix: np.ndarray) -> str:
     return sidecar
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"{token} is not a finite number")
-
-
-def _parse_int(token: str):
-    # '%.17g' writes -0.0 as "-0", which int() would read as 0
-    return -0.0 if token == "-0" else int(token)
-
-
-# json reads NaN and Infinity tokens; a sample file holds finite numbers only
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_parse_int)
-
-
 def _scan(path) -> tuple[str, bytes | None, int]:
     """One streaming pass over a sample file: the sha256 of its bytes, its
     first line and the number of non-blank lines after it."""
@@ -332,7 +313,7 @@ def _scan(path) -> tuple[str, bytes | None, int]:
 def _parse_header(path, line: bytes) -> dict:
     """The header object, with its geometry parsed as numbers."""
     try:
-        header = _DECODER.decode(line.decode("utf-8"))
+        header = serialize.DECODER.decode(line.decode("utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}:1: malformed header: {exc}") from exc
     if not isinstance(header, dict):
@@ -361,7 +342,7 @@ def _parse_lines(path, shapes: dict) -> list[TrajectorySample]:
             if not line.strip():
                 continue
             try:
-                obj = _DECODER.decode(line)
+                obj = serialize.DECODER.decode(line)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
             try:

@@ -16,7 +16,7 @@ applies none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .errors import ConfigError, NumericError
 from .ingest import NormStats
 
 WEIGHTS_FORMAT_VERSION = 1
+GRADCHECK_FD_STEP = 1e-5    # central-difference step of gradient_check
+GRADCHECK_SEED = 12345      # draws gradient_check's input, target and masks
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,7 @@ class NetConfig:
             raise ConfigError("dropout must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "cell": self.cell, "units1": self.units1, "units2": self.units2,
-            "dense_units": self.dense_units, "output_dim": self.output_dim,
-            "input_dim": self.input_dim, "dropout": self.dropout,
-            "output_activation": self.output_activation, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
@@ -364,8 +361,7 @@ def adam_step(net: RecurrentNet, grads: dict[str, np.ndarray], state: AdamState)
     return net, state
 
 
-def gradient_check(cfg: NetConfig, t_steps: int = 5, fd_step: float = 1e-5,
-                   seed: int = 12345) -> float:
+def gradient_check(cfg: NetConfig, t_steps: int = 5) -> float:
     """Compare BPTT gradients against central finite differences.
 
     Builds a small net from ``cfg``, one random input and target, a frozen
@@ -374,7 +370,7 @@ def gradient_check(cfg: NetConfig, t_steps: int = 5, fd_step: float = 1e-5,
     """
     if max(cfg.units1, cfg.units2) > 10 or t_steps > 8:
         raise ConfigError("gradient check is restricted to small configurations")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRADCHECK_SEED)
     net = init_net(cfg)
     x = rng.standard_normal((1, t_steps, cfg.input_dim))
     target = rng.standard_normal((1, cfg.output_dim))
@@ -403,12 +399,12 @@ def gradient_check(cfg: NetConfig, t_steps: int = 5, fd_step: float = 1e-5,
         gflat = grads[name].reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + fd_step
+            flat[idx] = orig + GRADCHECK_FD_STEP
             lp = loss_only()
-            flat[idx] = orig - fd_step
+            flat[idx] = orig - GRADCHECK_FD_STEP
             lm = loss_only()
             flat[idx] = orig
-            fd = (lp - lm) / (2.0 * fd_step)
+            fd = (lp - lm) / (2.0 * GRADCHECK_FD_STEP)
             # floor absorbs central-difference roundoff (~1e-11 absolute)
             # on near-zero gradients without masking real errors
             denom = max(abs(fd) + abs(gflat[idx]), 1e-6)
@@ -443,8 +439,12 @@ def load_net(path) -> RecurrentNet:
         params = {name: np.array(t["values"], dtype=float).reshape(t["shape"])
                   for name, t in obj["tensors"].items()}
         stats = NormStats.from_dict(obj["norm_stats"]) if obj.get("norm_stats") else None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad weights file: {exc!r}") from exc
+    # json reads an overflowing literal such as 1e999 as infinity
+    numbers = [*params.values(), list(stats.to_dict().values()) if stats else []]
+    if not all(np.isfinite(a).all() for a in numbers):
+        raise DataError(f"{path}: a number beyond the float range")
     expected = _tensor_shapes(cfg)
     if set(params) != set(expected) or any(params[k].shape != expected[k] for k in expected):
         raise DataError(f"{path}: tensor set/shape mismatch with net_config")

@@ -1,4 +1,4 @@
-"""JSON emission with full-precision decimal floats.
+"""JSON emission with full-precision decimal floats, and strict decoding.
 
 The stock json encoder writes shortest-round-trip floats; file formats in
 this package promise >= 15 significant digits, so floats are rendered with
@@ -13,6 +13,18 @@ import numpy as np
 
 from .errors import DataError
 
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
+def _parse_int(token: str):
+    # '%.17g' writes -0.0 as "-0", which int() would read as 0
+    return -0.0 if token == "-0" else int(token)
+
+
+# json reads NaN and Infinity tokens; the files phyres reads hold finite numbers only
+DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_parse_int)
 
 def _fmt_float(x: float) -> str:
     if x != x:
@@ -58,7 +70,7 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+        try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            return DECODER.decode(fh.read())
+        except ValueError as exc:
             raise DataError(f"{path}: malformed JSON: {exc}") from exc

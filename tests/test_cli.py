@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SIDECAR_CORRUPTIONS, corrupt_sidecar
-from phyres import cli, serialize
+from phyres import cli, evaluation, serialize
 from phyres.cli import _write_records, main, read_records
 from phyres.domain import DatasetConfig
 from phyres.errors import NumericError
@@ -115,6 +115,20 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         assert run(["synth", "--config", str(cfg),
                     "--out", str(tmp_path / "c.csv")]) == 2
+
+    @pytest.mark.parametrize("argv, key", [
+        (["synth", "--out", "{tmp}/c.csv"], "seed"),
+        (["train", "--samples", "{samples}", "--out", "{tmp}/t", "--seed", "1",
+          "--variant", "nn", "--max-epochs", "1"], "lr"),
+    ], ids=["synth-seed", "train-lr"])
+    def test_nan_config_value_is_data_error(self, workspace, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": NaN}}')
+        capsys.readouterr()
+        argv = [a.format(tmp=tmp_path, samples=workspace[2]) for a in argv]
+        assert run(argv + ["--config", str(cfg)]) == 2
+        assert f"{cfg}: malformed JSON: NaN is not a finite number" in _one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestDeterminism:
@@ -292,6 +306,18 @@ class TestPipeline:
         assert (out / "summary_long.csv").exists()
         assert (out / "sweep" / "physics" / "20" / "0" / "report.json").exists()
 
+    def test_sweep_bad_training_setting_fails_before_any_fit(self, workspace, tmp_path,
+                                                              capsys, monkeypatch):
+        _, _, samples = workspace
+        fits = []
+        monkeypatch.setattr(evaluation, "monte_carlo_calibrate", lambda *a: fits.append(a))
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run(["sweep", "--samples", str(samples), "--out", str(out),
+                    "--seed", "0", "--data-sizes", "40", "--max-epochs", "0"]) == 2
+        assert "max_epochs must be >= 1" in _one_error_line(capsys)
+        assert not fits and not out.exists()
+
     def test_sweep_partial_failure_exit_code(self, workspace, tmp_path):
         _, _, samples = workspace
         out = tmp_path / "sweep_fail"
@@ -321,10 +347,47 @@ class TestPipeline:
         assert got["mse_v_test"] == cell.eval_report.mse_v_test
 
 
+def _with_out_b(weights: dict, value) -> dict:
+    """A weights object whose output biases all hold ``value``."""
+    out_b = weights["tensors"]["out_b"]
+    return dict(weights, tensors=dict(weights["tensors"], out_b=dict(
+        out_b, values=[value] * len(out_b["values"]))))
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     return err[0]
+
+
+class TestGeometryFlags:
+    """The sample geometry is extract's to set; later commands read it from
+    the samples header and have no flags for it."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "0.2"), ("--k-vehicles", "3"), ("--t-back", "10"), ("--t-fwd", "3")])
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--seed", "0", "--model", "newell"],
+        ["train", "--seed", "0", "--variant", "nn"],
+        ["predict", "--variant", "nn"],
+        ["sweep", "--seed", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_reading_commands_reject_geometry_flags(self, workspace, tmp_path, capsys,
+                                                    argv, flag, value):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(argv + ["--samples", str(workspace[2]), "--out", str(out),
+                           flag, value]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: "), err
+        assert flag in err[0] and not out.exists()
+
+    def test_extract_sets_the_header_geometry(self, workspace, tmp_path):
+        samples = tmp_path / "samples.jsonl"
+        assert run(["extract", "--input", str(workspace[1]), "--out", str(samples),
+                    "--t-fwd", "3"]) == 0
+        assert read_samples(samples)[1]["t_fwd"] == 3
+        assert json.loads(samples.read_text().splitlines()[0])["t_fwd"] == 3
 
 
 class TestArtifactMismatch:
@@ -351,7 +414,7 @@ class TestArtifactMismatch:
         capsys.readouterr()
         assert run(["predict", "--samples", str(short), "--out", str(tmp_path / "p.jsonl"),
                     "--variant", variant, "--params-file", str(params),
-                    "--weights", str(weights), "--t-fwd", "3"]) == 2
+                    "--weights", str(weights)]) == 2
         assert "horizon" in _one_error_line(capsys)
 
     def test_evaluate_horizon_mismatch(self, artifacts, tmp_path, capsys):
@@ -479,11 +542,17 @@ class TestArtifactMismatch:
         lambda obj: {k: v for k, v in obj.items() if k != "tensors"},
         lambda obj: dict(obj, tensors={
             name: dict(t, values=t["values"][:-1]) for name, t in obj["tensors"].items()}),
-    ], ids=["not-object", "no-net-config", "no-tensors", "values-misfit-shape"])
+        lambda obj: _with_out_b(obj, float("nan")),  # written as NaN
+        lambda obj: _with_out_b(obj, "1e999"),
+        lambda obj: dict(obj, norm_stats=dict(obj["norm_stats"], speed_std="1e999")),
+    ], ids=["not-object", "no-net-config", "no-tensors", "values-misfit-shape",
+            "nan-token", "overflow", "overflow-norm-stat"])
     def test_malformed_weights_is_data_error(self, artifacts, edit, tmp_path, capsys):
         samples, _, _, weights = artifacts
         bad = tmp_path / "weights.json"
-        bad.write_text(json.dumps(edit(json.loads(weights.read_text()))))
+        # the quoted "1e999" becomes a literal that json reads as infinity
+        bad.write_text(json.dumps(edit(json.loads(weights.read_text())))
+                       .replace('"1e999"', "1e999"))
         capsys.readouterr()
         assert run(["predict", "--samples", str(samples), "--out", str(tmp_path / "p.jsonl"),
                     "--variant", "nn", "--weights", str(bad)]) == 2

@@ -97,6 +97,25 @@ class TestSweep:
         assert cells[0].error is not None
         assert cells[0].eval_report is None
 
+    @pytest.mark.parametrize("setting", [{"max_epochs": 0}, {"mu": 2.0}, {"patience": 0}])
+    def test_bad_training_setting_raised_before_any_fit(self, small_idm_corpus,
+                                                        monkeypatch, setting):
+        samples, dcfg, _ = small_idm_corpus
+        fits = []
+        monkeypatch.setattr(evaluation, "monte_carlo_calibrate", lambda *a: fits.append(a))
+        sweep = SweepConfig(variants=("physics", "perl"), data_sizes=(20,), seeds=(0,),
+                            physics_model="idm", **setting)
+        with pytest.raises(ConfigError):
+            run_sweep(samples, dcfg, sweep)
+        assert fits == []
+
+    def test_physics_only_sweep_ignores_training_settings(self, small_idm_corpus):
+        samples, dcfg, _ = small_idm_corpus
+        sweep = SweepConfig(variants=("physics",), data_sizes=(20,), seeds=(0,),
+                            physics_model="idm", max_epochs=0)
+        [cell] = run_sweep(samples, dcfg, sweep)
+        assert cell.error is None
+
 
 def _sweep_subset(samples, dcfg, seed, size):
     """The training subset a sweep cell of this (seed, size) uses."""

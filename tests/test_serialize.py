@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phyres import serialize
+from phyres.errors import DataError
 
 
 def test_float_seventeen_digits_round_trip():
@@ -42,6 +44,25 @@ def test_write_and_read_json(tmp_path):
     obj = {"v": [0.1, 0.2, 0.30000000000000004]}
     serialize.write_json(path, obj)
     assert serialize.read_json(path) == obj
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"x": NaN}', "NaN is not a finite number"),
+    ('{"x": -Infinity}', "-Infinity is not a finite number"),
+    ('{"x": ', "Expecting value"),
+    (b'{"x": "\xff"}', "can't decode byte"),
+], ids=["nan", "infinity", "truncated", "not-utf8"])
+def test_read_json_malformed_is_data_error(tmp_path, text, detail):
+    path = tmp_path / "obj.json"
+    (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: malformed JSON: .*{re.escape(detail)}"):
+        serialize.read_json(path)
+
+
+def test_read_json_keeps_negative_zero(tmp_path):
+    path = tmp_path / "obj.json"
+    serialize.write_json(path, {"x": -0.0})
+    assert math.copysign(1.0, serialize.read_json(path)["x"]) == -1.0
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
