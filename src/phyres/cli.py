@@ -500,15 +500,28 @@ def _apply_config_file(parser, argv):
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DataError(f"config {path} must be a JSON object")
+    sub = parser._subparsers._group_actions[0].choices.get(argv[0])
+    if sub is None:
+        return  # argparse reports the missing or unknown command
     defaults = {key.replace(".", "_").replace("-", "_"): val for key, val in cfg.items()}
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-            # a config-supplied seed satisfies the --seed requirement
-            for a in sub._actions:
-                if a.dest in defaults and getattr(a, "required", False):
-                    a.required = False
+    for a in sub._actions:
+        if a.dest not in defaults:
+            continue
+        val = defaults[a.dest]
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            raise UsageError(f"config {path}: {a.dest}: expected a string or a number, "
+                             f"got {serialize.dumps(val)}")
+        text = str(val)  # read as the flag's text would be
+        try:
+            val = a.type(text) if a.type else text
+        except ValueError:
+            raise UsageError(f"config {path}: {a.dest}: invalid {a.type.__name__} value: "
+                             f"{text!r}") from None
+        if a.choices is not None and val not in a.choices:
+            raise UsageError(f"config {path}: {a.dest}: invalid choice: {val!r} "
+                             f"(choose from {', '.join(map(str, a.choices))})")
+        sub.set_defaults(**{a.dest: val})
+        a.required = False  # a config-supplied seed satisfies the --seed requirement
 
 
 def main(argv=None) -> int:

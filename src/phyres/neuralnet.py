@@ -150,13 +150,14 @@ def _lstm_layer_forward(x_seq, W, U, b, units, steps=None):
     return h_seq
 
 
-def _lstm_layer_backward(dh_seq, steps, W, U, units):
-    """dh_seq: (B, T, units) upstream grads on every output step."""
+def _lstm_layer_backward(dh_seq, steps, W, U, units, input_grad=True):
+    """dh_seq: (B, T, units) upstream grads on every output step.  Returns
+    (dx_seq, dW, dU, db); dx_seq is None unless ``input_grad``."""
     batch = dh_seq.shape[0]
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros(W.shape[1])
-    dx_seq = np.empty((batch, len(steps), W.shape[0]))
+    dx_seq = np.empty((batch, len(steps), W.shape[0])) if input_grad else None
     dh_next = np.zeros((batch, units))
     dc_next = np.zeros((batch, units))
     for t in reversed(range(len(steps))):
@@ -179,7 +180,8 @@ def _lstm_layer_backward(dh_seq, steps, W, U, units):
         dW += x.T @ da
         dU += h_prev.T @ da
         db += da.sum(axis=0)
-        dx_seq[:, t, :] = da @ W.T
+        if input_grad:
+            dx_seq[:, t, :] = da @ W.T
         dh_next = da @ U.T
     return dx_seq, dW, dU, db
 
@@ -204,12 +206,12 @@ def _gru_layer_forward(x_seq, W, U, b, units, steps=None):
     return h_seq
 
 
-def _gru_layer_backward(dh_seq, steps, W, U, units):
+def _gru_layer_backward(dh_seq, steps, W, U, units, input_grad=True):
     batch = dh_seq.shape[0]
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros(W.shape[1])
-    dx_seq = np.empty((batch, len(steps), W.shape[0]))
+    dx_seq = np.empty((batch, len(steps), W.shape[0])) if input_grad else None
     dh_next = np.zeros((batch, units))
     for t in reversed(range(len(steps))):
         x, h_prev, z, r, n, rh = steps[t]
@@ -232,8 +234,9 @@ def _gru_layer_backward(dh_seq, steps, W, U, units):
         db[:units] += daz.sum(axis=0)
         db[units:2 * units] += dar.sum(axis=0)
         db[2 * units:] += dan.sum(axis=0)
-        dx_seq[:, t, :] = daz @ W[:, :units].T + dar @ W[:, units:2 * units].T \
-            + dan @ W[:, 2 * units:].T
+        if input_grad:
+            dx_seq[:, t, :] = daz @ W[:, :units].T + dar @ W[:, units:2 * units].T \
+                + dan @ W[:, 2 * units:].T
         dh_next = dh_prev + daz @ U[:, :units].T + dar @ U[:, units:2 * units].T
     return dx_seq, dW, dU, db
 
@@ -319,7 +322,9 @@ def backward(net: RecurrentNet, cache: dict, output_grad: np.ndarray) -> dict[st
     dh1_drop, dW2, dU2, db2 = layer_bwd(dh2_seq, cache["steps2"], p["l2_W"], p["l2_U"], cfg.units2)
     grads["l2_W"], grads["l2_U"], grads["l2_b"] = dW2, dU2, db2
     dh1_seq = dh1_drop * masks["m1"]
-    _, dW1, dU1, db1 = layer_bwd(dh1_seq, cache["steps1"], p["l1_W"], p["l1_U"], cfg.units1)
+    # nothing reads the gradient on the network input
+    _, dW1, dU1, db1 = layer_bwd(dh1_seq, cache["steps1"], p["l1_W"], p["l1_U"], cfg.units1,
+                                 input_grad=False)
     grads["l1_W"], grads["l1_U"], grads["l1_b"] = dW1, dU1, db1
     return grads
 

@@ -56,10 +56,13 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_slots(shape: tuple) -> str:
-    """Nested JSON arrays of '%.17g' slots for an array of ``shape``: a
-    '%'-format template whose float bytes are those of ``dumps``."""
-    return "[" + ",".join([json_slots(shape[1:])] * shape[0]) + "]" if shape else "%.17g"
+def json_slots(shape: tuple, slot: str = "%.17g") -> str:
+    """Nested JSON arrays of ``slot``s for an array of ``shape``: a
+    '%'-format template whose float bytes are those of ``dumps`` when each
+    slot is filled with its float, or with its float's ``format(x, ".17g")``
+    through a "%s" slot."""
+    return ("[" + ",".join([json_slots(shape[1:], slot)] * shape[0]) + "]"
+            if shape else slot)
 
 
 def write_json(path, obj) -> None:

@@ -130,6 +130,23 @@ class TestConfigFile:
         assert f"{cfg}: malformed JSON: NaN is not a finite number" in _one_error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("config, message", [
+        ('{"platoons": 2.5, "seed": 1}', "platoons: invalid int value: '2.5'"),
+        ('{"seed": 1e999}', "seed: invalid int value: 'inf'"),
+        ('{"seed": "x"}', "seed: invalid int value: 'x'"),
+        ('{"seed": 1, "generator": "bogus"}',
+         "generator: invalid choice: 'bogus' (choose from idm, newell_shift)"),
+        ('{"seed": null}', "seed: expected a string or a number, got null"),
+    ], ids=["fractional-int", "overflow", "string", "bad-choice", "null"])
+    def test_ill_typed_config_value_is_usage_error(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        capsys.readouterr()
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: config {cfg}: {message}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestDeterminism:
     def test_synth_byte_identical(self, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -235,6 +236,26 @@ class TestSampleFilePersistence:
         _dumps_writer(samples, want, dataset_config)
         write_samples(samples, got, dataset_config)
         assert got.read_bytes() == want.read_bytes()
+
+    def test_bytes_match_per_sample_dumps_on_real_windows(self, tmp_path, small_idm_corpus):
+        samples, dcfg, _ = small_idm_corpus
+        assert len(samples) >= 3 * WRITE_CHUNK + 5
+        # a partial last chunk; a copy, as the corpus is shared by other tests
+        samples = copy.deepcopy(samples[:3 * WRITE_CHUNK + 5])
+        # -0.0 and 0.0 in one chunk: equal as floats, "-0" and "0" in the file
+        samples[WRITE_CHUNK + 1].hist_accel[0, 0] = -0.0
+        samples[WRITE_CHUNK + 2].hist_accel[0, 1] = 0.0
+        samples[WRITE_CHUNK + 3].ego_future_accel[2] = -0.0
+        # stride-1 windows: a chunk holds each value many times over
+        chunk = np.concatenate([s.hist_speed.ravel() for s in samples[:WRITE_CHUNK]])
+        assert len(np.unique(chunk)) * 4 < chunk.size
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        _dumps_writer(samples, want, dcfg)
+        write_samples(samples, got, dcfg)
+        assert got.read_bytes() == want.read_bytes()
+        lines = got.read_bytes().splitlines()  # the header, then sample i on line i + 1
+        assert b'"hist_accel":[[-0,' in lines[WRITE_CHUNK + 2]
+        assert re.search(rb'"hist_accel":\[\[[^,]+,0,', lines[WRITE_CHUNK + 3])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["hist_speed", "hist_position", "ego_future_accel"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phyres import neuralnet
 from phyres.errors import ConfigError, DataError
 from phyres.neuralnet import (AdamState, NetConfig, adam_step, backward,
                               forward_batch, gradient_check, init_net,
@@ -142,6 +143,28 @@ class TestBackward:
         cfg = small_config(cell=cell, dropout=dropout,
                            output_activation=activation)
         assert gradient_check(cfg, t_steps=5) < 1e-4
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_skipped_input_grad_leaves_grads_bit_equal(self, cell, monkeypatch):
+        cfg = small_config(cell=cell, dropout=0.2, units1=8, units2=5)
+        net = init_net(cfg)
+        x = np.random.default_rng(8).standard_normal((7, 6, 6))
+        _, cache = forward_batch(net, x, "train", dropout_rng=np.random.default_rng(9))
+        og = np.random.default_rng(10).standard_normal((7, 3))
+        got = backward(net, cache, og)
+        name = f"_{cell}_layer_backward"
+        layer_bwd = getattr(neuralnet, name)
+        # the reference computes every layer's input gradient, as layer 1 once did
+        monkeypatch.setattr(neuralnet, name, lambda *args, input_grad=True:
+                            layer_bwd(*args, input_grad=True))
+        want = backward(net, cache, og)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+        assert layer_bwd(np.zeros((7, 6, 8)), cache["steps1"], net.params["l1_W"],
+                         net.params["l1_U"], 8, input_grad=False)[0] is None
+        monkeypatch.undo()
+        assert gradient_check(small_config(cell=cell, dropout=0.2), t_steps=5) < 1e-4
 
     def test_gradient_check_rejects_large_nets(self):
         with pytest.raises(ConfigError):
