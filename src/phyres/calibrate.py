@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from . import serialize
-from .domain import SampleBatch, TrajectorySample
+from .domain import SampleBatch
 from .errors import CalibrationError, ConfigError
 from .physics import (FVD_FIXED, FvdParams, IdmParams, NewellParams,
                       PhysicsParams, model_name, one_step_batch)
@@ -93,13 +93,10 @@ def params_to_dict(params: PhysicsParams) -> dict:
     return {k: getattr(params, k) for k in PARAM_ORDER[model_name(params)]}
 
 
-def calibration_objective(samples: list[TrajectorySample] | SampleBatch,
-                          params: PhysicsParams, delta: float) -> float:
-    """Mean squared one-step acceleration error; inf on non-finite output.
-
-    Takes a sample list or, to skip stacking it again, a prebuilt batch.
-    """
-    batch = samples if isinstance(samples, SampleBatch) else SampleBatch.of(samples)
+def calibration_objective(samples, params: PhysicsParams, delta: float) -> float:
+    """Mean squared one-step acceleration error over a batch (or a list) of
+    samples; inf on non-finite output."""
+    batch = SampleBatch.of(samples)
     preds = one_step_batch(batch, params, delta)
     err = preds - batch.ego_future_accel[:, 0]
     if not np.all(np.isfinite(err)):
@@ -134,10 +131,10 @@ def _unbounded_to_box(u, lo, hi):
     return lo + (hi - lo) * expit(u)
 
 
-def fit_physics(samples: list[TrajectorySample], config: CalibrationConfig,
+def fit_physics(samples, config: CalibrationConfig,
                 delta: float, rng: np.random.Generator | None = None
                 ) -> tuple[PhysicsParams, float]:
-    """Fit the model's parameters to the given samples.
+    """Fit the model's parameters to a batch (or a list) of samples.
 
     Returns (params, objective value at the optimum).  ``rng`` seeds the
     Nelder-Mead restart draws; defaults to config.seed.
@@ -149,7 +146,7 @@ def fit_physics(samples: list[TrajectorySample], config: CalibrationConfig,
     names = PARAM_ORDER[config.model]
     lo = np.array([config.bounds[n][0] for n in names])
     hi = np.array([config.bounds[n][1] for n in names])
-    batch = SampleBatch.of(samples)  # stacked once, read by every objective call
+    batch = SampleBatch.of(samples)  # read by every objective call
 
     def obj_vec(x):
         return calibration_objective(
@@ -208,9 +205,10 @@ class CalibrationReport:
         serialize.write_json(path, self.to_dict())
 
 
-def monte_carlo_calibrate(train_samples: list[TrajectorySample],
-                          config: CalibrationConfig, delta: float) -> CalibrationReport:
-    """Repeated calibration on random sub-draws of the training samples."""
+def monte_carlo_calibrate(train_samples, config: CalibrationConfig,
+                          delta: float) -> CalibrationReport:
+    """Repeated calibration on random sub-draws of the training samples, a
+    batch or a list; only each repetition's draw is stacked."""
     n = config.sample_size
     if len(train_samples) < n:
         raise ConfigError(
@@ -219,9 +217,8 @@ def monte_carlo_calibrate(train_samples: list[TrajectorySample],
     for rep in range(config.repetitions):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep]))
         idx = rng.choice(len(train_samples), size=n, replace=False)
-        subset = [train_samples[i] for i in idx]
         try:
-            params, mse = fit_physics(subset, config, delta, rng=rng)
+            params, mse = fit_physics(SampleBatch.of(train_samples, idx), config, delta, rng=rng)
         except CalibrationError as exc:
             raise CalibrationError(f"repetition {rep}: {exc}") from exc
         per_rep.append({"params": params_to_dict(params), "mse": mse})

@@ -45,8 +45,39 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Errors raise UsageError; flags are never abbreviated, so ``--config``
+    is found in argv the way the parser finds it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_at_least(least: int):
+    """An argparse type: an int of at least ``least``."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return parse
+
+
+def _int_list_of(item):
+    """An argparse type: a comma list of ``item`` values, kept as its text."""
+    def parse(text):
+        for tok in text.split(","):
+            item(tok)
+        return text
+    parse.__name__ = "comma list of int"
+    return parse
+
+
+_SEED = _int_at_least(0)
+_SIZE = _int_at_least(1)
 
 
 def _sha256(path) -> str:
@@ -92,7 +123,7 @@ def _dataset_config(args, geometry: dict) -> DatasetConfig:
 def _add_split_flags(p):
     p.add_argument("--omega-train", type=float, default=0.6)
     p.add_argument("--omega-val", type=float, default=0.2)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_SEED, default=0)
 
 
 def _add_training_flags(p, max_epochs, patience):
@@ -160,8 +191,7 @@ def _cmd_extract(args):
     dcfg = _dataset_config(args, vars(args))
     series = parse_trajectory_csv(args.input, dcfg.delta)
     samples = extract_samples(series, dcfg)
-    for s in samples:
-        s.validate()
+    samples.validate()
     outdir = _out_dir(args.out)
     sidecar = write_samples(samples, args.out, dcfg)
     print(f"extracted {len(samples)} samples from {len(series)} vehicle series")
@@ -175,11 +205,10 @@ def _cmd_calibrate(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
     dcfg = _dataset_config(args, header)
-    split = split_dataset([s.sample_id for s in samples], dcfg)
-    train = [s for s in samples if s.sample_id in split.train_ids]
+    split = split_dataset(samples.sample_ids.tolist(), dcfg)
     ccfg = CalibrationConfig(model=args.model, sample_size=args.sample_size,
                              repetitions=args.repetitions, seed=args.seed)
-    report = monte_carlo_calibrate(train, ccfg, dcfg.delta)
+    report = monte_carlo_calibrate(samples.select(split.train_ids), ccfg, dcfg.delta)
     outdir = _out_dir(args.out)
     report.write_json(args.out)
     print(f"calibrated {args.model}: mean params {report.param_mean}")
@@ -194,7 +223,7 @@ def _cmd_train(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
     dcfg = _dataset_config(args, header)
-    split = split_dataset([s.sample_id for s in samples], dcfg)
+    split = split_dataset(samples.sample_ids.tolist(), dcfg)
     nconf = NetConfig(cell=args.cell, units1=args.units1, units2=args.units2,
                       dense_units=args.dense_units,
                       output_dim=dcfg.t_fwd,
@@ -282,10 +311,10 @@ def _cmd_predict(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
     dcfg = _dataset_config(args, header)
-    split = split_dataset([s.sample_id for s in samples], dcfg)
+    split = split_dataset(samples.sample_ids.tolist(), dcfg)
     subset = {"train": split.train_ids, "val": split.val_ids,
               "test": split.test_ids, "all": None}[args.subset]
-    targets = samples if subset is None else [s for s in samples if s.sample_id in subset]
+    targets = samples if subset is None else samples.select(subset)
     params = _load_params(args.params_file) if args.params_file else None
     net = load_net(args.weights) if args.weights else None
     records = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
@@ -304,8 +333,7 @@ def _cmd_evaluate(args):
     started = time.monotonic()
     samples, header = read_samples(args.samples)
     records = read_records(args.records)
-    ids = {r.sample_id for r in records}
-    truth = [s for s in samples if s.sample_id in ids]
+    truth = samples.select({r.sample_id for r in records})
     mse_a, mse_v = mse_metrics(records, truth, header["delta"])
     outdir = _out_dir(args.out)
     serialize.write_json(args.out, {
@@ -322,13 +350,6 @@ def _cmd_evaluate(args):
 
 # ---------------------------------------------------------------- sweep
 
-def _int_list(flag, text) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise UsageError(f"argument {flag}: not a comma list of integers: {text!r}") from None
-
-
 def _cmd_sweep(args):
     started = time.monotonic()
     variants = tuple(args.variants.split(","))
@@ -336,8 +357,8 @@ def _cmd_sweep(args):
         if v not in VARIANTS:
             raise UsageError(f"argument --variants: invalid choice: {v!r} "
                              f"(choose from {', '.join(VARIANTS)})")
-    data_sizes = _int_list("--data-sizes", args.data_sizes)
-    seeds = _int_list("--seeds", args.seeds) if args.seeds else (args.seed,)
+    data_sizes = tuple(map(int, args.data_sizes.split(",")))
+    seeds = tuple(map(int, args.seeds.split(","))) if args.seeds else (args.seed,)
     samples, header = read_samples(args.samples)
     dcfg = _dataset_config(args, header)
     sweep = SweepConfig(
@@ -382,7 +403,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic trajectory corpus")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--generator", choices=["idm", "newell_shift"], default="idm")
     p.add_argument("--platoons", type=int, default=10)
     p.add_argument("--vehicles", type=int, default=4)
@@ -419,7 +440,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--model", choices=["newell", "idm", "fvd"], required=True)
     p.add_argument("--sample-size", type=int, default=300)
     p.add_argument("--repetitions", type=int, default=5)
@@ -430,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--variant", choices=["nn", "pinn", "perl"], required=True)
     p.add_argument("--params-file", default=None,
                    help="calibration report JSON (pinn/perl)")
@@ -460,10 +481,11 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seeds", default=None, help="comma list; overrides --seed")
+    p.add_argument("--seed", type=_SEED, required=True)
+    p.add_argument("--seeds", type=_int_list_of(_SEED), default=None,
+                   help="comma list; overrides --seed")
     p.add_argument("--variants", default="physics,nn,pinn,perl")
-    p.add_argument("--data-sizes", default="300,500,1000")
+    p.add_argument("--data-sizes", type=_int_list_of(_SIZE), default="300,500,1000")
     p.add_argument("--model", choices=["newell", "idm", "fvd"], default="newell")
     _add_training_flags(p, max_epochs=100, patience=15)
     _add_split_flags(p)
@@ -480,7 +502,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-steps", type=int, default=5)
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--activation", choices=["linear", "relu"], default="linear")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_SEED, default=12345)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -488,12 +510,11 @@ def build_parser() -> _Parser:
 
 def _apply_config_file(parser, argv):
     """Load --config JSON (if present) as subcommand defaults."""
-    if "--config" not in argv:
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return  # argparse reports the missing value
-    path = argv[idx + 1]
     try:
         cfg = serialize.read_json(path)
     except OSError as exc:
@@ -517,6 +538,8 @@ def _apply_config_file(parser, argv):
         except ValueError:
             raise UsageError(f"config {path}: {a.dest}: invalid {a.type.__name__} value: "
                              f"{text!r}") from None
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"config {path}: {a.dest}: {exc}") from None
         if a.choices is not None and val not in a.choices:
             raise UsageError(f"config {path}: {a.dest}: invalid choice: {val!r} "
                              f"(choose from {', '.join(map(str, a.choices))})")

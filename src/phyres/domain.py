@@ -17,11 +17,11 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class DatasetConfig:
 
 @dataclass
 class TrajectorySample:
-    """One training/evaluation unit: K chained vehicles over a window.
+    """One training/evaluation unit, as ``SampleBatch`` yields its rows.
 
     History arrays have shape (K, t_back) and cover times
     t0-(t_back-1)*delta .. t0; future arrays have length t_fwd and cover
@@ -68,40 +68,14 @@ class TrajectorySample:
     ego_speed_at_t0: float
     leader_future_accel: np.ndarray  # (K-1, t_fwd)
 
-    @property
-    def k_vehicles(self) -> int:
-        return self.hist_accel.shape[0]
-
-    @property
-    def t_back(self) -> int:
-        return self.hist_accel.shape[1]
-
-    @property
-    def t_fwd(self) -> int:
-        return self.ego_future_accel.shape[0]
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises DataError on violation."""
-        from .errors import DataError
-
-        k, tb = self.hist_accel.shape
-        for name in ("hist_speed", "hist_position"):
-            if getattr(self, name).shape != (k, tb):
-                raise DataError(f"{name} shape mismatch in sample {self.sample_id}")
-        if self.leader_future_accel.shape != (k - 1, self.t_fwd):
-            raise DataError(f"leader_future_accel shape mismatch in sample {self.sample_id}")
-        if np.any(self.hist_speed < 0):
-            raise DataError(f"negative speed in sample {self.sample_id}")
-        if np.any(self.hist_position[:-1] - self.hist_position[1:] <= 0):
-            raise DataError(f"non-positive spacing in sample {self.sample_id}")
-
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """The arrays of many samples, stacked once along a leading axis n.
+    """Many samples, stored once, field by field, along a leading axis n.
 
-    Built with ``SampleBatch.of(samples)``; the arrays are read-only
-    copies.  Spacing is not stacked: ``spacing`` derives it from positions.
+    A read-only sequence of ``TrajectorySample`` rows, whose arrays are
+    views of the batch's.  Spacing is not stored: ``spacing`` derives it
+    from positions.
     """
 
     sample_ids: np.ndarray           # (n,)
@@ -112,22 +86,51 @@ class SampleBatch:
     ego_speed_at_t0: np.ndarray      # (n,)
     leader_future_accel: np.ndarray  # (n, K-1, t_fwd)
 
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
     @classmethod
-    def of(cls, samples: list[TrajectorySample]) -> "SampleBatch":
+    def of(cls, samples, index=None) -> "SampleBatch":
+        """``samples`` as a batch: a batch as it is, a list stacked.  With
+        ``index``, only those rows; of a list, only those items are stacked."""
+        if isinstance(samples, SampleBatch):
+            return samples if index is None else samples.take(index)
+        if index is not None:
+            samples = [samples[i] for i in index]
         if not samples:
             raise ConfigError("cannot batch an empty sample list")
-        batch = cls(
-            sample_ids=np.array([s.sample_id for s in samples]),
-            hist_accel=np.stack([s.hist_accel for s in samples]),
-            hist_speed=np.stack([s.hist_speed for s in samples]),
-            hist_position=np.stack([s.hist_position for s in samples]),
-            ego_future_accel=np.stack([s.ego_future_accel for s in samples]),
-            ego_speed_at_t0=np.array([s.ego_speed_at_t0 for s in samples], dtype=float),
-            leader_future_accel=np.stack([s.leader_future_accel for s in samples]),
-        )
-        for arr in vars(batch).values():
-            arr.flags.writeable = False
-        return batch
+        stacked = {f.name: np.array([getattr(s, f.name) for s in samples])
+                   for f in fields(TrajectorySample)}
+        return cls(sample_ids=stacked.pop("sample_id"), **stacked)
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def __getitem__(self, i):
+        """Row ``i`` as a ``TrajectorySample`` of views; a slice as a batch."""
+        if isinstance(i, slice):
+            return self.take(i)
+        row = {name: arr[i] for name, arr in vars(self).items()}
+        return TrajectorySample(sample_id=int(row.pop("sample_ids")),
+                                ego_speed_at_t0=float(row.pop("ego_speed_at_t0")), **row)
+
+    def take(self, index) -> "SampleBatch":
+        """The rows ``index``: views for a slice, a copy for an integer array."""
+        return SampleBatch(**{name: arr[index] for name, arr in vars(self).items()})
+
+    def select(self, ids) -> "SampleBatch":
+        """The rows whose id is in ``ids``, in batch order."""
+        return self.take(np.flatnonzero(np.isin(self.sample_ids, list(ids))))
+
+    def validate(self) -> None:
+        """A DataError names the first sample with a negative speed or a
+        non-positive spacing."""
+        negative = (self.hist_speed < 0).any(axis=(1, 2))
+        bad = np.flatnonzero(negative | (self.spacing <= 0).any(axis=(1, 2)))
+        if bad.size:
+            what = "negative speed" if negative[bad[0]] else "non-positive spacing"
+            raise DataError(f"{what} in sample {self.sample_ids[bad[0]]}")
 
     @property
     def spacing(self) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import serialize
 from .calibrate import CalibrationConfig, CalibrationReport, make_params, monte_carlo_calibrate
-from .domain import DatasetConfig, SplitIndex, TrajectorySample, split_dataset
+from .domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
 from .errors import ConfigError, DataError
 from .neuralnet import NetConfig
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
@@ -45,21 +45,27 @@ class EvalReport:
         return asdict(self)
 
 
-def mse_metrics(records: list[PredictionRecord], truth: list[TrajectorySample],
+def mse_metrics(records: list[PredictionRecord], truth,
                 delta: float) -> tuple[float, float]:
-    """Acceleration and speed MSE over all samples and horizon steps."""
-    by_id = {s.sample_id: s for s in truth}
-    if sorted(r.sample_id for r in records) != sorted(by_id):
+    """Acceleration and speed MSE over all samples and horizon steps; the
+    truth is a batch (or a list) holding the records' samples, in any order."""
+    if not records:
+        raise DataError("no prediction records to score")
+    batch = SampleBatch.of(truth)
+    ids = [r.sample_id for r in records]
+    if sorted(ids) != sorted(batch.sample_ids.tolist()):
         raise DataError("prediction records and truth samples are misaligned")
-    sq_a, sq_v = [], []
+    t_fwd = batch.ego_future_accel.shape[1]
     for r in records:
-        s = by_id[r.sample_id]
-        if r.predicted_accel.shape != (s.t_fwd,) or r.predicted_speed.shape != (s.t_fwd,):
+        if r.predicted_accel.shape != (t_fwd,) or r.predicted_speed.shape != (t_fwd,):
             raise DataError(f"record {r.sample_id} predicts {r.predicted_accel.size} "
-                            f"steps but its sample has a {s.t_fwd}-step horizon")
-        sq_a.append((s.ego_future_accel - r.predicted_accel) ** 2)
-        v_true = reconstruct_speed(s.ego_speed_at_t0, s.ego_future_accel, delta)
-        sq_v.append((v_true - r.predicted_speed) ** 2)
+                            f"steps but its sample has a {t_fwd}-step horizon")
+    order = np.argsort(batch.sample_ids)
+    rows = order[np.searchsorted(batch.sample_ids, ids, sorter=order)]
+    accel = batch.ego_future_accel[rows]
+    v_true = reconstruct_speed(batch.ego_speed_at_t0[rows, None], accel, delta)
+    sq_a = (accel - np.stack([r.predicted_accel for r in records])) ** 2
+    sq_v = (v_true - np.stack([r.predicted_speed for r in records])) ** 2
     return float(np.mean(sq_a)), float(np.mean(sq_v))
 
 
@@ -112,7 +118,7 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
     size = len(subset)
     cell = SweepCell(variant=variant, data_size=size, seed=seed)
     try:
-        subset_ids = [s.sample_id for s in subset]
+        subset_ids = subset.sample_ids.tolist()
         # fixed-size inner split of the subset for validation during training
         n_val = max(1, int(0.2 * size))
         inner = SplitIndex(train_ids=frozenset(subset_ids[:-n_val]),
@@ -127,11 +133,10 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
                                  cell.calib_report.per_repetition[0]["params"])
         net = None
         if variant != "physics":
-            t_fwd = subset[0].t_fwd
             nconf = NetConfig(cell=sweep.cell, units1=sweep.units1,
                               units2=sweep.units2, dense_units=sweep.dense_units,
-                              output_dim=t_fwd,
-                              input_dim=3 * subset[0].k_vehicles,
+                              output_dim=dcfg.t_fwd,
+                              input_dim=3 * dcfg.k_vehicles,
                               dropout=sweep.dropout,
                               output_activation=sweep.output_activation,
                               seed=seed)
@@ -140,8 +145,8 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
                                            nconf, dcfg.delta, params)
         records = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
         mse_a, mse_v = mse_metrics(records, test, dcfg.delta)
-        per_sample = [float(np.mean((s.ego_future_accel - r.predicted_accel) ** 2))
-                      for r, s in zip(records, test)]
+        predicted = np.stack([r.predicted_accel for r in records])
+        per_sample = np.mean((test.ego_future_accel - predicted) ** 2, axis=1).tolist()
         cell.eval_report = EvalReport(
             variant=variant, data_size=size, seed=seed,
             mse_a_test=mse_a, mse_v_test=mse_v,
@@ -155,8 +160,7 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
     return cell
 
 
-def run_sweep(samples: list[TrajectorySample], dcfg: DatasetConfig,
-              sweep: SweepConfig) -> list[SweepCell]:
+def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig) -> list[SweepCell]:
     """Run the (data_size x variant x seed) grid; cells never abort the
     sweep, failures are recorded on the cell.  The training settings are
     checked once, before any fit: a bad one is a ConfigError."""
@@ -166,21 +170,23 @@ def run_sweep(samples: list[TrajectorySample], dcfg: DatasetConfig,
         tconf = TrainConfig(variant=learned[0], seed=sweep.seeds[0],
                             max_epochs=sweep.max_epochs, batch_size=sweep.batch_size,
                             patience=sweep.patience, lr=sweep.lr, mu=sweep.mu)
-    split = split_dataset([s.sample_id for s in samples], dcfg)
-    samples_by_id = {s.sample_id: s for s in samples}
-    train_ids_sorted = sorted(split.train_ids)
-    if max(sweep.data_sizes) > len(train_ids_sorted):
+    batch = SampleBatch.of(samples)
+    split = split_dataset(batch.sample_ids.tolist(), dcfg)
+    by_id = np.argsort(batch.sample_ids, kind="stable")  # the rows in id order
+    train_rows = by_id[np.isin(batch.sample_ids[by_id], list(split.train_ids))]
+    if min(sweep.data_sizes) < 1:
+        raise ConfigError(f"data size {min(sweep.data_sizes)} is below 1")
+    if max(sweep.data_sizes) > len(train_rows):
         raise ConfigError(
             f"largest data size {max(sweep.data_sizes)} exceeds the "
-            f"{len(train_ids_sorted)}-sample train split")
-    test = [samples_by_id[i] for i in sorted(split.test_ids)]
+            f"{len(train_rows)}-sample train split")
+    test = batch.take(by_id[np.isin(batch.sample_ids[by_id], list(split.test_ids))])
 
     cells = []
     for seed in sweep.seeds:
-        order = np.random.default_rng(seed).permutation(len(train_ids_sorted))
-        shuffled = [train_ids_sorted[i] for i in order]
+        shuffled = train_rows[np.random.default_rng(seed).permutation(len(train_rows))]
         for size in sweep.data_sizes:
-            subset = [samples_by_id[i] for i in shuffled[:size]]
+            subset = batch.take(shuffled[:size])
             calibration = (None, None)
             if any(v in PHYSICS_VARIANTS for v in sweep.variants):
                 calibration = _calibrate_subset(subset, sweep, dcfg.delta, seed)

@@ -32,9 +32,10 @@ import re
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import serialize
-from .domain import DatasetConfig, SampleBatch, TrajectorySample
+from .domain import DatasetConfig, SampleBatch
 from .errors import ConfigError, DataError
 
 SAMPLE_FORMAT_VERSION = 1
@@ -141,19 +142,21 @@ def _chain_for_ego(ego: VehicleSeries, by_id: dict[int, VehicleSeries], k: int):
     return chain[::-1]
 
 
-def extract_samples(series: list[VehicleSeries], config: DatasetConfig) -> list[TrajectorySample]:
+def extract_samples(series: list[VehicleSeries], config: DatasetConfig) -> SampleBatch:
     """Extract K-vehicle sliding-window samples (stride 1 step).
 
     One chain per ego vehicle that has K-1 chained leaders; one sample per
     window start over the chain's co-presence interval.  Sample ids are
-    assigned in (series order, window start) order and are stable.
+    assigned in (series order, window start) order and are stable.  With no
+    window the batch has zero rows and the config's geometry.
     """
     k = config.k_vehicles
     tb, tf = config.t_back, config.t_fwd
     window = tb + tf
     by_id = {s.vehicle_id: s for s in series}
-    samples: list[TrajectorySample] = []
-    sid = 0
+    # a zero-row first part gives each field its shape when no chain has a window
+    parts = {name: [np.empty((0, *shape))] for name, shape in
+             _sample_shapes(k, tb, tf).items() if name != "hist_spacing"}
     for ego in series:
         chain = _chain_for_ego(ego, by_id, k)
         if chain is None:
@@ -165,23 +168,18 @@ def extract_samples(series: list[VehicleSeries], config: DatasetConfig) -> list[
             continue
         # per-vehicle offset of the common interval into its own series
         offsets = [int(round((t_start - s.t_start) / config.delta)) for s in chain]
-        pos = np.stack([s.position[o:o + n_common] for s, o in zip(chain, offsets)])
-        spd = np.stack([s.speed[o:o + n_common] for s, o in zip(chain, offsets)])
-        acc = np.stack([s.accel[o:o + n_common] for s, o in zip(chain, offsets)])
-        for start in range(n_common - window + 1):
-            h = slice(start, start + tb)
-            f = slice(start + tb, start + window)
-            samples.append(TrajectorySample(
-                sample_id=sid,
-                hist_accel=acc[:, h].copy(),
-                hist_speed=spd[:, h].copy(),
-                hist_position=pos[:, h].copy(),
-                ego_future_accel=acc[-1, f].copy(),
-                ego_speed_at_t0=float(spd[-1, start + tb - 1]),
-                leader_future_accel=acc[:-1, f].copy(),
-            ))
-            sid += 1
-    return samples
+        # (n_windows, K, window) views, one per channel
+        acc, spd, pos = (sliding_window_view(
+            np.stack([getattr(s, name)[o:o + n_common] for s, o in zip(chain, offsets)]),
+            window, axis=1).transpose(1, 0, 2) for name in ("accel", "speed", "position"))
+        parts["hist_accel"].append(acc[:, :, :tb])
+        parts["hist_speed"].append(spd[:, :, :tb])
+        parts["hist_position"].append(pos[:, :, :tb])
+        parts["ego_future_accel"].append(acc[:, -1, tb:])
+        parts["ego_speed_at_t0"].append(spd[:, -1, tb - 1])
+        parts["leader_future_accel"].append(acc[:, :-1, tb:])
+    fields = {name: np.concatenate(views) for name, views in parts.items()}
+    return SampleBatch(sample_ids=np.arange(len(fields["ego_speed_at_t0"])), **fields)
 
 
 @dataclass(frozen=True)
@@ -247,25 +245,39 @@ def sidecar_path(path, digest: str) -> str:
     return f"{os.fspath(path)}.{digest}.npy"
 
 
-def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) -> str:
-    """Persist samples as JSON lines (see module docstring for the schema):
-    the bytes of ``serialize.dumps``, from one '%'-format line template.
+def write_samples(samples, path, config: DatasetConfig) -> str:
+    """Persist a batch (or a list) of samples as JSON lines (see module
+    docstring for the schema): the bytes of ``serialize.dumps``, from one
+    '%'-format line template.
 
-    Samples are written in chunks of ``WRITE_CHUNK``.  Stride-1 windows
-    repeat each trajectory value in many samples, so a chunk's distinct
-    doubles, told apart by their bits (-0.0 is "-0", 0.0 is "0"), are
-    formatted once into a table of strings that fills the template's "%s"
-    float slots.  A non-finite value is a DataError naming the first bad
-    sample, raised before its chunk is written.
+    The samples go into one matrix in the sidecar's layout, which is
+    formatted in row slices of ``WRITE_CHUNK``.  Stride-1 windows repeat
+    each trajectory value in many samples, so a slice's distinct doubles,
+    told apart by their bits (-0.0 is "-0", 0.0 is "0"), are formatted
+    once into a table of strings that fills the template's "%s" float
+    slots.  A non-finite value is a DataError naming the first bad sample,
+    raised before the file is opened.
 
     Also writes the file's sidecar and removes its older ones; returns the
     sidecar's path."""
+    # an empty list carries no geometry: write the config's
+    batch = SampleBatch.of(samples) if len(samples) else extract_samples([], config)
     shapes = _sample_shapes(config.k_vehicles, config.t_back, config.t_fwd)
+    fields = dict(vars(batch), hist_spacing=batch.spacing)
+    got = {name: fields[name].shape[1:] for name in shapes}
+    if got != shapes:
+        raise ConfigError(f"sample shapes {got} differ from the header's {shapes}")
+    matrix = np.hstack([batch.sample_ids[:, None]] + [
+        fields[name].reshape(len(batch), math.prod(shape)) for name, shape in shapes.items()],
+        dtype=float)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite value in sample {batch.sample_ids[finite.argmin()]}")
     template = '{"sample_id":%d,' + ",".join(
         f'"{name}":{serialize.json_slots(shape, "%s")}' for name, shape in shapes.items()) + "}\n"
     header = {"format_version": SAMPLE_FORMAT_VERSION, "delta": config.delta,
               "k_vehicles": config.k_vehicles, "t_back": config.t_back, "t_fwd": config.t_fwd}
-    matrix = np.empty((len(samples), 1 + sum(math.prod(s) for s in shapes.values())))
+    ids = batch.sample_ids.tolist()
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(text: str) -> None:
@@ -274,25 +286,15 @@ def write_samples(samples: list[TrajectorySample], path, config: DatasetConfig) 
             fh.write(data)
 
         put(serialize.dumps(header) + "\n")
-        for start in range(0, len(samples), WRITE_CHUNK):
-            batch = SampleBatch.of(samples[start:start + WRITE_CHUNK])
-            fields = dict(vars(batch), hist_spacing=batch.spacing)
-            got = {name: fields[name].shape[1:] for name in shapes}
-            if got != shapes:
-                raise ConfigError(f"sample shapes {got} differ from the header's {shapes}")
-            rows = np.hstack([fields[name].reshape(len(batch.sample_ids), -1) for name in shapes])
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
-                raise DataError(f"non-finite value in sample {batch.sample_ids[finite.argmin()]}")
-            matrix[start:start + len(rows), 0] = batch.sample_ids
-            matrix[start:start + len(rows), 1:] = rows
+        for start in range(0, len(matrix), WRITE_CHUNK):
+            rows = matrix[start:start + WRITE_CHUNK, 1:]
             # format each distinct double, told apart by its bits, once
             bits, slots = np.unique(rows.view(np.int64), return_inverse=True)
             texts = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()],
                              dtype=object)
             lines = texts[slots.reshape(rows.shape)].tolist()
             put("".join(template % (sid, *line)
-                        for sid, line in zip(batch.sample_ids.tolist(), lines)))
+                        for sid, line in zip(ids[start:start + WRITE_CHUNK], lines)))
     return _replace_sidecar(path, digest.hexdigest(), matrix)
 
 
@@ -348,16 +350,18 @@ def _parse_header(path, line: bytes) -> dict:
     return dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
 
 
-def _parse_lines(path, shapes: dict) -> list[TrajectorySample]:
-    """Decode every sample line after the header; a DataError names the line."""
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+def _parse_lines(path, shapes: dict, n_lines: int) -> np.ndarray:
+    """Decode the ``n_lines`` sample lines after the header into the
+    sidecar's matrix layout; a DataError names the line."""
+    matrix = np.empty((n_lines, 1 + sum(math.prod(shape) for shape in shapes.values())))
+    rows = iter(matrix)
+    with open(path, "rb") as fh:
         next(fh)  # the header
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if not line.strip():  # blank as _scan counts it
                 continue
             try:
-                obj = serialize.DECODER.decode(line)
+                obj = serialize.DECODER.decode(line.decode("utf-8"))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
             try:
@@ -369,35 +373,33 @@ def _parse_lines(path, shapes: dict) -> list[TrajectorySample]:
                 if arrays[name].shape != shape:
                     raise DataError(f"{path}:{lineno}: {name} has shape "
                                     f"{arrays[name].shape}, the header implies {shape}")
+            values = np.concatenate([a.ravel() for a in arrays.values()])
             # json reads an overflowing literal such as 1e999 as infinity
-            if not np.isfinite(np.concatenate([a.ravel() for a in arrays.values()])).all():
+            if not np.isfinite(values).all():
                 raise DataError(f"{path}:{lineno}: a number beyond the float range")
             pos = arrays["hist_position"]
-            mismatch = abs(arrays.pop("hist_spacing") - (pos[:-1] - pos[1:])).max()
+            mismatch = abs(arrays["hist_spacing"] - (pos[:-1] - pos[1:])).max()
             if mismatch > 1e-6:  # metres
                 raise DataError(f"{path}:{lineno}: hist_spacing differs from the "
                                 f"position differences by {mismatch:.3g} m")
-            samples.append(TrajectorySample(
-                sample_id=sample_id, ego_speed_at_t0=float(arrays.pop("ego_speed_at_t0")),
-                **arrays))
-    return samples
+            row = next(rows)
+            row[0], row[1:] = sample_id, values
+    return matrix
 
 
-def _load_sidecar(sidecar: str, shapes: dict, n_lines: int) -> list[TrajectorySample]:
-    """Samples from a sidecar, checked as the lines would be and against the
-    file's number of sample lines; a DataError names the sidecar.  Each
-    sample's arrays are views of the one loaded matrix."""
+def _load_sidecar(sidecar: str, shapes: dict, n_lines: int) -> np.ndarray:
+    """The matrix of a sidecar, checked as the lines would be and against
+    the file's number of sample lines; a DataError names the sidecar."""
     try:
         matrix = np.load(sidecar, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"{sidecar}: unreadable sidecar: {exc}") from exc
-    widths = [math.prod(shape) for shape in shapes.values()]
+    width = 1 + sum(math.prod(shape) for shape in shapes.values())
     if matrix.ndim != 2 or matrix.dtype != np.float64:
         raise DataError(f"{sidecar}: a {matrix.ndim}-D {matrix.dtype} array, "
                         f"not a 2-D float64 matrix")
-    if matrix.shape[1] != 1 + sum(widths):
-        raise DataError(f"{sidecar}: {matrix.shape[1]} columns, "
-                        f"the header implies {1 + sum(widths)}")
+    if matrix.shape[1] != width:
+        raise DataError(f"{sidecar}: {matrix.shape[1]} columns, the header implies {width}")
     if len(matrix) != n_lines:
         raise DataError(f"{sidecar}: {len(matrix)} rows for {n_lines} sample lines")
     ids = matrix[:, 0]
@@ -405,31 +407,33 @@ def _load_sidecar(sidecar: str, shapes: dict, n_lines: int) -> list[TrajectorySa
         raise DataError(f"{sidecar}: a sample id that is not a finite integer")
     if not np.isfinite(matrix).all():
         raise DataError(f"{sidecar}: a non-finite value")
-    n = len(matrix)
-    bounds = np.cumsum([1] + widths).tolist()
-    fields = {name: matrix[:, a:b].reshape((n, *shape))
-              for (name, shape), a, b in zip(shapes.items(), bounds, bounds[1:])}
+    fields = _matrix_fields(matrix, shapes)
     pos = fields["hist_position"]
-    mismatch = abs(fields.pop("hist_spacing") - (pos[:, :-1] - pos[:, 1:])).max(axis=(1, 2))
+    mismatch = abs(fields["hist_spacing"] - (pos[:, :-1] - pos[:, 1:])).max(axis=(1, 2))
     bad = np.flatnonzero(mismatch > 1e-6)  # metres
     if bad.size:
         raise DataError(f"{sidecar}: hist_spacing of sample {int(ids[bad[0]])} differs "
                         f"from the position differences by {mismatch[bad[0]]:.3g} m")
-    speeds = fields.pop("ego_speed_at_t0").tolist()
-    return [TrajectorySample(sample_id=int(sid), ego_speed_at_t0=speed,
-                             **{name: a[i] for name, a in fields.items()})
-            for i, (sid, speed) in enumerate(zip(ids.tolist(), speeds))]
+    return matrix
 
 
-def read_samples(path) -> tuple[list[TrajectorySample], dict]:
+def _matrix_fields(matrix: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Each v1 field of a sidecar-layout matrix, as a view shaped (n, *shape)."""
+    bounds = np.cumsum([1] + [math.prod(shape) for shape in shapes.values()]).tolist()
+    return {name: matrix[:, a:b].reshape((len(matrix), *shape))
+            for (name, shape), a, b in zip(shapes.items(), bounds, bounds[1:])}
+
+
+def read_samples(path) -> tuple[SampleBatch, dict]:
     """Load a sample file; returns (samples, header dict).
 
     The header's geometry is parsed and returned as numbers, together with
     the sha256 of the file's bytes under ``"sha256"``.  The samples come
     from the sidecar that digest names when it exists, else from the JSON
-    lines.  Either way every sample's array shapes must match the header,
-    and its stored spacing its positions, or a DataError names the line or
-    the sidecar.
+    lines, parsed into the sidecar's layout; either way the batch's arrays
+    are views of that one matrix.  Every sample's array shapes must match
+    the header, and its stored spacing its positions, or a DataError names
+    the line or the sidecar.
     """
     digest, first, n_lines = _scan(path)
     if first is None:
@@ -437,8 +441,9 @@ def read_samples(path) -> tuple[list[TrajectorySample], dict]:
     header = _parse_header(path, first)
     shapes = _sample_shapes(header["k_vehicles"], header["t_back"], header["t_fwd"])
     sidecar = sidecar_path(path, digest)
-    if os.path.isfile(sidecar):
-        samples = _load_sidecar(sidecar, shapes, n_lines)
-    else:
-        samples = _parse_lines(path, shapes)
-    return samples, dict(header, sha256=digest)
+    matrix = (_load_sidecar(sidecar, shapes, n_lines) if os.path.isfile(sidecar)
+              else _parse_lines(path, shapes, n_lines))
+    fields = _matrix_fields(matrix, shapes)
+    del fields["hist_spacing"]
+    return (SampleBatch(sample_ids=matrix[:, 0].astype(np.int64), **fields),
+            dict(header, sha256=digest))

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import serialize
-from .domain import SampleBatch, SplitIndex, TrajectorySample
+from .domain import SampleBatch, SplitIndex
 from .errors import ConfigError, NumericError
 from .ingest import compute_norm_stats, sample_features
 from .neuralnet import AdamState, NetConfig, RecurrentNet, adam_step, forward_batch, backward, init_net
@@ -91,14 +91,12 @@ def reconstruct_speed(v0: float, accel: np.ndarray, delta: float) -> np.ndarray:
     return v0 + delta * np.cumsum(accel, axis=-1)
 
 
-def make_residual_targets(samples: list[TrajectorySample] | SampleBatch,
-                          params: PhysicsParams,
+def make_residual_targets(samples, params: PhysicsParams,
                           delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual targets r = truth - physics prediction, per sample.
-
-    Takes a sample list or a prebuilt batch; returns (residuals (n, t_fwd),
-    physics predictions (n, t_fwd), collision flags (n,))."""
-    batch = samples if isinstance(samples, SampleBatch) else SampleBatch.of(samples)
+    """Residual targets r = truth - physics prediction, per sample of a
+    batch (or a list); returns (residuals (n, t_fwd), physics predictions
+    (n, t_fwd), collision flags (n,))."""
+    batch = SampleBatch.of(samples)
     phys, flags = rollout_batch(batch, params, delta)
     return batch.ego_future_accel - phys, phys, flags
 
@@ -126,9 +124,10 @@ def _val_metrics(pred: np.ndarray, truth: np.ndarray, v0: np.ndarray,
     return mse_a, mse_v
 
 
-def train(samples, split, tconf: TrainConfig, nconf: NetConfig, delta: float,
+def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delta: float,
           params: PhysicsParams | None = None) -> tuple[RecurrentNet, TrainReport]:
-    """Adam/BPTT loop for the learned variant ``tconf.variant``.
+    """Adam/BPTT loop for the learned variant ``tconf.variant`` on the train
+    and val rows of ``samples``, a batch (or a list).
 
     The net regresses on the truth (nn, pinn) or on the physics residual
     (perl); pinn blends a data term with weight mu and a term anchored on
@@ -140,7 +139,10 @@ def train(samples, split, tconf: TrainConfig, nconf: NetConfig, delta: float,
         raise ConfigError("variant 'physics' has no training step; use calibrate")
     if variant in PHYSICS_VARIANTS and params is None:
         raise ConfigError(f"{variant} variant needs calibrated params")
-    train_batch, val_batch = _split_batches(samples, split)
+    batch = SampleBatch.of(samples)
+    train_batch, val_batch = batch.select(split.train_ids), batch.select(split.val_ids)
+    if not len(train_batch) or not len(val_batch):
+        raise ConfigError("train and val splits must be non-empty")
     stats = compute_norm_stats(train_batch)
     x_train = sample_features(train_batch, stats)
     x_val = sample_features(val_batch, stats)
@@ -208,14 +210,6 @@ def train(samples, split, tconf: TrainConfig, nconf: NetConfig, delta: float,
     return net, report
 
 
-def _split_batches(samples, split: SplitIndex) -> tuple[SampleBatch, SampleBatch]:
-    train = [s for s in samples if s.sample_id in split.train_ids]
-    val = [s for s in samples if s.sample_id in split.val_ids]
-    if not train or not val:
-        raise ConfigError("train and val splits must be non-empty")
-    return SampleBatch.of(train), SampleBatch.of(val)
-
-
 # train() under the per-variant names and positional signatures that
 # acceptance gate 5 (tests/test_acceptance.py) calls
 def train_nn(samples, split, tconf, nconf, delta):
@@ -230,10 +224,11 @@ def train_perl(samples, split, tconf, nconf, params, delta):
     return train(samples, split, tconf, nconf, delta, params)
 
 
-def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
+def predict_many(variant: str, samples, *, delta: float,
                  params: PhysicsParams | None = None,
                  net: RecurrentNet | None = None) -> list[PredictionRecord]:
-    """Prediction records for ``samples``, in order, from one batched pass:
+    """Prediction records for ``samples`` (a batch or a list), in order, from
+    one batched pass:
     one physics rollout over all samples (physics, perl) and one eval-mode
     forward over all samples (nn, pinn, perl)."""
     if variant not in VARIANTS:
@@ -244,13 +239,13 @@ def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
         raise ConfigError(f"{variant} variant needs a trained net with norm stats")
     if not samples:
         return []
-    t_fwd = samples[0].t_fwd
+    batch = SampleBatch.of(samples)
+    n, t_fwd = batch.ego_future_accel.shape
     if variant != "physics" and net.config.output_dim != t_fwd:
         raise ConfigError(f"net predicts {net.config.output_dim} steps but the "
                           f"samples have a {t_fwd}-step horizon")
-    batch = SampleBatch.of(samples)
     phys_parts = resid_parts = None
-    flags = np.zeros(len(samples), dtype=bool)
+    flags = np.zeros(n, dtype=bool)
     if variant in ("physics", "perl"):
         accel, flags = rollout_batch(batch, params, delta)
     if variant != "physics":
@@ -261,11 +256,11 @@ def predict_many(variant: str, samples: list[TrajectorySample], *, delta: float,
             accel = y
     speed = reconstruct_speed(batch.ego_speed_at_t0[:, None], accel, delta)
     return [PredictionRecord(
-        sample_id=s.sample_id,
+        sample_id=sid,
         predicted_accel=accel[i],
         predicted_speed=speed[i],
         physics_component=None if phys_parts is None else phys_parts[i],
         residual_component=None if resid_parts is None else resid_parts[i],
         collision_in_rollout=bool(flags[i]),
-    ) for i, s in enumerate(samples)]
+    ) for i, sid in enumerate(batch.sample_ids.tolist())]
 

@@ -51,6 +51,18 @@ class TestExitCodes:
         assert run(["extract", "--input", str(bad),
                     "--out", str(tmp_path / "s.jsonl")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "{tmp}/c.csv"],
+        ["calibrate", "--samples", "{tmp}/s.jsonl", "--out", "{tmp}/c.json", "--model", "newell"],
+        ["train", "--samples", "{tmp}/s.jsonl", "--out", "{tmp}/t", "--variant", "nn"],
+    ], ids=["synth", "calibrate", "train"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["usage error: argument --seed: must be at least 0, got -1"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_gradcheck_success(self, capsys):
         assert run(["gradcheck", "--cell", "gru"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
@@ -104,6 +116,24 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["platoons"] == 3
 
+    def test_config_equals_form_is_read(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"platoons": 2}))
+        out = tmp_path / "c.csv"
+        assert run(["synth", f"--config={cfg}", "--seed", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["platoons"] == 2
+
+    def test_abbreviated_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"platoons": 2}))
+        capsys.readouterr()
+        assert run(["synth", "--conf", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: unrecognized arguments: --conf {cfg}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_malformed_config_is_data_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
@@ -137,7 +167,8 @@ class TestConfigFile:
         ('{"seed": 1, "generator": "bogus"}',
          "generator: invalid choice: 'bogus' (choose from idm, newell_shift)"),
         ('{"seed": null}', "seed: expected a string or a number, got null"),
-    ], ids=["fractional-int", "overflow", "string", "bad-choice", "null"])
+        ('{"seed": -3}', "seed: must be at least 0, got -3"),
+    ], ids=["fractional-int", "overflow", "string", "bad-choice", "null", "negative-seed"])
     def test_ill_typed_config_value_is_usage_error(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -300,6 +331,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flag, value", [
         ("--data-sizes", "20,abc"), ("--seeds", "1,x"), ("--variants", "physics,foo"),
+        ("--data-sizes", "-5"), ("--data-sizes", "20,0"), ("--seeds", "1,-1"),
+        ("--split-seed", "-1"),
     ])
     def test_bad_sweep_list_is_usage_error(self, tmp_path, capsys, flag, value):
         # the lists are checked before the (here missing) samples file is read
@@ -551,6 +584,16 @@ class TestArtifactMismatch:
         assert run(["evaluate", "--samples", str(samples), "--records", str(preds),
                     "--out", str(metrics)]) == 2
         assert f"{preds}{message}" in _one_error_line(capsys)
+        assert not metrics.exists()
+
+    def test_empty_records_is_data_error(self, artifacts, tmp_path, capsys):
+        samples = artifacts[0]
+        preds, metrics = tmp_path / "p.jsonl", tmp_path / "m.json"
+        preds.write_text("")
+        capsys.readouterr()
+        assert run(["evaluate", "--samples", str(samples), "--records", str(preds),
+                    "--out", str(metrics)]) == 2
+        assert _one_error_line(capsys) == "error: no prediction records to score"
         assert not metrics.exists()
 
     @pytest.mark.parametrize("edit", [

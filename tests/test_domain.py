@@ -32,20 +32,21 @@ class TestDatasetConfig:
 class TestTrajectorySample:
     def test_shapes_and_properties(self):
         s = make_sample(k=3, tb=6, tf=4)
-        assert s.k_vehicles == 3 and s.t_back == 6 and s.t_fwd == 4
-        s.validate()
+        assert s.hist_accel.shape == s.hist_speed.shape == s.hist_position.shape == (3, 6)
+        assert s.ego_future_accel.shape == (4,) and s.leader_future_accel.shape == (2, 4)
+        SampleBatch.of([s]).validate()
 
     def test_validate_rejects_negative_speed(self):
         s = make_sample()
         s.hist_speed[1, 2] = -0.5
-        with pytest.raises(DataError):
-            s.validate()
+        with pytest.raises(DataError, match="^negative speed in sample 0$"):
+            SampleBatch.of([s]).validate()
 
     def test_validate_rejects_non_positive_gap(self):
         s = make_sample()
         s.hist_position[0] = s.hist_position[1] - 1.0
-        with pytest.raises(DataError):
-            s.validate()
+        with pytest.raises(DataError, match="^non-positive spacing in sample 0$"):
+            SampleBatch.of([s]).validate()
 
 
 class TestSampleBatch:
@@ -83,6 +84,75 @@ class TestSampleBatch:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             SampleBatch.of([])
+
+    @staticmethod
+    def _unordered(n=6):
+        """A batch whose ids are not in ascending order."""
+        return SampleBatch.of([make_sample(sample_id=sid, seed=sid)
+                               for sid in (7, 2, 9, 4, 0, 5)[:n]])
+
+    def _assert_row(self, batch, i, row):
+        assert type(row.sample_id) is int and row.sample_id == batch.sample_ids[i]
+        assert type(row.ego_speed_at_t0) is float
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(row, name), getattr(batch, name)[i])
+
+    def test_rows_iteration_and_slices_are_views(self):
+        batch = self._unordered()
+        assert len(batch) == 6 and bool(batch)
+        rows = list(batch)
+        assert len(rows) == 6
+        for i, row in enumerate(rows):
+            self._assert_row(batch, i, row)
+            self._assert_row(batch, i, batch[i])
+        self._assert_row(batch, 5, batch[-1])
+        assert np.shares_memory(batch[2].hist_accel, batch.hist_accel)
+        with pytest.raises(IndexError):
+            batch[6]
+        part = batch[1:4]
+        assert isinstance(part, SampleBatch) and part.sample_ids.tolist() == [2, 9, 4]
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(part, name), getattr(batch, name)[1:4])
+            assert np.shares_memory(getattr(part, name), getattr(batch, name))
+
+    def test_take_copies_rows_in_the_given_order(self):
+        batch = self._unordered()
+        taken = batch.take(np.array([3, 0, 3]))
+        assert taken.sample_ids.tolist() == [4, 7, 4]
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(taken, name),
+                                          getattr(batch, name)[[3, 0, 3]])
+            assert not np.shares_memory(getattr(taken, name), getattr(batch, name))
+        with pytest.raises(ValueError):
+            taken.hist_accel[0, 0, 0] = 1.0
+
+    def test_select_keeps_batch_order(self):
+        batch = self._unordered()
+        assert batch.select(frozenset({0, 9, 7})).sample_ids.tolist() == [7, 9, 0]
+        assert batch.select({5, 2}).sample_ids.tolist() == [2, 5]
+        assert len(batch.select(set())) == 0
+
+    def test_of_keeps_a_batch_and_stacks_only_the_indexed_items(self):
+        samples = make_samples(5)
+        batch = SampleBatch.of(samples)
+        assert SampleBatch.of(batch) is batch
+        assert SampleBatch.of(batch, [4, 1]).sample_ids.tolist() == [4, 1]
+        drawn = SampleBatch.of(samples, np.array([4, 1]))
+        assert drawn.sample_ids.tolist() == [4, 1]
+        np.testing.assert_array_equal(drawn.hist_speed, batch.hist_speed[[4, 1]])
+
+    @pytest.mark.parametrize("bad", [{1: "spacing", 3: "speed"}, {1: "speed", 3: "spacing"}])
+    def test_validate_names_the_first_bad_sample(self, bad):
+        samples = make_samples(5)
+        for i, what in bad.items():
+            if what == "speed":
+                samples[i].hist_speed[0, 2] = -0.5
+            else:
+                samples[i].hist_position[1, 3] = samples[i].hist_position[2, 3]
+        message = {"speed": "negative speed", "spacing": "non-positive spacing"}[bad[1]]
+        with pytest.raises(DataError, match=f"^{message} in sample 1$"):
+            SampleBatch.of(samples).validate()
+        SampleBatch.of(samples[4:]).validate()
 
 
 class TestSplitIndex:
@@ -140,5 +210,4 @@ class TestSplitDataset:
 def test_make_samples_have_unique_ids():
     samples = make_samples(10)
     assert len({s.sample_id for s in samples}) == 10
-    for s in samples:
-        s.validate()
+    SampleBatch.of(samples).validate()

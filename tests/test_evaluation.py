@@ -87,6 +87,13 @@ class TestSweep:
         with pytest.raises(ConfigError, match="exceeds"):
             run_sweep(samples, dcfg, sweep)
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_non_positive_size_rejected(self, small_idm_corpus, size):
+        samples, dcfg, _ = small_idm_corpus
+        sweep = SweepConfig(variants=("physics",), data_sizes=(20, size), seeds=(0,))
+        with pytest.raises(ConfigError, match=f"^data size {size} is below 1$"):
+            run_sweep(samples, dcfg, sweep)
+
     def test_failed_cell_recorded_not_raised(self, small_idm_corpus):
         samples, dcfg, _ = small_idm_corpus
         # a zero-width layer fails inside the cell, not at sweep setup

@@ -116,8 +116,7 @@ class TestExtractSamples:
         # only vehicle 3 has a 3-deep chain: 30 - (6+4) + 1 windows
         assert len(samples) == 21
         assert [s.sample_id for s in samples] == list(range(21))
-        for s in samples:
-            s.validate()
+        samples.validate()
 
     def test_sample_contents_constant_speed(self, tmp_path):
         path = _write_csv(tmp_path / "c.csv", _linear_platoon(v=4.0, gap=8.0))
@@ -131,7 +130,11 @@ class TestExtractSamples:
     def test_short_series_yields_nothing(self, tmp_path):
         path = _write_csv(tmp_path / "c.csv", _linear_platoon(steps=9))
         series = parse_trajectory_csv(path, 0.1)
-        assert extract_samples(series, self._config()) == []
+        samples = extract_samples(series, self._config())
+        assert len(samples) == 0 and samples.sample_ids.shape == (0,)
+        assert samples.hist_accel.shape == samples.hist_position.shape == (0, 3, 6)
+        assert samples.leader_future_accel.shape == (0, 2, 4)
+        assert samples.ego_future_accel.shape == (0, 4)
 
     def test_partial_overlap_uses_common_interval(self, tmp_path):
         rows = _linear_platoon(n_veh=2, steps=30)
@@ -324,6 +327,15 @@ class TestSampleFilePersistence:
         with pytest.raises(DataError, match=":3:"):
             read_samples(path)
 
+    def test_undecodable_line_names_line_number(self, tmp_path, dataset_config):
+        path = tmp_path / "samples.jsonl"
+        write_samples(make_samples(3), path, dataset_config)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"hist_speed"', b'"hist_\xffspeed"')
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=":3: malformed sample: 'utf-8' codec"):
+            read_samples(path)
+
     def test_missing_field_rejected(self, tmp_path, dataset_config):
         samples = make_samples(1)
         path = tmp_path / "samples.jsonl"
@@ -467,6 +479,24 @@ class TestSidecar:
         _assert_bit_equal(samples, parsed)
         assert header_parsed == header_sidecar
 
+    def test_read_samples_are_views_of_one_matrix(self, written):
+        _, path, sidecar, _ = written
+
+        def root(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        def check(batch):  # every field, and a row's, is a view of one array
+            matrix = root(batch.hist_accel)
+            for name in SAMPLE_FIELDS[1:]:
+                assert root(getattr(batch, name)) is matrix, name
+            assert root(batch[3].hist_speed) is matrix
+
+        check(read_samples(path)[0])  # from the sidecar
+        os.remove(sidecar)
+        check(read_samples(path)[0])  # parsed from the lines
+
     def test_edited_file_falls_back_to_parsing(self, written):
         _, path, sidecar, _ = written
         lines = path.read_text().splitlines()
@@ -507,4 +537,6 @@ class TestSidecar:
         path = tmp_path / "samples.jsonl"
         write_samples([], path, dataset_config)
         samples, header = read_samples(path)
-        assert samples == [] and header["k_vehicles"] == 3
+        assert len(samples) == 0 and header["k_vehicles"] == 3
+        assert samples.hist_speed.shape == (0, 3, 6) and samples.ego_speed_at_t0.shape == (0,)
+        assert samples.leader_future_accel.shape == (0, 2, 4)

@@ -34,8 +34,8 @@ def oracle_fvd(v, dv, gap, p: FvdParams):
 
 def oracle_time_shift(sample, w, delta):
     """Per-sample shift prediction via np.interp on grid times."""
-    tb = sample.t_back
-    tf = sample.t_fwd
+    tb = sample.hist_accel.shape[1]
+    tf = len(sample.ego_future_accel)
     ego_pos = sample.hist_position[-1, -1]
     dists = sample.hist_position[:-1, -1] - ego_pos
     shifts = dists / (w * delta)
@@ -224,16 +224,16 @@ def _scalar_rollout(sample, params, delta):
     if isinstance(params, NewellParams):
         dist = sample.hist_position[:-1, -1] - sample.hist_position[-1, -1]
         preds = newell_predict_batch(sample.hist_accel[None, :-1, :], dist[None, :] / params.w,
-                                     sample.t_fwd, delta)
+                                     len(sample.ego_future_accel), delta)
         return preds[0], False
     v_e = sample.ego_speed_at_t0
     x_e = sample.hist_position[-1, -1]
     v_l = sample.hist_speed[-2, -1]
     x_l = sample.hist_position[-2, -1]
     lead_acc = sample.leader_future_accel[-1]
-    out = np.empty(sample.t_fwd)
+    out = np.empty(len(sample.ego_future_accel))
     collided = False
-    for j in range(sample.t_fwd):
+    for j in range(len(sample.ego_future_accel)):
         gap = x_l - x_e
         if gap <= 0.0:
             gap = ROLLOUT_GAP_FLOOR
