@@ -19,7 +19,7 @@ and variance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -65,7 +65,6 @@ class CalibrationConfig:
     sample_size: int
     repetitions: int = 5
     seed: int = 0
-    bounds: dict = field(default_factory=dict)  # per-parameter overrides
     nm_restarts: int = 5
     nm_maxiter: int = 2000
 
@@ -74,11 +73,6 @@ class CalibrationConfig:
             raise ConfigError(f"unknown physics model {self.model!r}")
         if self.sample_size < 1 or self.repetitions < 1:
             raise ConfigError("sample_size and repetitions must be >= 1")
-        merged = dict(DEFAULT_BOUNDS[self.model], **self.bounds)
-        for name, (lo, hi) in merged.items():
-            if lo >= hi:
-                raise ConfigError(f"bounds for {name} must satisfy lo < hi")
-        object.__setattr__(self, "bounds", merged)
 
 
 def make_params(model: str, values: dict) -> PhysicsParams:
@@ -144,8 +138,7 @@ def fit_physics(samples, config: CalibrationConfig,
     if rng is None:
         rng = np.random.default_rng(config.seed)
     names = PARAM_ORDER[config.model]
-    lo = np.array([config.bounds[n][0] for n in names])
-    hi = np.array([config.bounds[n][1] for n in names])
+    lo, hi = np.array([DEFAULT_BOUNDS[config.model][n] for n in names]).T
     batch = SampleBatch.of(samples)  # read by every objective call
 
     def obj_vec(x):

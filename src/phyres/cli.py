@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,12 +33,13 @@ from .evaluation import (SweepConfig, emit_plot_data, mse_metrics, run_sweep,
                          write_sweep_outputs)
 from .ingest import (extract_samples, parse_trajectory_csv, read_samples,
                      write_samples)
-from .neuralnet import NetConfig, gradient_check, load_net, save_net
+from .neuralnet import (ACTIVATIONS, CELLS, NetConfig, gradient_check, load_net,
+                        save_net)
 from .physics import IdmParams, NewellParams
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
 from .predictors import (VARIANTS, PredictionRecord, TrainConfig, predict_many,
                          train, train_nn, train_perl, train_pinn)
-from .synth import LeadProfile, SynthConfig, generate_corpus
+from .synth import SynthConfig, generate_corpus
 
 
 class UsageError(Exception):
@@ -127,12 +129,12 @@ def _add_split_flags(p):
 
 
 def _add_training_flags(p, max_epochs, patience):
-    p.add_argument("--cell", choices=["lstm", "gru"], default="lstm")
+    p.add_argument("--cell", choices=CELLS, default="lstm")
     p.add_argument("--units1", type=int, default=32)
     p.add_argument("--units2", type=int, default=16)
     p.add_argument("--dense-units", type=int, default=32)
     p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--activation", choices=["linear", "relu"], default="linear")
+    p.add_argument("--activation", choices=ACTIVATIONS, default="linear")
     p.add_argument("--max-epochs", type=int, default=max_epochs)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--patience", type=int, default=patience)
@@ -160,21 +162,21 @@ def _load_params(path):
 
 # ---------------------------------------------------------------- synth
 
+# the corpus is a fixture around the method: every platoon has the same size
+# and length, the idm followers share one parameter set, and the lead vehicle
+# follows synth.LeadProfile's defaults
+SYNTH_IDM = IdmParams(v_free=22.495, a_max=0.911, b_comf=2.859, s0=1.627, t_gap=1.132)
+SYNTH_VEHICLES = 4
+SYNTH_STEPS = 80
+
+
 def _cmd_synth(args):
     started = time.monotonic()
-    if args.generator == "idm":
-        params = IdmParams(v_free=args.v_free, a_max=args.a_max,
-                           b_comf=args.b_comf, s0=args.s0, t_gap=args.t_gap)
-    else:
-        params = NewellParams(w=args.wave_speed)
+    params = SYNTH_IDM if args.generator == "idm" else NewellParams(w=args.wave_speed)
     cfg = SynthConfig(
         generator=args.generator, params=params, n_platoons=args.platoons,
-        vehicles_per_platoon=args.vehicles, duration_steps=args.steps,
+        vehicles_per_platoon=SYNTH_VEHICLES, duration_steps=SYNTH_STEPS,
         delta=args.delta, noise_sigma=args.noise_sigma, seed=args.seed,
-        profile=LeadProfile(segment_steps=args.segment_steps,
-                            v_min=args.v_min, v_max=args.v_max,
-                            osc_amp=args.osc_amp, accel_cap=args.accel_cap,
-                            base_jump_max=args.base_jump_max),
         initial_gap=args.initial_gap,
     )
     outdir = _out_dir(args.out)
@@ -264,18 +266,18 @@ def _record_template(lengths) -> str:
 
 def _write_records(records, path):
     """One JSON line per record: the bytes of ``serialize.dumps``, from one
-    line template per layout of the (perl-only) components."""
-    templates = {}
+    line template built from the first record's layout, which the records
+    of one ``predict_many`` call share."""
+    template = None
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
             arrays = [getattr(r, name) for name in _RECORD_ARRAYS]
             values = [v for a in arrays if a is not None for v in a.tolist()]
             if not all(map(math.isfinite, values)):
                 raise NumericError(f"non-finite prediction for sample {r.sample_id}")
-            lengths = tuple(None if a is None else len(a) for a in arrays)
-            if lengths not in templates:
-                templates[lengths] = _record_template(lengths)
-            fh.write(templates[lengths] % (
+            if template is None:
+                template = _record_template([None if a is None else len(a) for a in arrays])
+            fh.write(template % (
                 r.sample_id, *values, "true" if r.collision_in_rollout else "false"))
 
 
@@ -384,12 +386,13 @@ def _cmd_sweep(args):
 
 # ------------------------------------------------------------ gradcheck
 
+# the toy net whose gradients gradcheck checks, over 5 time steps
+GRADCHECK_NET = NetConfig(cell="lstm", units1=4, units2=3, dense_units=4, output_dim=3,
+                          input_dim=6, dropout=0.0, output_activation="linear", seed=12345)
+
+
 def _cmd_gradcheck(args):
-    cfg = NetConfig(cell=args.cell, units1=args.units1, units2=args.units2,
-                    dense_units=args.dense_units, output_dim=args.output_dim,
-                    input_dim=args.input_dim, dropout=args.dropout,
-                    output_activation=args.activation, seed=args.seed)
-    err = gradient_check(cfg, t_steps=args.t_steps)
+    err = gradient_check(replace(GRADCHECK_NET, cell=args.cell), t_steps=5)
     print(f"max relative gradient error: {err:.3e}")
     return 0 if err < 1e-4 else 3
 
@@ -406,22 +409,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--generator", choices=["idm", "newell_shift"], default="idm")
     p.add_argument("--platoons", type=int, default=10)
-    p.add_argument("--vehicles", type=int, default=4)
-    p.add_argument("--steps", type=int, default=80)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--v-free", type=float, default=22.495)
-    p.add_argument("--a-max", type=float, default=0.911)
-    p.add_argument("--b-comf", type=float, default=2.859)
-    p.add_argument("--s0", type=float, default=1.627)
-    p.add_argument("--t-gap", type=float, default=1.132)
     p.add_argument("--wave-speed", type=float, default=4.0)
-    p.add_argument("--segment-steps", type=int, default=40)
-    p.add_argument("--v-min", type=float, default=5.0)
-    p.add_argument("--v-max", type=float, default=12.0)
-    p.add_argument("--osc-amp", type=float, default=0.5)
-    p.add_argument("--accel-cap", type=float, default=1.5)
-    p.add_argument("--base-jump-max", type=float, default=1.5)
     p.add_argument("--initial-gap", type=float, default=None)
     p.set_defaults(func=_cmd_synth)
 
@@ -441,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
-    p.add_argument("--model", choices=["newell", "idm", "fvd"], required=True)
+    p.add_argument("--model", choices=tuple(PARAM_ORDER), required=True)
     p.add_argument("--sample-size", type=int, default=300)
     p.add_argument("--repetitions", type=int, default=5)
     _add_split_flags(p)
@@ -452,7 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
-    p.add_argument("--variant", choices=["nn", "pinn", "perl"], required=True)
+    p.add_argument("--variant", choices=VARIANTS[1:], required=True)
     p.add_argument("--params-file", default=None,
                    help="calibration report JSON (pinn/perl)")
     _add_training_flags(p, max_epochs=200, patience=20)
@@ -463,7 +453,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=["physics", "nn", "pinn", "perl"], required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--weights", default=None)
     p.add_argument("--params-file", default=None)
     p.add_argument("--subset", choices=["train", "val", "test", "all"], default="test")
@@ -486,23 +476,14 @@ def build_parser() -> _Parser:
                    help="comma list; overrides --seed")
     p.add_argument("--variants", default="physics,nn,pinn,perl")
     p.add_argument("--data-sizes", type=_int_list_of(_SIZE), default="300,500,1000")
-    p.add_argument("--model", choices=["newell", "idm", "fvd"], default="newell")
+    p.add_argument("--model", choices=tuple(PARAM_ORDER), default="newell")
     _add_training_flags(p, max_epochs=100, patience=15)
     _add_split_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="verify BPTT gradients vs finite differences")
     p.add_argument("--config", default=None)
-    p.add_argument("--cell", choices=["lstm", "gru"], default="lstm")
-    p.add_argument("--units1", type=int, default=4)
-    p.add_argument("--units2", type=int, default=3)
-    p.add_argument("--dense-units", type=int, default=4)
-    p.add_argument("--input-dim", type=int, default=6)
-    p.add_argument("--output-dim", type=int, default=3)
-    p.add_argument("--t-steps", type=int, default=5)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--activation", choices=["linear", "relu"], default="linear")
-    p.add_argument("--seed", type=_SEED, default=12345)
+    p.add_argument("--cell", choices=CELLS, default="lstm")
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

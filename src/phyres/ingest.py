@@ -350,11 +350,12 @@ def _parse_header(path, line: bytes) -> dict:
     return dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
 
 
-def _parse_lines(path, shapes: dict, n_lines: int) -> np.ndarray:
+def _parse_lines(path, shapes: dict, n_lines: int) -> tuple[np.ndarray, list[int]]:
     """Decode the ``n_lines`` sample lines after the header into the
-    sidecar's matrix layout; a DataError names the line."""
+    sidecar's matrix layout; a DataError names the line.  Also returns each
+    row's line number."""
     matrix = np.empty((n_lines, 1 + sum(math.prod(shape) for shape in shapes.values())))
-    rows = iter(matrix)
+    rows, linenos = iter(matrix), []
     with open(path, "rb") as fh:
         next(fh)  # the header
         for lineno, line in enumerate(fh, start=2):
@@ -384,7 +385,8 @@ def _parse_lines(path, shapes: dict, n_lines: int) -> np.ndarray:
                                 f"position differences by {mismatch:.3g} m")
             row = next(rows)
             row[0], row[1:] = sample_id, values
-    return matrix
+            linenos.append(lineno)
+    return matrix, linenos
 
 
 def _load_sidecar(sidecar: str, shapes: dict, n_lines: int) -> np.ndarray:
@@ -432,8 +434,8 @@ def read_samples(path) -> tuple[SampleBatch, dict]:
     from the sidecar that digest names when it exists, else from the JSON
     lines, parsed into the sidecar's layout; either way the batch's arrays
     are views of that one matrix.  Every sample's array shapes must match
-    the header, and its stored spacing its positions, or a DataError names
-    the line or the sidecar.
+    the header, its stored spacing its positions, and its id no earlier
+    sample's, or a DataError names the line or the sidecar.
     """
     digest, first, n_lines = _scan(path)
     if first is None:
@@ -441,9 +443,20 @@ def read_samples(path) -> tuple[SampleBatch, dict]:
     header = _parse_header(path, first)
     shapes = _sample_shapes(header["k_vehicles"], header["t_back"], header["t_fwd"])
     sidecar = sidecar_path(path, digest)
-    matrix = (_load_sidecar(sidecar, shapes, n_lines) if os.path.isfile(sidecar)
-              else _parse_lines(path, shapes, n_lines))
+    if os.path.isfile(sidecar):
+        matrix, linenos = _load_sidecar(sidecar, shapes, n_lines), None
+    else:
+        matrix, linenos = _parse_lines(path, shapes, n_lines)
+    ids = matrix[:, 0]
+    _, first_row, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first_row[inverse] != np.arange(len(ids)))
+    if repeats.size:  # rows whose id an earlier row has
+        row, sid = int(repeats[0]), int(ids[repeats[0]])
+        earlier = int(first_row[inverse[row]])
+        raise DataError(f"{sidecar}: sample_id {sid} in rows {earlier + 1} and {row + 1}"
+                        if linenos is None else
+                        f"{path}:{linenos[row]}: sample_id {sid} repeats line {linenos[earlier]}")
     fields = _matrix_fields(matrix, shapes)
     del fields["hist_spacing"]
-    return (SampleBatch(sample_ids=matrix[:, 0].astype(np.int64), **fields),
+    return (SampleBatch(sample_ids=ids.astype(np.int64), **fields),
             dict(header, sha256=digest))

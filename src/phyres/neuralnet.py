@@ -20,12 +20,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from . import serialize
+from .errors import ConfigError, DataError, NumericError
 from .ingest import NormStats
 
 WEIGHTS_FORMAT_VERSION = 1
 GRADCHECK_FD_STEP = 1e-5    # central-difference step of gradient_check
 GRADCHECK_SEED = 12345      # draws gradient_check's input, target and masks
+CELLS = ("lstm", "gru")
+ACTIVATIONS = ("linear", "relu")  # of the output layer
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,9 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cell not in ("lstm", "gru"):
+        if self.cell not in CELLS:
             raise ConfigError(f"unknown cell {self.cell!r}")
-        if self.output_activation not in ("linear", "relu"):
+        if self.output_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.output_activation!r}")
         for name in ("units1", "units2", "dense_units", "output_dim", "input_dim"):
             if getattr(self, name) < 1:
@@ -418,7 +421,6 @@ def gradient_check(cfg: NetConfig, t_steps: int = 5) -> float:
 
 
 def save_net(net: RecurrentNet, path) -> None:
-    from . import serialize
     serialize.write_json(path, {
         "format_version": WEIGHTS_FORMAT_VERSION,
         "net_config": net.config.to_dict(),
@@ -431,8 +433,6 @@ def save_net(net: RecurrentNet, path) -> None:
 
 
 def load_net(path) -> RecurrentNet:
-    from . import serialize
-    from .errors import DataError
     obj = serialize.read_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"{path}: a weights file must be a JSON object")

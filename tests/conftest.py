@@ -88,6 +88,7 @@ SIDECAR_CORRUPTIONS = {
     "infinite-id": lambda m, k, tb: _set(m, (0, 0), np.inf),
     "nan-value": lambda m, k, tb: _set(m, (1, 5), np.nan),
     "spacing-off": _spacing_nudge,
+    "repeated-id": lambda m, k, tb: _set(m, (1, 0), m[0, 0]),
 }
 
 

@@ -42,14 +42,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CalibrationConfig(model="idm", sample_size=10, repetitions=0)
 
-    def test_bound_overrides_merged_and_validated(self):
-        cfg = CalibrationConfig(model="newell", sample_size=10,
-                                bounds={"w": (2.0, 6.0)})
-        assert cfg.bounds["w"] == (2.0, 6.0)
-        with pytest.raises(ConfigError):
-            CalibrationConfig(model="newell", sample_size=10,
-                              bounds={"w": (6.0, 2.0)})
-
 
 class TestObjective:
     def test_perfect_fit_is_zero(self):

@@ -12,6 +12,7 @@ from phyres.domain import DatasetConfig
 from phyres.errors import NumericError
 from phyres.evaluation import SweepConfig, run_sweep
 from phyres.ingest import read_samples, sidecar_path
+from phyres.neuralnet import NetConfig, gradient_check
 from phyres.predictors import PredictionRecord
 
 
@@ -66,6 +67,36 @@ class TestExitCodes:
     def test_gradcheck_success(self, capsys):
         assert run(["gradcheck", "--cell", "gru"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+
+class TestFixedSettings:
+    """The synthetic corpus's vehicles, steps, IDM parameters and lead
+    profile, and gradcheck's toy net, are constants, not flags."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "1", "--out", "{tmp}/c.csv", "--v-free", "20"],
+        ["synth", "--seed", "1", "--out", "{tmp}/c.csv", "--steps", "50"],
+        ["gradcheck", "--units1", "5"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert run([a.format(tmp=tmp_path) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert err.strip().splitlines() == [
+            f"usage error: unrecognized arguments: {argv[-2]} {argv[-1]}"]
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_gradcheck_checks_the_old_default_net(self, capsys, cell):
+        cfg = NetConfig(cell=cell, units1=4, units2=3, dense_units=4, output_dim=3,
+                        input_dim=6, dropout=0.0, output_activation="linear", seed=12345)
+        want = f"max relative gradient error: {gradient_check(cfg, t_steps=5):.3e}\n"
+        assert run(["gradcheck", "--cell", cell]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_settable_value_count(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices.values()
+        options = [a for p in commands for a in p._actions if a.dest not in ("help", "config")]
+        assert len(options) == 79
 
 
 class TestManifests:
@@ -241,7 +272,8 @@ def _dumps_records(records, path):
 class TestRecordWriter:
     EDGE = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.0]
 
-    def _records(self, variant, n=12, t_fwd=5):
+    def _records(self, variant, n=12):
+        t_fwd = 5
         rng = np.random.default_rng(len(variant))
         records = []
         for i in range(n):
@@ -259,12 +291,9 @@ class TestRecordWriter:
                 collision_in_rollout=variant == "physics" and i % 3 == 0))
         return records
 
-    @pytest.mark.parametrize("variant", ["physics", "nn", "perl", "mixed"])
+    @pytest.mark.parametrize("variant", ["physics", "nn", "perl"])
     def test_bytes_match_per_record_dumps(self, variant, tmp_path):
-        if variant == "mixed":  # a layout change mid-file, and a shorter horizon
-            records = self._records("perl", 4) + self._records("nn", 4, t_fwd=3)
-        else:
-            records = self._records(variant)
+        records = self._records(variant)
         want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
         _dumps_records(records, want)
         _write_records(records, got)
@@ -500,6 +529,18 @@ class TestArtifactMismatch:
         assert run(["calibrate", "--samples", str(bad), "--out", str(tmp_path / "c.json"),
                     "--seed", "0", "--model", "newell"]) == 2
         assert ":6: hist_spacing differs" in _one_error_line(capsys)
+
+    def test_repeated_sample_id_is_data_error(self, artifacts, tmp_path, capsys):
+        lines = artifacts[0].read_text().splitlines()
+        assert lines[5].startswith('{"sample_id":4,')
+        lines[5] = lines[5].replace('{"sample_id":4,', '{"sample_id":3,', 1)
+        bad = tmp_path / "samples.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["calibrate", "--samples", str(bad), "--out", str(tmp_path / "c.json"),
+                    "--seed", "0", "--model", "newell"]) == 2
+        assert _one_error_line(capsys) == f"error: {bad}:6: sample_id 3 repeats line 5"
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("case", list(SIDECAR_CORRUPTIONS))
     def test_corrupt_sidecar_is_data_error(self, workspace, case, tmp_path, capsys):
