@@ -352,6 +352,16 @@ def _cmd_evaluate(args):
 
 # ---------------------------------------------------------------- sweep
 
+def _print_cell(cell):
+    """One stderr line as a sweep cell finishes; a cell whose worker died
+    has no time."""
+    took = "" if cell.seconds is None else f" in {cell.seconds:.2f} s"
+    outcome = ("failed" if cell.error is not None
+               else f"mse_a_test {cell.eval_report.mse_a_test:.6g}")
+    print(f"cell {cell.variant}/{cell.data_size}/{cell.seed}{took}: {outcome}",
+          file=sys.stderr)
+
+
 def _cmd_sweep(args):
     started = time.monotonic()
     variants = tuple(args.variants.split(","))
@@ -371,13 +381,11 @@ def _cmd_sweep(args):
         max_epochs=args.max_epochs, batch_size=args.batch_size,
         patience=args.patience, lr=args.lr, mu=args.mu,
     )
-    cells = run_sweep(samples, dcfg, sweep)
+    cells = run_sweep(samples, dcfg, sweep, on_cell=_print_cell)
     os.makedirs(args.out, exist_ok=True)
     paths = write_sweep_outputs(cells, args.out)
     paths += emit_plot_data(cells, args.out)
     failures = [c for c in cells if c.error is not None]
-    for c in failures:
-        print(f"cell failed: {c.variant}/{c.data_size}/{c.seed}", file=sys.stderr)
     print(f"sweep: {len(cells) - len(failures)}/{len(cells)} cells succeeded")
     _write_manifest(args.out, "sweep", args, [args.samples], paths, started,
                     {args.samples: header["sha256"]})
@@ -502,10 +510,16 @@ def _apply_config_file(parser, argv):
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DataError(f"config {path} must be a JSON object")
-    sub = parser._subparsers._group_actions[0].choices.get(argv[0])
+    commands = parser._subparsers._group_actions[0].choices
+    sub = commands.get(argv[0])
     if sub is None:
         return  # argparse reports the missing or unknown command
     defaults = {key.replace(".", "_").replace("-", "_"): val for key, val in cfg.items()}
+    # a key of another command is allowed, so that one file serves several
+    settings = {a.dest for p in commands.values() for a in p._actions if a.dest != "help"}
+    for key in defaults:
+        if key not in settings:
+            raise UsageError(f"config {path}: {key}: no phyres command has this setting")
     for a in sub._actions:
         if a.dest not in defaults:
             continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+import time
 import traceback
 from dataclasses import asdict, dataclass, replace
 
@@ -97,6 +98,7 @@ class SweepCell:
     train_report: TrainReport | None = None
     calib_report: CalibrationReport | None = None
     error: str | None = None
+    seconds: float | None = None  # wall time of the cell; written to no output
 
 
 def _calibrate_subset(subset, sweep: SweepConfig, delta: float, seed: int
@@ -160,10 +162,60 @@ def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
     return cell
 
 
-def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig) -> list[SweepCell]:
+def _timed_cell(shared: tuple, rows, calibration, variant: str, seed: int) -> SweepCell:
+    """The cell of ``variant`` on the train rows ``rows`` of the sweep's batch;
+    ``shared`` is (batch, test, dcfg, sweep, tconf)."""
+    batch, test, dcfg, sweep, tconf = shared
+    started = time.perf_counter()
+    cell = _run_cell(batch.take(rows), calibration, dcfg, sweep, tconf, variant, test, seed)
+    cell.seconds = time.perf_counter() - started
+    return cell
+
+
+_held: list = []  # in a pool worker: the sweep's shared inputs and its jobs
+
+
+def _hold(shared: tuple, jobs: list[tuple]) -> None:
+    _held[:] = [shared, jobs]
+
+
+def _run_held_cell(index: int) -> SweepCell:
+    shared, jobs = _held
+    return _timed_cell(shared, *jobs[index])
+
+
+def _pool_cells(shared: tuple, jobs: list[tuple], workers: int, finish) -> None:
+    """Run each job's cell in a pool of forked workers and pass it to
+    ``finish`` as it comes back; a worker that dies fails each cell that had
+    not come back.  Forked workers inherit the inputs and phyres as
+    imported, so nothing is pickled out and nothing is imported again; the
+    executor forks them all before it starts its own thread."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_hold, initargs=(shared, jobs)) as pool:
+        futures = {pool.submit(_run_held_cell, i): job for i, job in enumerate(jobs)}
+        for future in as_completed(futures):
+            try:
+                cell = future.result()
+            except Exception:  # the result was lost, not the cell's own failure
+                rows, _, variant, seed = futures[future]
+                cell = SweepCell(variant=variant, data_size=len(rows), seed=seed,
+                                 error=traceback.format_exc())
+            finish(cell)
+
+
+def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
+              on_cell=None) -> list[SweepCell]:
     """Run the (data_size x variant x seed) grid; cells never abort the
     sweep, failures are recorded on the cell.  The training settings are
-    checked once, before any fit: a bad one is a ConfigError."""
+    checked once, before any fit: a bad one is a ConfigError.
+
+    The physics fits and the physics cells run in this process; the learned
+    cells run in forked processes, one per CPU this process may run on and
+    at most one per learned cell.  The cells do not depend on where they
+    ran.  ``on_cell(cell)`` is called as each cell finishes."""
     learned = [v for v in sweep.variants if v != "physics"]
     tconf = None
     if learned:  # each cell replaces the variant and the seed
@@ -181,18 +233,28 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig) -> list[SweepCel
             f"largest data size {max(sweep.data_sizes)} exceeds the "
             f"{len(train_rows)}-sample train split")
     test = batch.take(by_id[np.isin(batch.sample_ids[by_id], list(split.test_ids))])
+    shared = (batch, test, dcfg, sweep, tconf)
+    cells, jobs = [], []
 
-    cells = []
+    def finish(cell):
+        cells.append(cell)
+        if on_cell is not None:
+            on_cell(cell)
+
     for seed in sweep.seeds:
         shuffled = train_rows[np.random.default_rng(seed).permutation(len(train_rows))]
         for size in sweep.data_sizes:
-            subset = batch.take(shuffled[:size])
+            rows = shuffled[:size]
             calibration = (None, None)
             if any(v in PHYSICS_VARIANTS for v in sweep.variants):
-                calibration = _calibrate_subset(subset, sweep, dcfg.delta, seed)
+                calibration = _calibrate_subset(batch.take(rows), sweep, dcfg.delta, seed)
             for variant in sweep.variants:
-                cells.append(_run_cell(subset, calibration, dcfg, sweep, tconf,
-                                       variant, test, seed))
+                if variant in learned:
+                    jobs.append((rows, calibration, variant, seed))
+                else:
+                    finish(_timed_cell(shared, rows, calibration, variant, seed))
+    if jobs:  # the executor takes no fewer than one worker
+        _pool_cells(shared, jobs, min(len(os.sched_getaffinity(0)), len(jobs)), finish)
     cells.sort(key=lambda c: (c.data_size, c.variant, c.seed))
     return cells
 

@@ -1,6 +1,11 @@
+import contextlib
 import hashlib
 import json
+import multiprocessing
+import os
+import re
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -209,6 +214,31 @@ class TestConfigFile:
         assert err == [f"usage error: config {cfg}: {message}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("argv, config", [
+        (["synth", "--out", "{tmp}/c.csv"], '{"v_free": 20, "seed": 1}'),
+        (["gradcheck"], '{"t-steps": 7}'),
+    ], ids=["synth-v-free", "gradcheck-t-steps"])
+    def test_key_of_no_command_is_usage_error(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        capsys.readouterr()
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run(argv + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        key = next(iter(json.loads(config))).replace("-", "_")
+        assert captured.err.splitlines() == [
+            f"usage error: config {cfg}: {key}: no phyres command has this setting"]
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_key_of_another_command_is_allowed(self, tmp_path):
+        # one file can serve several commands: model, max_epochs and units1 are sweep's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "platoons": 2, "model": "idm",
+                                   "max_epochs": 3, "units1": 5}))
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+        assert run(["gradcheck", "--config", str(cfg)]) == 0
+
 
 class TestDeterminism:
     def test_synth_byte_identical(self, tmp_path):
@@ -372,9 +402,10 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("usage error: "), err
         assert flag in err[0] and not out.exists()
 
-    def test_sweep_outputs_and_exit_code(self, workspace, tmp_path):
+    def test_sweep_outputs_and_exit_code(self, workspace, tmp_path, capsys):
         _, _, samples = workspace
         out = tmp_path / "sweep"
+        capsys.readouterr()
         assert run(["sweep", "--samples", str(samples), "--out", str(out),
                     "--seed", "0", "--variants", "physics,nn",
                     "--data-sizes", "20,40", "--model", "idm",
@@ -384,6 +415,42 @@ class TestPipeline:
         assert len(agg) == 4
         assert (out / "summary_long.csv").exists()
         assert (out / "sweep" / "physics" / "20" / "0" / "report.json").exists()
+        # one stderr line per cell, as it finishes
+        lines = capsys.readouterr().err.splitlines()
+        cells = sorted(re.fullmatch(r"cell (\w+)/(\d+)/0 in \d+\.\d\d s: "
+                                    r"mse_a_test (\S+)", line).group(1, 2, 3)
+                       for line in lines)
+        assert cells == sorted((r["variant"], str(r["data_size"]),
+                                format(r["mse_a_test"], ".6g")) for r in agg)
+
+    def test_dead_worker_fails_its_cells(self, workspace, tmp_path, capsys, monkeypatch):
+        _, _, samples = workspace
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() == parent:
+                raise AssertionError("a learned cell ran in the sweep's own process")
+            os._exit(9)
+
+        monkeypatch.setattr(evaluation, "train", die)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        with _time_limit(120):
+            code = run(["sweep", "--samples", str(samples), "--out", str(out),
+                        "--seed", "0", "--variants", "physics,nn,perl",
+                        "--data-sizes", "20", "--model", "idm", "--max-epochs", "1"])
+        assert code == 4
+        assert multiprocessing.active_children() == []
+        lines = sorted(capsys.readouterr().err.splitlines())
+        assert lines[:2] == ["cell nn/20/0: failed", "cell perl/20/0: failed"]
+        assert re.fullmatch(r"cell physics/20/0 in \S+ s: mse_a_test \S+", lines[2])
+        for variant in ("nn", "perl", "physics"):
+            report = json.loads((out / "sweep" / variant / "20" / "0" / "report.json")
+                                .read_text())
+            assert (report["error"] is None) == (variant == "physics"), variant
+            if variant != "physics":
+                assert "BrokenProcessPool" in report["error"]
 
     def test_sweep_bad_training_setting_fails_before_any_fit(self, workspace, tmp_path,
                                                               capsys, monkeypatch):
@@ -397,13 +464,18 @@ class TestPipeline:
         assert "max_epochs must be >= 1" in _one_error_line(capsys)
         assert not fits and not out.exists()
 
-    def test_sweep_partial_failure_exit_code(self, workspace, tmp_path):
+    def test_sweep_partial_failure_exit_code(self, workspace, tmp_path, capsys):
         _, _, samples = workspace
         out = tmp_path / "sweep_fail"
+        capsys.readouterr()
         assert run(["sweep", "--samples", str(samples), "--out", str(out),
                     "--seed", "0", "--variants", "physics,nn",
                     "--data-sizes", "20", "--model", "idm",
                     "--units1", "0", "--max-epochs", "1"]) == 4
+        lines = sorted(capsys.readouterr().err.splitlines())
+        assert re.fullmatch(r"cell nn/20/0 in \S+ s: failed", lines[0])
+        assert re.fullmatch(r"cell physics/20/0 in \S+ s: mse_a_test \S+", lines[1])
+        assert len(lines) == 2
 
 
     def test_sweep_scores_with_the_samples_delta(self, tmp_path):
@@ -424,6 +496,21 @@ class TestPipeline:
                            SweepConfig(variants=("physics",), data_sizes=(40,)))
         assert got["mse_a_test"] == cell.eval_report.mse_a_test
         assert got["mse_v_test"] == cell.eval_report.mse_v_test
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _with_out_b(weights: dict, value) -> dict:

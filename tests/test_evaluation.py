@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -132,12 +134,12 @@ def _sweep_subset(samples, dcfg, seed, size):
     return [by_id[train_ids[i]] for i in order[:size]]
 
 
-def _four_variant_sweep(samples, dcfg):
+def _four_variant_sweep(samples, dcfg, **kwargs):
     sweep = SweepConfig(variants=("physics", "nn", "pinn", "perl"),
                         data_sizes=(20, 40), seeds=(3,), physics_model="idm",
                         cell="gru", units1=4, units2=3, dense_units=4,
                         max_epochs=1, batch_size=16)
-    return run_sweep(samples, dcfg, sweep)
+    return run_sweep(samples, dcfg, sweep, **kwargs)
 
 
 class TestSweepCalibration:
@@ -171,14 +173,43 @@ class TestSweepCalibration:
             raise CalibrationError("repetition 0: no finite optimum found")
 
         monkeypatch.setattr(evaluation, "monte_carlo_calibrate", failing)
-        cells = _four_variant_sweep(samples, dcfg)
-        assert len(cells) == 8
-        for c in cells:
-            if c.variant == "nn":
-                assert c.error is None and c.eval_report is not None
-            else:
-                assert "CalibrationError: repetition 0: no finite optimum" in c.error
-                assert c.calib_report is None and c.eval_report is None
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            cells = _four_variant_sweep(samples, dcfg)
+            assert len(cells) == 8
+            for c in cells:
+                if c.variant == "nn":
+                    assert c.error is None and c.eval_report is not None
+                else:
+                    assert "CalibrationError: repetition 0: no finite optimum" in c.error
+                    assert c.calib_report is None and c.eval_report is None
+
+
+class TestSweepPool:
+    def test_outputs_do_not_depend_on_workers(self, small_idm_corpus, tmp_path,
+                                              monkeypatch):
+        samples, dcfg, _ = small_idm_corpus
+        outputs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            cells = _four_variant_sweep(samples, dcfg)
+            out = tmp_path / str(len(cpus))
+            write_sweep_outputs(cells, out)
+            emit_plot_data(cells, out)
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in out.rglob("*") if p.is_file()})
+        assert len(outputs[0]) == 8 + 4
+        assert outputs[0] == outputs[1]
+
+    def test_no_worker_outlives_the_sweep(self, small_idm_corpus, monkeypatch):
+        samples, dcfg, _ = small_idm_corpus
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        finished = []
+        cells = _four_variant_sweep(samples, dcfg, on_cell=finished.append)
+        assert multiprocessing.active_children() == []
+        assert all(c.error is None for c in cells), [c.error for c in cells]
+        assert sorted(map(id, finished)) == sorted(map(id, cells))
+        assert all(c.seconds > 0.0 for c in cells)
 
 
 class TestOutputs:
