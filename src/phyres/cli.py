@@ -114,17 +114,15 @@ def _out_dir(path) -> str:
 
 
 def _dataset_config(args, geometry: dict) -> DatasetConfig:
-    """The split flags of ``args`` with the delta, k_vehicles, t_back and
-    t_fwd of ``geometry``: a samples header, or extract's own flags."""
+    """The fixed split shares and ``args.split_seed``, with the delta,
+    k_vehicles, t_back and t_fwd of ``geometry``: a samples header, or
+    extract's own flags."""
     return DatasetConfig(delta=geometry["delta"], k_vehicles=geometry["k_vehicles"],
                          t_back=geometry["t_back"], t_fwd=geometry["t_fwd"],
-                         omega_train=args.omega_train, omega_val=args.omega_val,
-                         seed=args.split_seed)
+                         omega_train=SPLIT_TRAIN, omega_val=SPLIT_VAL, seed=args.split_seed)
 
 
-def _add_split_flags(p):
-    p.add_argument("--omega-train", type=float, default=0.6)
-    p.add_argument("--omega-val", type=float, default=0.2)
+def _add_split_seed(p):
     p.add_argument("--split-seed", type=_SEED, default=0)
 
 
@@ -168,6 +166,7 @@ def _load_params(path):
 SYNTH_IDM = IdmParams(v_free=22.495, a_max=0.911, b_comf=2.859, s0=1.627, t_gap=1.132)
 SYNTH_VEHICLES = 4
 SYNTH_STEPS = 80
+SPLIT_TRAIN, SPLIT_VAL = 0.6, 0.2  # shares of the samples; the test split gets the rest
 
 
 def _cmd_synth(args):
@@ -289,23 +288,20 @@ def read_records(path) -> list[PredictionRecord]:
                 continue
             try:  # JSONDecodeError is a ValueError
                 obj = serialize.DECODER.decode(line)
-                rec = PredictionRecord(
-                    sample_id=int(obj["sample_id"]),
-                    predicted_accel=np.array(obj["predicted_accel"], dtype=float),
-                    predicted_speed=np.array(obj["predicted_speed"], dtype=float),
-                    physics_component=None if obj["physics_component"] is None
-                    else np.array(obj["physics_component"], dtype=float),
-                    residual_component=None if obj["residual_component"] is None
-                    else np.array(obj["residual_component"], dtype=float),
-                    collision_in_rollout=bool(obj["collision_in_rollout"]),
-                )
+                sid, collided = obj["sample_id"], obj["collision_in_rollout"]
+                if type(sid) not in (int, float) or int(sid) != sid:
+                    raise ValueError(f"sample_id {sid!r} is not an integer")
+                if type(collided) is not bool:
+                    raise ValueError(f"collision_in_rollout {collided!r} is not true or false")
+                # a variant without a physics or a residual part writes null
+                arrays = {name: None if obj[name] is None and name.endswith("_component")
+                          else np.array(obj[name], dtype=float) for name in _RECORD_ARRAYS}
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
-            arrays = (rec.predicted_accel, rec.predicted_speed,
-                      rec.physics_component, rec.residual_component)
-            if not all(np.isfinite(a).all() for a in arrays if a is not None):
+            if not all(np.isfinite(a).all() for a in arrays.values() if a is not None):
                 raise DataError(f"{path}:{lineno}: a number beyond the float range")
-            records.append(rec)
+            records.append(PredictionRecord(sample_id=int(sid), collision_in_rollout=collided,
+                                            **arrays))
     return records
 
 
@@ -431,7 +427,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-vehicles", type=int, default=4)
     p.add_argument("--t-back", type=int, default=20)
     p.add_argument("--t-fwd", type=int, default=5)
-    _add_split_flags(p)  # unread; perfbench's pipeline workload passes --split-seed
+    _add_split_seed(p)  # unread; perfbench's pipeline workload passes it
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("calibrate", help="fit physics parameters on the train split")
@@ -442,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=tuple(PARAM_ORDER), required=True)
     p.add_argument("--sample-size", type=int, default=300)
     p.add_argument("--repetitions", type=int, default=5)
-    _add_split_flags(p)
+    _add_split_seed(p)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("train", help="train a predictor variant")
@@ -454,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params-file", default=None,
                    help="calibration report JSON (pinn/perl)")
     _add_training_flags(p, max_epochs=200, patience=20)
-    _add_split_flags(p)
+    _add_split_seed(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="emit prediction records")
@@ -465,7 +461,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", default=None)
     p.add_argument("--params-file", default=None)
     p.add_argument("--subset", choices=["train", "val", "test", "all"], default="test")
-    _add_split_flags(p)
+    _add_split_seed(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score prediction records")
@@ -486,7 +482,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data-sizes", type=_int_list_of(_SIZE), default="300,500,1000")
     p.add_argument("--model", choices=tuple(PARAM_ORDER), default="newell")
     _add_training_flags(p, max_epochs=100, patience=15)
-    _add_split_flags(p)
+    _add_split_seed(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="verify BPTT gradients vs finite differences")

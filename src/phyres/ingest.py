@@ -10,8 +10,7 @@ Sample file: JSON lines.  Line 1 is a header object
 "t_fwd": ...}``; every following line is one sample object.  Floats carry
 17 significant digits so the round trip is bit-exact.  A sample object's
 ``hist_spacing`` ((K-1, t_back), the followers' spacings) is redundant with
-its ``hist_position``: it is written for the v1 format, checked against the
-positions on read and not kept.
+its ``hist_position``: it is written for the v1 format and not kept.
 
 Sidecar: ``write_samples`` also writes ``<file>.<sha256 of its bytes>.npy``,
 one float64 matrix with a row per sample: ``sample_id``, then the v1 fields
@@ -20,6 +19,11 @@ the sidecar that digest names instead of decoding every line, so an edited
 file, or one whose sidecar was deleted, is parsed as JSON lines; both ways
 give bit-equal samples.  The sidecar is a cache, safe to delete; the v1 JSON
 lines stay the format of record.
+
+Either way ``read_samples`` holds the one matrix to one set of rules: each id
+an integral JSON number (not a bool or a string) of magnitude below 2**53,
+where float64 stops holding every integer, and unique; every value finite;
+each ``hist_spacing`` within 1e-6 m of its position differences.
 """
 
 from __future__ import annotations
@@ -350,12 +354,13 @@ def _parse_header(path, line: bytes) -> dict:
     return dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
 
 
-def _parse_lines(path, shapes: dict, n_lines: int) -> tuple[np.ndarray, list[int]]:
+def _parse_lines(path, shapes: dict, n_lines: int):
     """Decode the ``n_lines`` sample lines after the header into the
-    sidecar's matrix layout; a DataError names the line.  Also returns each
-    row's line number."""
+    sidecar's matrix layout; returns it and its ``where`` for
+    ``_check_matrix``.  A DataError names a line that is no JSON object
+    with the header's fields and shapes; the values are left to the check."""
     matrix = np.empty((n_lines, 1 + sum(math.prod(shape) for shape in shapes.values())))
-    rows, linenos = iter(matrix), []
+    linenos = []
     with open(path, "rb") as fh:
         next(fh)  # the header
         for lineno, line in enumerate(fh, start=2):
@@ -365,58 +370,61 @@ def _parse_lines(path, shapes: dict, n_lines: int) -> tuple[np.ndarray, list[int
                 obj = serialize.DECODER.decode(line.decode("utf-8"))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
+            row = matrix[len(linenos)]
             try:
                 arrays = {name: np.array(obj[name], dtype=float) for name in shapes}
-                sample_id = int(obj["sample_id"])
+                sid = obj["sample_id"]
+                # a bool or a string goes in as NaN, which _check_matrix rejects
+                row[0] = sid if type(sid) in (int, float) else math.nan
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: bad sample object: {exc!r}") from exc
             for name, shape in shapes.items():
                 if arrays[name].shape != shape:
                     raise DataError(f"{path}:{lineno}: {name} has shape "
                                     f"{arrays[name].shape}, the header implies {shape}")
-            values = np.concatenate([a.ravel() for a in arrays.values()])
-            # json reads an overflowing literal such as 1e999 as infinity
-            if not np.isfinite(values).all():
-                raise DataError(f"{path}:{lineno}: a number beyond the float range")
-            pos = arrays["hist_position"]
-            mismatch = abs(arrays["hist_spacing"] - (pos[:-1] - pos[1:])).max()
-            if mismatch > 1e-6:  # metres
-                raise DataError(f"{path}:{lineno}: hist_spacing differs from the "
-                                f"position differences by {mismatch:.3g} m")
-            row = next(rows)
-            row[0], row[1:] = sample_id, values
+            np.concatenate([a.ravel() for a in arrays.values()], out=row[1:])
             linenos.append(lineno)
-    return matrix, linenos
+    return matrix, lambda row: (f"{path}:{linenos[row]}", f"line {linenos[row]}")
 
 
-def _load_sidecar(sidecar: str, shapes: dict, n_lines: int) -> np.ndarray:
-    """The matrix of a sidecar, checked as the lines would be and against
-    the file's number of sample lines; a DataError names the sidecar."""
+def _load_sidecar(sidecar: str, shapes: dict, n_lines: int):
+    """A sidecar's matrix, float64 with a row per sample line and the width
+    the header implies, and its ``where`` for ``_check_matrix``."""
     try:
         matrix = np.load(sidecar, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"{sidecar}: unreadable sidecar: {exc}") from exc
-    width = 1 + sum(math.prod(shape) for shape in shapes.values())
-    if matrix.ndim != 2 or matrix.dtype != np.float64:
-        raise DataError(f"{sidecar}: a {matrix.ndim}-D {matrix.dtype} array, "
-                        f"not a 2-D float64 matrix")
-    if matrix.shape[1] != width:
-        raise DataError(f"{sidecar}: {matrix.shape[1]} columns, the header implies {width}")
-    if len(matrix) != n_lines:
-        raise DataError(f"{sidecar}: {len(matrix)} rows for {n_lines} sample lines")
+    want = (n_lines, 1 + sum(math.prod(shape) for shape in shapes.values()))
+    if matrix.dtype != np.float64 or matrix.shape != want:
+        raise DataError(f"{sidecar}: a {matrix.dtype} array of shape {matrix.shape}, "
+                        f"the file implies a float64 matrix of shape {want}")
+    return matrix, lambda row: (f"{sidecar}: row {row + 1}", f"row {row + 1}")
+
+
+def _check_matrix(matrix: np.ndarray, fields: dict, where) -> None:
+    """What makes a sample matrix valid, whichever source filled it.
+    ``where(row)`` gives a row's location and the name that another row's
+    error refers to it by; a DataError names the first bad row."""
     ids = matrix[:, 0]
-    if not (np.isfinite(ids) & (ids == np.floor(ids))).all():
-        raise DataError(f"{sidecar}: a sample id that is not a finite integer")
-    if not np.isfinite(matrix).all():
-        raise DataError(f"{sidecar}: a non-finite value")
-    fields = _matrix_fields(matrix, shapes)
     pos = fields["hist_position"]
-    mismatch = abs(fields["hist_spacing"] - (pos[:, :-1] - pos[:, 1:])).max(axis=(1, 2))
-    bad = np.flatnonzero(mismatch > 1e-6)  # metres
+    with np.errstate(invalid="ignore"):  # inf - inf: the finite check names it
+        mismatch = abs(fields["hist_spacing"] - (pos[:, :-1] - pos[:, 1:])).max(axis=(1, 2))
+    _, first_row, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    earlier = first_row[inverse]
+    checks = {  # NaN fails the id test; 2**53 + 1 rounds to 2**53, hence the strict bound
+        "bad sample object: sample_id is not an integral number of magnitude below 2**53":
+            ~(abs(ids) < 2 ** 53) | (ids != np.floor(ids)),
+        "a number beyond the float range, or NaN": ~np.isfinite(matrix[:, 1:]).all(axis=1),
+        "hist_spacing differs from the position differences by {mismatch:.3g} m":
+            mismatch > 1e-6,  # metres
+        "sample_id {sid:.0f} repeats {earlier}": earlier != np.arange(len(ids)),
+    }
+    bad = np.flatnonzero(np.any(list(checks.values()), axis=0))
     if bad.size:
-        raise DataError(f"{sidecar}: hist_spacing of sample {int(ids[bad[0]])} differs "
-                        f"from the position differences by {mismatch[bad[0]]:.3g} m")
-    return matrix
+        row = int(bad[0])
+        message = next(text for text, rows in checks.items() if rows[row])
+        raise DataError(f"{where(row)[0]}: " + message.format(
+            mismatch=mismatch[row], sid=ids[row], earlier=where(earlier[row])[1]))
 
 
 def _matrix_fields(matrix: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
@@ -433,9 +441,8 @@ def read_samples(path) -> tuple[SampleBatch, dict]:
     the sha256 of the file's bytes under ``"sha256"``.  The samples come
     from the sidecar that digest names when it exists, else from the JSON
     lines, parsed into the sidecar's layout; either way the batch's arrays
-    are views of that one matrix.  Every sample's array shapes must match
-    the header, its stored spacing its positions, and its id no earlier
-    sample's, or a DataError names the line or the sidecar.
+    are views of that one matrix, which ``_check_matrix`` checks.  A
+    DataError names the line, or the sidecar and its row.
     """
     digest, first, n_lines = _scan(path)
     if first is None:
@@ -444,19 +451,11 @@ def read_samples(path) -> tuple[SampleBatch, dict]:
     shapes = _sample_shapes(header["k_vehicles"], header["t_back"], header["t_fwd"])
     sidecar = sidecar_path(path, digest)
     if os.path.isfile(sidecar):
-        matrix, linenos = _load_sidecar(sidecar, shapes, n_lines), None
+        matrix, where = _load_sidecar(sidecar, shapes, n_lines)
     else:
-        matrix, linenos = _parse_lines(path, shapes, n_lines)
-    ids = matrix[:, 0]
-    _, first_row, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    repeats = np.flatnonzero(first_row[inverse] != np.arange(len(ids)))
-    if repeats.size:  # rows whose id an earlier row has
-        row, sid = int(repeats[0]), int(ids[repeats[0]])
-        earlier = int(first_row[inverse[row]])
-        raise DataError(f"{sidecar}: sample_id {sid} in rows {earlier + 1} and {row + 1}"
-                        if linenos is None else
-                        f"{path}:{linenos[row]}: sample_id {sid} repeats line {linenos[earlier]}")
+        matrix, where = _parse_lines(path, shapes, n_lines)
     fields = _matrix_fields(matrix, shapes)
+    _check_matrix(matrix, fields, where)
     del fields["hist_spacing"]
-    return (SampleBatch(sample_ids=ids.astype(np.int64), **fields),
+    return (SampleBatch(sample_ids=matrix[:, 0].astype(np.int64), **fields),
             dict(header, sha256=digest))

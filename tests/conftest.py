@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,39 @@ SIDECAR_CORRUPTIONS = {
     "nan-value": lambda m, k, tb: _set(m, (1, 5), np.nan),
     "spacing-off": _spacing_nudge,
     "repeated-id": lambda m, k, tb: _set(m, (1, 0), m[0, 0]),
+    "huge-id": lambda m, k, tb: _set(m, (0, 0), 1e30),  # integral, beyond 2**53
+    "id-2**53": lambda m, k, tb: _set(m, (0, 0), 2.0 ** 53),  # where 2**53 + 1 rounds to
 }
+
+
+def _line_spacing_nudge(obj):
+    spacing = obj["hist_spacing"]
+    return dict(obj, hist_spacing=[[spacing[0][0] + 1e-3, *spacing[0][1:]], *spacing[1:]])
+
+
+# Ways to spoil a sample line of a sample file, each a DataError naming the
+# line: a function of (the line's object, the object of the line before)
+# giving the new object.  The first three are the JSON-lines counterparts of
+# SIDECAR_CORRUPTIONS' cases of the same names.
+LINE_CORRUPTIONS = {
+    "fractional-id": lambda obj, prev: dict(obj, sample_id=obj["sample_id"] + 0.5),
+    "spacing-off": lambda obj, prev: _line_spacing_nudge(obj),
+    "repeated-id": lambda obj, prev: dict(obj, sample_id=prev["sample_id"]),
+    "id-1.5": lambda obj, prev: dict(obj, sample_id=1.5),
+    "id-true": lambda obj, prev: dict(obj, sample_id=True),
+    "id-string": lambda obj, prev: dict(obj, sample_id="1"),
+    "id-10**30": lambda obj, prev: dict(obj, sample_id=10 ** 30),
+    "id-2**53+1": lambda obj, prev: dict(obj, sample_id=2 ** 53 + 1),  # float64 rounds it
+}
+
+
+def corrupt_line(path, case, lineno):
+    """Rewrite line ``lineno`` (1-based) of the sample file ``path`` as
+    LINE_CORRUPTIONS[case] says."""
+    lines = Path(path).read_text().splitlines()
+    obj, prev = json.loads(lines[lineno - 1]), json.loads(lines[lineno - 2])
+    lines[lineno - 1] = json.dumps(LINE_CORRUPTIONS[case](obj, prev))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def corrupt_sidecar(sidecar, case, k, tb):

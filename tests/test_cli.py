@@ -10,7 +10,7 @@ import signal
 import numpy as np
 import pytest
 
-from conftest import SIDECAR_CORRUPTIONS, corrupt_sidecar
+from conftest import LINE_CORRUPTIONS, SIDECAR_CORRUPTIONS, corrupt_line, corrupt_sidecar
 from phyres import cli, evaluation, serialize
 from phyres.cli import _write_records, main, read_records
 from phyres.domain import DatasetConfig
@@ -101,7 +101,7 @@ class TestFixedSettings:
     def test_settable_value_count(self):
         commands = cli.build_parser()._subparsers._group_actions[0].choices.values()
         options = [a for p in commands for a in p._actions if a.dest not in ("help", "config")]
-        assert len(options) == 79
+        assert len(options) == 69
 
 
 class TestManifests:
@@ -629,6 +629,17 @@ class TestArtifactMismatch:
         assert _one_error_line(capsys) == f"error: {bad}:6: sample_id 3 repeats line 5"
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("case", list(LINE_CORRUPTIONS))
+    def test_corrupt_sample_line_is_data_error(self, workspace, case, tmp_path, capsys):
+        samples = tmp_path / "samples.jsonl"
+        shutil.copy(workspace[2], samples)  # no sidecar: the lines are parsed
+        corrupt_line(samples, case, 3)  # sample 1, so an id read as 1 repeats no other
+        capsys.readouterr()
+        assert run(["calibrate", "--samples", str(samples), "--out", str(tmp_path / "c.json"),
+                    "--seed", "0", "--model", "newell"]) == 2
+        assert _one_error_line(capsys).startswith(f"error: {samples}:3: ")
+        assert not (tmp_path / "c.json").exists()
+
     @pytest.mark.parametrize("case", list(SIDECAR_CORRUPTIONS))
     def test_corrupt_sidecar_is_data_error(self, workspace, case, tmp_path, capsys):
         samples = tmp_path / "samples.jsonl"
@@ -678,7 +689,12 @@ class TestArtifactMismatch:
         lambda obj: {k: v for k, v in obj.items() if k != "predicted_speed"},
         lambda obj: dict(obj, predicted_accel=["x"] * len(obj["predicted_accel"])),
         lambda obj: dict(obj, sample_id=float("inf")),  # written as Infinity
-    ], ids=["not-object", "missing-key", "non-numeric", "infinite-id"])
+        lambda obj: dict(obj, sample_id=obj["sample_id"] + 0.5),
+        lambda obj: dict(obj, sample_id=str(obj["sample_id"])),
+        lambda obj: dict(obj, collision_in_rollout="no"),
+        lambda obj: dict(obj, collision_in_rollout=0),
+    ], ids=["not-object", "missing-key", "non-numeric", "infinite-id", "fractional-id",
+            "string-id", "string-collision", "number-collision"])
     def test_malformed_record_is_data_error(self, artifacts, edit, tmp_path, capsys):
         samples, _, _, weights = artifacts
         preds = tmp_path / "p.jsonl"
@@ -691,6 +707,7 @@ class TestArtifactMismatch:
         assert run(["evaluate", "--samples", str(samples), "--records", str(preds),
                     "--out", str(tmp_path / "m.json")]) == 2
         assert f"{preds}:3: malformed record" in _one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("token, message", [
         ("NaN", ":3: malformed record: ValueError('NaN is not a finite number')"),

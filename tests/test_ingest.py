@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import SIDECAR_CORRUPTIONS, corrupt_sidecar, make_samples
+from conftest import (LINE_CORRUPTIONS, SIDECAR_CORRUPTIONS, corrupt_line, corrupt_sidecar,
+                      make_samples)
 from phyres import ingest, serialize
 from phyres.domain import DatasetConfig, SampleBatch, SplitIndex
 from phyres.errors import ConfigError, DataError
@@ -390,6 +391,14 @@ class TestSampleFilePersistence:
         lines[2] = lines[2].replace('"sample_id":1', '"sample_id":1e999')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=":3: bad sample object"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("case", list(LINE_CORRUPTIONS))
+    def test_corrupt_line_is_data_error(self, tmp_path, dataset_config, case):
+        path = tmp_path / "samples.jsonl"
+        write_samples(make_samples(3), path, dataset_config)
+        corrupt_line(path, case, 3)  # sample 1, so an id read as 1 repeats no other
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}:3: ")):
             read_samples(path)
 
     @pytest.mark.parametrize("name, edit", [
