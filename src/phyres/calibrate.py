@@ -12,6 +12,10 @@ IDM and FVD all predict the first future step from the t0 state).
   physics.  FVD fits only (kappa, lambda); the optimal-speed constants
   are fixed at the adopted literature values.
 
+A fit slices the samples' one-step inputs (``physics.OneStepInputs``) once;
+each objective call builds the candidate's params positionally and pays for
+one kernel call and a mean.
+
 Monte-Carlo repetition draws n samples without replacement per
 repetition (repetition-indexed sub-seeds) and reports per-parameter mean
 and variance.
@@ -28,7 +32,7 @@ from scipy.special import expit
 from . import serialize
 from .domain import SampleBatch
 from .errors import CalibrationError, ConfigError
-from .physics import (FVD_FIXED, FvdParams, IdmParams, NewellParams,
+from .physics import (FVD_FIXED, FvdParams, IdmParams, NewellParams, OneStepInputs,
                       PhysicsParams, model_name, one_step_batch)
 
 __all__ = ["CalibrationConfig", "CalibrationReport", "fit_physics",
@@ -47,11 +51,8 @@ DEFAULT_BOUNDS = {
     "fvd": {"kappa": (0.001, 2.0), "lam": (0.0, 2.0)},
 }
 
-PARAM_ORDER = {
-    "newell": ["w"],
-    "idm": ["v_free", "a_max", "b_comf", "s0", "t_gap"],
-    "fvd": ["kappa", "lam"],
-}
+# each model's fitted parameters, in the order of its params' fields
+PARAM_ORDER = {model: list(bounds) for model, bounds in DEFAULT_BOUNDS.items()}
 
 NM_XATOL = 1e-6
 # golden-section bracket width at termination: well below the 1e-3 m/s
@@ -75,12 +76,13 @@ class CalibrationConfig:
             raise ConfigError("sample_size and repetitions must be >= 1")
 
 
+# each model's params from its values in PARAM_ORDER, positionally
+PARAMS_OF = {"newell": NewellParams, "idm": IdmParams,
+             "fvd": lambda kappa, lam: FvdParams(kappa, lam, **FVD_FIXED)}
+
+
 def make_params(model: str, values: dict) -> PhysicsParams:
-    if model == "newell":
-        return NewellParams(w=values["w"])
-    if model == "idm":
-        return IdmParams(**{k: values[k] for k in PARAM_ORDER["idm"]})
-    return FvdParams(kappa=values["kappa"], lam=values["lam"], **FVD_FIXED)
+    return PARAMS_OF[model](*(values[k] for k in PARAM_ORDER[model]))
 
 
 def params_to_dict(params: PhysicsParams) -> dict:
@@ -89,13 +91,12 @@ def params_to_dict(params: PhysicsParams) -> dict:
 
 def calibration_objective(samples, params: PhysicsParams, delta: float) -> float:
     """Mean squared one-step acceleration error over a batch (or a list) of
-    samples; inf on non-finite output."""
-    batch = SampleBatch.of(samples)
-    preds = one_step_batch(batch, params, delta)
-    err = preds - batch.ego_future_accel[:, 0]
-    if not np.all(np.isfinite(err)):
-        return float("inf")
-    return float(np.mean(err * err))
+    samples, or their ``OneStepInputs``; inf on non-finite output."""
+    inputs = OneStepInputs.of(samples)
+    err = one_step_batch(inputs, params, delta) - inputs.target
+    # np.mean's own sum and division; a non-finite err makes the mean non-finite
+    mse = np.add.reduce(err * err) / len(err)
+    return float(mse) if np.isfinite(mse) else float("inf")
 
 
 def _golden_section(f, lo, hi, tol):
@@ -137,13 +138,12 @@ def fit_physics(samples, config: CalibrationConfig,
         raise ConfigError("cannot calibrate on an empty sample set")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    names = PARAM_ORDER[config.model]
-    lo, hi = np.array([DEFAULT_BOUNDS[config.model][n] for n in names]).T
-    batch = SampleBatch.of(samples)  # read by every objective call
+    lo, hi = np.array(list(DEFAULT_BOUNDS[config.model].values())).T
+    inputs = OneStepInputs.of(samples)  # read by every objective call
+    params_of = PARAMS_OF[config.model]
 
     def obj_vec(x):
-        return calibration_objective(
-            batch, make_params(config.model, dict(zip(names, x))), delta)
+        return calibration_objective(inputs, params_of(*x), delta)
 
     if config.model == "newell":
         # coarse scan to bracket the global basin, then golden section
@@ -155,7 +155,7 @@ def fit_physics(samples, config: CalibrationConfig,
         w_star, f_star = _golden_section(lambda w: obj_vec([w]), blo, bhi, GSS_TOL)
         if not np.isfinite(f_star):
             raise CalibrationError("all wave-speed candidates produced non-finite errors")
-        return make_params("newell", {"w": float(w_star)}), f_star
+        return NewellParams(float(w_star)), f_star
 
     def obj_u(u):
         return obj_vec(_unbounded_to_box(u, lo, hi))
@@ -177,8 +177,7 @@ def fit_physics(samples, config: CalibrationConfig,
         res = minimize(obj_u, best_u, method="Nelder-Mead", options=nm_options)
         if np.isfinite(res.fun) and res.fun < best_f:
             best_f, best_u = float(res.fun), res.x
-    best_x = _unbounded_to_box(best_u, lo, hi)
-    return make_params(config.model, dict(zip(names, best_x))), best_f
+    return params_of(*_unbounded_to_box(best_u, lo, hi)), best_f
 
 
 @dataclass

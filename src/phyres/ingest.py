@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -259,8 +260,8 @@ def write_samples(samples, path, config: DatasetConfig) -> str:
     each trajectory value in many samples, so a slice's distinct doubles,
     told apart by their bits (-0.0 is "-0", 0.0 is "0"), are formatted
     once into a table of strings that fills the template's "%s" float
-    slots.  A non-finite value is a DataError naming the first bad sample,
-    raised before the file is opened.
+    slots.  A non-finite value, or an id that ``read_samples`` rejects, is a
+    DataError naming the first bad sample, raised before the file is opened.
 
     Also writes the file's sidecar and removes its older ones; returns the
     sidecar's path."""
@@ -277,11 +278,12 @@ def write_samples(samples, path, config: DatasetConfig) -> str:
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite value in sample {batch.sample_ids[finite.argmin()]}")
+    ids = batch.sample_ids.tolist()
+    _check_matrix(matrix, fields, lambda row: (f"row {row + 1}, sample {ids[row]}", f"row {row + 1}"))
     template = '{"sample_id":%d,' + ",".join(
         f'"{name}":{serialize.json_slots(shape, "%s")}' for name, shape in shapes.items()) + "}\n"
     header = {"format_version": SAMPLE_FORMAT_VERSION, "delta": config.delta,
               "k_vehicles": config.k_vehicles, "t_back": config.t_back, "t_fwd": config.t_fwd}
-    ids = batch.sample_ids.tolist()
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(text: str) -> None:
@@ -382,9 +384,22 @@ def _parse_lines(path, shapes: dict, n_lines: int):
                 if arrays[name].shape != shape:
                     raise DataError(f"{path}:{lineno}: {name} has shape "
                                     f"{arrays[name].shape}, the header implies {shape}")
+                _check_numbers(obj[name], len(shape), f"{path}:{lineno}: {name}")
             np.concatenate([a.ravel() for a in arrays.values()], out=row[1:])
             linenos.append(lineno)
     return matrix, lambda row: (f"{path}:{linenos[row]}", f"line {linenos[row]}")
+
+
+def _check_numbers(value, ndim: int, what: str) -> None:
+    """A DataError unless every leaf of ``value``, ``ndim`` nested lists
+    deep, is a JSON number: float() would read "8.5" and true as numbers."""
+    leaves = [value]
+    for _ in range(ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    kinds = set(map(type, leaves)) - {int, float}
+    if kinds:
+        kind = {str: "string", bool: "true or false"}.get(kinds.pop(), "null")
+        raise DataError(f"{what} holds a JSON {kind}, not a number")
 
 
 def _load_sidecar(sidecar: str, shapes: dict, n_lines: int):

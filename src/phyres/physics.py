@@ -171,16 +171,37 @@ def rollout_batch(batch: SampleBatch, params: PhysicsParams,
     return out, collided
 
 
-def one_step_batch(batch: SampleBatch, params: PhysicsParams,
-                   delta: float) -> np.ndarray:
-    """First-future-step predictions for a batch (calibration kernel)."""
-    pos_t0 = batch.hist_position[:, :, -1]  # (n, K)
+@dataclass(frozen=True)
+class OneStepInputs:
+    """What a first-future-step prediction reads of a batch, sliced once:
+    a fit builds them once and every objective call reuses them."""
+
+    lead_hist_accel: np.ndarray  # (n, K-1, t_back) the leaders' histories
+    dist_t0: np.ndarray          # (n, K-1) each leader's distance ahead of the ego at t0
+    v: np.ndarray                # (n,) ego speed at t0
+    dv: np.ndarray               # (n,) ego minus immediate-leader speed at t0
+    gap: np.ndarray              # (n,) immediate-leader gap at t0
+    target: np.ndarray           # (n,) the realized ego_future_accel[:, 0]
+
+    @classmethod
+    def of(cls, samples) -> "OneStepInputs":
+        """The inputs of a batch or a list of samples; inputs as they are."""
+        if isinstance(samples, cls):
+            return samples
+        batch = SampleBatch.of(samples)
+        pos_t0 = batch.hist_position[:, :, -1]  # (n, K)
+        v = batch.ego_speed_at_t0
+        return cls(batch.hist_accel[:, :-1], pos_t0[:, :-1] - pos_t0[:, -1:], v,
+                   v - batch.hist_speed[:, -2, -1], pos_t0[:, -2] - pos_t0[:, -1],
+                   batch.ego_future_accel[:, 0])
+
+
+def one_step_batch(samples, params: PhysicsParams, delta: float) -> np.ndarray:
+    """First-future-step predictions for a batch, a list of samples or their
+    ``OneStepInputs`` (calibration kernel)."""
+    x = OneStepInputs.of(samples)
     if isinstance(params, NewellParams):
-        dist = pos_t0[:, :-1] - pos_t0[:, -1:]
-        return newell_predict_batch(batch.hist_accel[:, :-1], dist / params.w, 1, delta)[:, 0]
-    v = batch.ego_speed_at_t0
-    gap = pos_t0[:, -2] - pos_t0[:, -1]
-    dv = v - batch.hist_speed[:, -2, -1]
+        return newell_predict_batch(x.lead_hist_accel, x.dist_t0 / params.w, 1, delta)[:, 0]
     if isinstance(params, IdmParams):
-        return idm_accel(v, dv, gap, params)
-    return fvd_accel(v, dv, gap, params)
+        return idm_accel(x.v, x.dv, x.gap, params)
+    return fvd_accel(x.v, x.dv, x.gap, params)

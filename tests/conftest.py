@@ -113,6 +113,10 @@ LINE_CORRUPTIONS = {
     "id-string": lambda obj, prev: dict(obj, sample_id="1"),
     "id-10**30": lambda obj, prev: dict(obj, sample_id=10 ** 30),
     "id-2**53+1": lambda obj, prev: dict(obj, sample_id=2 ** 53 + 1),  # float64 rounds it
+    # values that float() reads as numbers but no sidecar can hold
+    "string-value": lambda obj, prev: dict(obj, ego_speed_at_t0=str(obj["ego_speed_at_t0"])),
+    "bool-value": lambda obj, prev: dict(
+        obj, hist_accel=[[True, *obj["hist_accel"][0][1:]], *obj["hist_accel"][1:]]),
 }
 
 

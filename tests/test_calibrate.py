@@ -6,9 +6,10 @@ from phyres.calibrate import (CalibrationConfig, calibration_objective,
                               fit_physics, make_params, monte_carlo_calibrate,
                               params_to_dict, DEFAULT_BOUNDS)
 from phyres.domain import DatasetConfig, SampleBatch
-from phyres.errors import ConfigError
+from phyres.errors import ConfigError, NumericError
 from phyres.ingest import extract_samples, parse_trajectory_csv
-from phyres.physics import FvdParams, IdmParams, NewellParams, one_step_batch
+from phyres.physics import (FvdParams, IdmParams, NewellParams, OneStepInputs, fvd_accel,
+                            idm_accel, newell_predict_batch, one_step_batch)
 from phyres.synth import LeadProfile, SynthConfig, generate_corpus
 
 DELTA = 0.1
@@ -66,6 +67,41 @@ class TestObjective:
                         c2=0.0, l_c=5.0)
         assert calibration_objective([s], bad, DELTA) == float("inf")
         assert calibration_objective(SampleBatch.of([s]), bad, DELTA) == float("inf")
+        assert calibration_objective(OneStepInputs.of([s]), bad, DELTA) == float("inf")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_nan_prediction_gives_inf(self):
+        s = make_sample(k=2, tb=6, tf=3, seed=2)
+        s.hist_speed[-2, -1] = 1e9  # the leader: kappa * (V - v) is inf, lam * dv -inf
+        bad = FvdParams(kappa=1e300, lam=1e300, v1=1e300, v2=1.0, c1=1.0,
+                        c2=0.0, l_c=5.0)
+        assert np.isnan(one_step_batch([s], bad, DELTA)[0])
+        assert calibration_objective([s], bad, DELTA) == float("inf")
+        assert calibration_objective(OneStepInputs.of([s]), bad, DELTA) == float("inf")
+
+    @pytest.mark.parametrize("model", ["newell", "idm", "fvd"])
+    def test_inputs_batch_and_mean_bit_equal(self, model):
+        batch = SampleBatch.of([make_sample(k=3, tb=20, tf=3, seed=i) for i in range(40)])
+        inputs = OneStepInputs.of(batch)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            params = make_params(model, {name: rng.uniform(lo, hi) for name, (lo, hi)
+                                         in DEFAULT_BOUNDS[model].items()})
+            # the one-step prediction and the mean, written out from the batch
+            pos_t0 = batch.hist_position[:, :, -1]
+            if model == "newell":
+                dist = pos_t0[:, :-1] - pos_t0[:, -1:]
+                preds = newell_predict_batch(batch.hist_accel[:, :-1], dist / params.w, 1,
+                                             DELTA)[:, 0]
+            else:
+                v = batch.ego_speed_at_t0
+                preds = (idm_accel if model == "idm" else fvd_accel)(
+                    v, v - batch.hist_speed[:, -2, -1], pos_t0[:, -2] - pos_t0[:, -1], params)
+            err = preds - batch.ego_future_accel[:, 0]
+            expected = float(np.mean(err * err))
+            assert np.isfinite(expected)
+            assert calibration_objective(inputs, params, DELTA) == expected
+            assert calibration_objective(batch, params, DELTA) == expected
 
     @pytest.mark.parametrize("params", [
         IDM_TRUE, make_params("fvd", {"kappa": 0.4, "lam": 0.6}), NewellParams(w=4.0)])
@@ -125,6 +161,13 @@ class TestSimplexFit:
         params, _ = fit_physics(samples, cfg, DELTA)
         assert abs(params.kappa - 0.4) < 0.02
         assert abs(params.lam - 0.6) < 0.02
+
+    def test_idm_fit_on_non_positive_gap_raises(self):
+        samples = [make_sample(k=2, tb=6, tf=3, seed=i) for i in range(5)]
+        samples[3].hist_position[0, -1] = samples[3].hist_position[1, -1]  # zero t0 gap
+        cfg = CalibrationConfig(model="idm", sample_size=5, seed=0)
+        with pytest.raises(NumericError, match="positive gap"):
+            fit_physics(SampleBatch.of(samples), cfg, DELTA)
 
     def test_fitted_params_inside_bounds(self):
         samples = [make_sample(k=2, tb=6, tf=3, seed=i) for i in range(50)]

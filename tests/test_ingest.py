@@ -270,6 +270,19 @@ class TestSampleFilePersistence:
         with pytest.raises(DataError, match=f"non-finite value in sample {WRITE_CHUNK + 4}$"):
             write_samples(samples, tmp_path / "s.jsonl", dataset_config)
 
+    @pytest.mark.parametrize("ids, message", [
+        ([0, 2 ** 53 + 1], "row 2, sample 9007199254740993: bad sample object"),
+        ([0, 5, 5], "row 3, sample 5: sample_id 5 repeats row 2"),
+    ])
+    def test_id_that_reads_back_rejected_is_data_error(self, tmp_path, dataset_config,
+                                                        ids, message):
+        samples = make_samples(len(ids))
+        for s, sid in zip(samples, ids):
+            s.sample_id = sid
+        with pytest.raises(DataError, match="^" + re.escape(message)):
+            write_samples(samples, tmp_path / "s.jsonl", dataset_config)
+        assert os.listdir(tmp_path) == []  # neither the file nor a sidecar
+
     def test_geometry_mismatch_rejected(self, tmp_path, dataset_config):
         with pytest.raises(ConfigError, match="header"):
             write_samples(make_samples(3, tf=5), tmp_path / "s.jsonl", dataset_config)
