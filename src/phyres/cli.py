@@ -57,14 +57,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(least: int):
-    """An argparse type: an int of at least ``least``."""
+def _checked(kind, holds, rule: str):
+    """An argparse type: a ``kind`` value for which ``holds`` is true."""
     def parse(text):
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    parse.__name__ = kind.__name__  # argparse says "invalid int value" for a non-number
     return parse
 
 
@@ -78,8 +78,9 @@ def _int_list_of(item):
     return parse
 
 
-_SEED = _int_at_least(0)
-_SIZE = _int_at_least(1)
+_SEED = _checked(int, lambda value: value >= 0, "at least 0")
+_SIZE = _checked(int, lambda value: value >= 1, "at least 1")
+_FINITE_FLOAT = _checked(float, math.isfinite, "a finite number")
 
 
 def _sha256(path) -> str:
@@ -131,13 +132,13 @@ def _add_training_flags(p, max_epochs, patience):
     p.add_argument("--units1", type=int, default=32)
     p.add_argument("--units2", type=int, default=16)
     p.add_argument("--dense-units", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.2)
+    p.add_argument("--dropout", type=_FINITE_FLOAT, default=0.2)
     p.add_argument("--activation", choices=ACTIVATIONS, default="linear")
     p.add_argument("--max-epochs", type=int, default=max_epochs)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--patience", type=int, default=patience)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--mu", type=float, default=0.5)
+    p.add_argument("--lr", type=_FINITE_FLOAT, default=1e-3)
+    p.add_argument("--mu", type=_FINITE_FLOAT, default=0.5)
 
 
 def _load_params(path):
@@ -296,6 +297,8 @@ def read_records(path) -> list[PredictionRecord]:
                 # a variant without a physics or a residual part writes null
                 arrays = {name: None if obj[name] is None and name.endswith("_component")
                           else np.array(obj[name], dtype=float) for name in _RECORD_ARRAYS}
+                serialize.check_numbers([obj[k] for k, a in arrays.items() if a is not None], 2,
+                                        f"{path}:{lineno}: malformed record: an array")
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
             if not all(np.isfinite(a).all() for a in arrays.values() if a is not None):
@@ -413,17 +416,17 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--generator", choices=["idm", "newell_shift"], default="idm")
     p.add_argument("--platoons", type=int, default=10)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--wave-speed", type=float, default=4.0)
-    p.add_argument("--initial-gap", type=float, default=None)
+    p.add_argument("--delta", type=_FINITE_FLOAT, default=0.1)
+    p.add_argument("--noise-sigma", type=_FINITE_FLOAT, default=0.0)
+    p.add_argument("--wave-speed", type=_FINITE_FLOAT, default=4.0)
+    p.add_argument("--initial-gap", type=_FINITE_FLOAT, default=None)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="raw CSV -> samples file")
     p.add_argument("--config", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", type=_FINITE_FLOAT, default=0.1)
     p.add_argument("--k-vehicles", type=int, default=4)
     p.add_argument("--t-back", type=int, default=20)
     p.add_argument("--t-fwd", type=int, default=5)

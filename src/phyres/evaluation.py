@@ -46,10 +46,11 @@ class EvalReport:
         return asdict(self)
 
 
-def mse_metrics(records: list[PredictionRecord], truth,
-                delta: float) -> tuple[float, float]:
-    """Acceleration and speed MSE over all samples and horizon steps; the
-    truth is a batch (or a list) holding the records' samples, in any order."""
+def _squared_errors(records: list[PredictionRecord], truth,
+                    delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The squared acceleration and speed errors of the records, a row per
+    record and a column per horizon step; the truth is a batch (or a list)
+    holding the records' samples, in any order."""
     if not records:
         raise DataError("no prediction records to score")
     batch = SampleBatch.of(truth)
@@ -67,6 +68,14 @@ def mse_metrics(records: list[PredictionRecord], truth,
     v_true = reconstruct_speed(batch.ego_speed_at_t0[rows, None], accel, delta)
     sq_a = (accel - np.stack([r.predicted_accel for r in records])) ** 2
     sq_v = (v_true - np.stack([r.predicted_speed for r in records])) ** 2
+    return sq_a, sq_v
+
+
+def mse_metrics(records: list[PredictionRecord], truth,
+                delta: float) -> tuple[float, float]:
+    """Acceleration and speed MSE over all samples and horizon steps; the
+    truth is a batch (or a list) holding the records' samples, in any order."""
+    sq_a, sq_v = _squared_errors(records, truth, delta)
     return float(np.mean(sq_a)), float(np.mean(sq_v))
 
 
@@ -101,74 +110,56 @@ class SweepCell:
     seconds: float | None = None  # wall time of the cell; written to no output
 
 
-def _calibrate_subset(subset, sweep: SweepConfig, delta: float, seed: int
+def _calibrate_subset(subset, model: str, delta: float, seed: int
                       ) -> tuple[CalibrationReport | None, str | None]:
     """The one physics fit that a (size, seed)'s physics-using cells share;
     a failure is returned as its traceback, for each of those cells."""
     try:
-        calib_cfg = CalibrationConfig(model=sweep.physics_model,
-                                      sample_size=len(subset), repetitions=1,
-                                      seed=seed)
+        calib_cfg = CalibrationConfig(model=model, sample_size=len(subset),
+                                      repetitions=1, seed=seed)
         return monte_carlo_calibrate(subset, calib_cfg, delta), None
     except Exception:
         return None, traceback.format_exc()
 
 
-def _run_cell(subset, calibration: tuple[CalibrationReport | None, str | None],
-              dcfg: DatasetConfig, sweep: SweepConfig, tconf: TrainConfig | None,
-              variant: str, test, seed: int) -> SweepCell:
-    size = len(subset)
-    cell = SweepCell(variant=variant, data_size=size, seed=seed)
+def _run_cell(batch, test, delta: float, nconf: NetConfig | None, tconf: TrainConfig | None,
+              rows, calibration, variant: str, seed: int) -> SweepCell:
+    """The cell of ``variant`` on the train rows ``rows`` of ``batch``; the
+    net and training templates get the cell's seed and variant."""
+    started = time.perf_counter()
+    cell = SweepCell(variant=variant, data_size=len(rows), seed=seed)
     try:
+        subset = batch.take(rows)
         subset_ids = subset.sample_ids.tolist()
         # fixed-size inner split of the subset for validation during training
-        n_val = max(1, int(0.2 * size))
+        n_val = max(1, int(0.2 * len(rows)))
         inner = SplitIndex(train_ids=frozenset(subset_ids[:-n_val]),
                            val_ids=frozenset(subset_ids[-n_val:]),
                            test_ids=frozenset())
-        params = None
+        params = net = None
         if variant in PHYSICS_VARIANTS:
             cell.calib_report, cell.error = calibration
             if cell.error is not None:
                 return cell
-            params = make_params(sweep.physics_model,
+            params = make_params(cell.calib_report.model,
                                  cell.calib_report.per_repetition[0]["params"])
-        net = None
         if variant != "physics":
-            nconf = NetConfig(cell=sweep.cell, units1=sweep.units1,
-                              units2=sweep.units2, dense_units=sweep.dense_units,
-                              output_dim=dcfg.t_fwd,
-                              input_dim=3 * dcfg.k_vehicles,
-                              dropout=sweep.dropout,
-                              output_activation=sweep.output_activation,
-                              seed=seed)
             net, cell.train_report = train(subset, inner,
                                            replace(tconf, variant=variant, seed=seed),
-                                           nconf, dcfg.delta, params)
-        records = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
-        mse_a, mse_v = mse_metrics(records, test, dcfg.delta)
-        predicted = np.stack([r.predicted_accel for r in records])
-        per_sample = np.mean((test.ego_future_accel - predicted) ** 2, axis=1).tolist()
+                                           replace(nconf, seed=seed), delta, params)
+        records = predict_many(variant, test, delta=delta, params=params, net=net)
+        sq_a, sq_v = _squared_errors(records, test, delta)
+        mse_a, mse_v = float(np.mean(sq_a)), float(np.mean(sq_v))
         cell.eval_report = EvalReport(
-            variant=variant, data_size=size, seed=seed,
-            mse_a_test=mse_a, mse_v_test=mse_v,
-            per_sample_mse_a=per_sample,
-            collision_count=sum(r.collision_in_rollout for r in records),
-        )
+            variant=variant, data_size=len(rows), seed=seed, mse_a_test=mse_a,
+            mse_v_test=mse_v, per_sample_mse_a=np.mean(sq_a, axis=1).tolist(),
+            collision_count=sum(r.collision_in_rollout for r in records))
         if cell.train_report is not None:
             cell.train_report.test_metrics = {"mse_a_test": mse_a, "mse_v_test": mse_v}
     except Exception:
         cell.error = traceback.format_exc()
-    return cell
-
-
-def _timed_cell(shared: tuple, rows, calibration, variant: str, seed: int) -> SweepCell:
-    """The cell of ``variant`` on the train rows ``rows`` of the sweep's batch;
-    ``shared`` is (batch, test, dcfg, sweep, tconf)."""
-    batch, test, dcfg, sweep, tconf = shared
-    started = time.perf_counter()
-    cell = _run_cell(batch.take(rows), calibration, dcfg, sweep, tconf, variant, test, seed)
-    cell.seconds = time.perf_counter() - started
+    finally:
+        cell.seconds = time.perf_counter() - started
     return cell
 
 
@@ -181,7 +172,7 @@ def _hold(shared: tuple, jobs: list[tuple]) -> None:
 
 def _run_held_cell(index: int) -> SweepCell:
     shared, jobs = _held
-    return _timed_cell(shared, *jobs[index])
+    return _run_cell(*shared, *jobs[index])
 
 
 def _pool_cells(shared: tuple, jobs: list[tuple], workers: int, finish) -> None:
@@ -209,16 +200,20 @@ def _pool_cells(shared: tuple, jobs: list[tuple], workers: int, finish) -> None:
 def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
               on_cell=None) -> list[SweepCell]:
     """Run the (data_size x variant x seed) grid; cells never abort the
-    sweep, failures are recorded on the cell.  The training settings are
-    checked once, before any fit: a bad one is a ConfigError.
+    sweep, failures are recorded on the cell.  The net and training
+    settings are checked once, before any fit: a bad one is a ConfigError.
 
     The physics fits and the physics cells run in this process; the learned
     cells run in forked processes, one per CPU this process may run on and
     at most one per learned cell.  The cells do not depend on where they
     ran.  ``on_cell(cell)`` is called as each cell finishes."""
     learned = [v for v in sweep.variants if v != "physics"]
-    tconf = None
-    if learned:  # each cell replaces the variant and the seed
+    nconf = tconf = None
+    if learned:  # each cell replaces the seed, and the variant
+        nconf = NetConfig(cell=sweep.cell, units1=sweep.units1, units2=sweep.units2,
+                          dense_units=sweep.dense_units, output_dim=dcfg.t_fwd,
+                          input_dim=3 * dcfg.k_vehicles, dropout=sweep.dropout,
+                          output_activation=sweep.output_activation, seed=sweep.seeds[0])
         tconf = TrainConfig(variant=learned[0], seed=sweep.seeds[0],
                             max_epochs=sweep.max_epochs, batch_size=sweep.batch_size,
                             patience=sweep.patience, lr=sweep.lr, mu=sweep.mu)
@@ -233,7 +228,7 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
             f"largest data size {max(sweep.data_sizes)} exceeds the "
             f"{len(train_rows)}-sample train split")
     test = batch.take(by_id[np.isin(batch.sample_ids[by_id], list(split.test_ids))])
-    shared = (batch, test, dcfg, sweep, tconf)
+    shared = (batch, test, dcfg.delta, nconf, tconf)
     cells, jobs = [], []
 
     def finish(cell):
@@ -247,22 +242,31 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
             rows = shuffled[:size]
             calibration = (None, None)
             if any(v in PHYSICS_VARIANTS for v in sweep.variants):
-                calibration = _calibrate_subset(batch.take(rows), sweep, dcfg.delta, seed)
+                calibration = _calibrate_subset(batch.take(rows), sweep.physics_model,
+                                                dcfg.delta, seed)
             for variant in sweep.variants:
                 if variant in learned:
                     jobs.append((rows, calibration, variant, seed))
                 else:
-                    finish(_timed_cell(shared, rows, calibration, variant, seed))
+                    finish(_run_cell(*shared, rows, calibration, variant, seed))
     if jobs:  # the executor takes no fewer than one worker
         _pool_cells(shared, jobs, min(len(os.sched_getaffinity(0)), len(jobs)), finish)
     cells.sort(key=lambda c: (c.data_size, c.variant, c.seed))
     return cells
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """A CSV file of ``rows`` under ``header``; floats get 17 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def write_sweep_outputs(cells: list[SweepCell], outdir) -> list[str]:
     """Write per-cell reports plus the aggregate table; returns paths."""
-    paths = []
-    agg = []
+    paths, agg = [], []
     for c in cells:
         cell_dir = os.path.join(outdir, "sweep", c.variant, str(c.data_size), str(c.seed))
         os.makedirs(cell_dir, exist_ok=True)
@@ -283,13 +287,8 @@ def write_sweep_outputs(cells: list[SweepCell], outdir) -> list[str]:
     agg_json = os.path.join(outdir, "aggregate.json")
     serialize.write_json(agg_json, agg)
     agg_csv = os.path.join(outdir, "aggregate.csv")
-    with open(agg_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "data_size", "seed", "mse_a_test", "mse_v_test"])
-        for row in agg:
-            writer.writerow([row["variant"], row["data_size"], row["seed"],
-                             format(row["mse_a_test"], ".17g"),
-                             format(row["mse_v_test"], ".17g")])
+    _write_csv(agg_csv, ["variant", "data_size", "seed", "mse_a_test", "mse_v_test"],
+               [list(row.values()) for row in agg])
     paths.extend([agg_json, agg_csv])
     return paths
 
@@ -301,24 +300,11 @@ def emit_plot_data(cells: list[SweepCell], outdir) -> list[str]:
         raise DataError("no successful sweep cells to emit")
     os.makedirs(outdir, exist_ok=True)
     summary_path = os.path.join(outdir, "summary_long.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "data_size", "seed", "metric", "value"])
-        for c in ok:
-            for metric, value in (("mse_a_test", c.eval_report.mse_a_test),
-                                  ("mse_v_test", c.eval_report.mse_v_test)):
-                writer.writerow([c.variant, c.data_size, c.seed, metric,
-                                 format(value, ".17g")])
+    _write_csv(summary_path, ["variant", "data_size", "seed", "metric", "value"],
+               [[c.variant, c.data_size, c.seed, metric, getattr(c.eval_report, metric)]
+                for c in ok for metric in ("mse_a_test", "mse_v_test")])
     conv_path = os.path.join(outdir, "convergence.csv")
-    with open(conv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "data_size", "seed", "epoch",
-                         "mse_a_val", "mse_v_val"])
-        for c in ok:
-            if c.train_report is None:
-                continue
-            for row in c.train_report.per_epoch:
-                writer.writerow([c.variant, c.data_size, c.seed, row["epoch"],
-                                 format(row["mse_a_val"], ".17g"),
-                                 format(row["mse_v_val"], ".17g")])
+    _write_csv(conv_path, ["variant", "data_size", "seed", "epoch", "mse_a_val", "mse_v_val"],
+               [[c.variant, c.data_size, c.seed, r["epoch"], r["mse_a_val"], r["mse_v_val"]]
+                for c in ok if c.train_report is not None for r in c.train_report.per_epoch])
     return [summary_path, conv_path]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import math
 import os
 import re
@@ -384,22 +383,10 @@ def _parse_lines(path, shapes: dict, n_lines: int):
                 if arrays[name].shape != shape:
                     raise DataError(f"{path}:{lineno}: {name} has shape "
                                     f"{arrays[name].shape}, the header implies {shape}")
-                _check_numbers(obj[name], len(shape), f"{path}:{lineno}: {name}")
+                serialize.check_numbers(obj[name], len(shape), f"{path}:{lineno}: {name}")
             np.concatenate([a.ravel() for a in arrays.values()], out=row[1:])
             linenos.append(lineno)
     return matrix, lambda row: (f"{path}:{linenos[row]}", f"line {linenos[row]}")
-
-
-def _check_numbers(value, ndim: int, what: str) -> None:
-    """A DataError unless every leaf of ``value``, ``ndim`` nested lists
-    deep, is a JSON number: float() would read "8.5" and true as numbers."""
-    leaves = [value]
-    for _ in range(ndim):
-        leaves = itertools.chain.from_iterable(leaves)
-    kinds = set(map(type, leaves)) - {int, float}
-    if kinds:
-        kind = {str: "string", bool: "true or false"}.get(kinds.pop(), "null")
-        raise DataError(f"{what} holds a JSON {kind}, not a number")
 
 
 def _load_sidecar(sidecar: str, shapes: dict, n_lines: int):

@@ -441,6 +441,10 @@ def load_net(path) -> RecurrentNet:
                         f"{obj.get('format_version')!r}")
     try:
         cfg = NetConfig.from_dict(obj["net_config"])
+        serialize.check_numbers([t["values"] for t in obj["tensors"].values()], 2,
+                                f"{path}: a tensor")
+        serialize.check_numbers(list((obj.get("norm_stats") or {}).values()), 1,
+                                f"{path}: norm_stats")
         params = {name: np.array(t["values"], dtype=float).reshape(t["shape"])
                   for name, t in obj["tensors"].items()}
         stats = NormStats.from_dict(obj["norm_stats"]) if obj.get("norm_stats") else None

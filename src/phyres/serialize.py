@@ -7,6 +7,7 @@ this package promise >= 15 significant digits, so floats are rendered with
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -63,6 +64,19 @@ def json_slots(shape: tuple, slot: str = "%.17g") -> str:
     through a "%s" slot."""
     return ("[" + ",".join([json_slots(shape[1:], slot)] * shape[0]) + "]"
             if shape else slot)
+
+
+def check_numbers(value, ndim: int, what: str) -> None:
+    """A DataError unless every leaf of ``value``, ``ndim`` nested lists
+    deep, is a JSON number: float() would read "8.5" and true as numbers."""
+    leaves = [value]
+    for _ in range(ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    kinds = set(map(type, leaves)) - {int, float}
+    if kinds:
+        kind = {str: "string", bool: "true or false", type(None): "null"}.get(
+            kinds.pop(), "array or object")
+        raise DataError(f"{what} holds a JSON {kind}, not a number")
 
 
 def write_json(path, obj) -> None:

@@ -69,6 +69,27 @@ class TestExitCodes:
         assert err == ["usage error: argument --seed: must be at least 0, got -1"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--input", "{tmp}/c.csv", "--out", "{tmp}/s.jsonl", "--delta", "nan"],
+        ["synth", "--out", "{tmp}/c.csv", "--seed", "1", "--noise-sigma", "nan"],
+        ["synth", "--out", "{tmp}/c.csv", "--seed", "1", "--generator", "newell_shift",
+         "--wave-speed", "inf"],
+        ["synth", "--out", "{tmp}/c.csv", "--seed", "1", "--initial-gap", "inf"],
+        ["train", "--samples", "{tmp}/s.jsonl", "--out", "{tmp}/t", "--seed", "1",
+         "--variant", "nn", "--lr", "inf"],
+        ["sweep", "--samples", "{tmp}/s.jsonl", "--out", "{tmp}/w", "--seed", "1",
+         "--dropout", "NaN"],
+    ], ids=["extract-delta", "synth-noise-sigma", "synth-wave-speed", "synth-initial-gap",
+            "train-lr", "sweep-dropout"])
+    def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys, argv):
+        flag, value = argv[-2:]
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: argument {flag}: must be a finite number, "
+                       f"got {float(value)}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_gradcheck_success(self, capsys):
         assert run(["gradcheck", "--cell", "gru"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
@@ -204,7 +225,9 @@ class TestConfigFile:
          "generator: invalid choice: 'bogus' (choose from idm, newell_shift)"),
         ('{"seed": null}', "seed: expected a string or a number, got null"),
         ('{"seed": -3}', "seed: must be at least 0, got -3"),
-    ], ids=["fractional-int", "overflow", "string", "bad-choice", "null", "negative-seed"])
+        ('{"seed": 1, "noise_sigma": 1e999}', "noise_sigma: must be a finite number, got inf"),
+    ], ids=["fractional-int", "overflow", "string", "bad-choice", "null", "negative-seed",
+            "overflow-float"])
     def test_ill_typed_config_value_is_usage_error(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -464,14 +487,30 @@ class TestPipeline:
         assert "max_epochs must be >= 1" in _one_error_line(capsys)
         assert not fits and not out.exists()
 
-    def test_sweep_partial_failure_exit_code(self, workspace, tmp_path, capsys):
+    def test_sweep_bad_net_setting_fails_before_any_fit(self, workspace, tmp_path, capsys,
+                                                         monkeypatch):
         _, _, samples = workspace
+        fits = []
+        monkeypatch.setattr(evaluation, "monte_carlo_calibrate", lambda *a: fits.append(a))
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run(["sweep", "--samples", str(samples), "--out", str(out),
+                    "--seed", "0", "--data-sizes", "40", "--units1", "0"]) == 2
+        assert _one_error_line(capsys) == "error: units1 must be >= 1"
+        assert not fits and not out.exists()
+
+    def test_sweep_partial_failure_exit_code(self, workspace, tmp_path, capsys, monkeypatch):
+        _, _, samples = workspace
+
+        def failing(*args):
+            raise RuntimeError("training diverged")
+
+        monkeypatch.setattr(evaluation, "train", failing)  # the forked workers inherit it
         out = tmp_path / "sweep_fail"
         capsys.readouterr()
         assert run(["sweep", "--samples", str(samples), "--out", str(out),
                     "--seed", "0", "--variants", "physics,nn",
-                    "--data-sizes", "20", "--model", "idm",
-                    "--units1", "0", "--max-epochs", "1"]) == 4
+                    "--data-sizes", "20", "--model", "idm", "--max-epochs", "1"]) == 4
         lines = sorted(capsys.readouterr().err.splitlines())
         assert re.fullmatch(r"cell nn/20/0 in \S+ s: failed", lines[0])
         assert re.fullmatch(r"cell physics/20/0 in \S+ s: mse_a_test \S+", lines[1])
@@ -693,8 +732,12 @@ class TestArtifactMismatch:
         lambda obj: dict(obj, sample_id=str(obj["sample_id"])),
         lambda obj: dict(obj, collision_in_rollout="no"),
         lambda obj: dict(obj, collision_in_rollout=0),
+        lambda obj: dict(obj, predicted_speed=[str(v) for v in obj["predicted_speed"]]),
+        lambda obj: dict(obj, predicted_accel=[True] + obj["predicted_accel"][1:]),
+        lambda obj: dict(obj, predicted_accel=None),
     ], ids=["not-object", "missing-key", "non-numeric", "infinite-id", "fractional-id",
-            "string-id", "string-collision", "number-collision"])
+            "string-id", "string-collision", "number-collision", "numeric-string",
+            "bool-value", "null-array"])
     def test_malformed_record_is_data_error(self, artifacts, edit, tmp_path, capsys):
         samples, _, _, weights = artifacts
         preds = tmp_path / "p.jsonl"
@@ -750,8 +793,13 @@ class TestArtifactMismatch:
         lambda obj: _with_out_b(obj, float("nan")),  # written as NaN
         lambda obj: _with_out_b(obj, "1e999"),
         lambda obj: dict(obj, norm_stats=dict(obj["norm_stats"], speed_std="1e999")),
+        lambda obj: _with_out_b(obj, "0.5"),
+        lambda obj: _with_out_b(obj, True),
+        lambda obj: dict(obj, norm_stats=dict(obj["norm_stats"], accel_std="0.5")),
+        lambda obj: dict(obj, norm_stats=dict(obj["norm_stats"], accel_std=True)),
     ], ids=["not-object", "no-net-config", "no-tensors", "values-misfit-shape",
-            "nan-token", "overflow", "overflow-norm-stat"])
+            "nan-token", "overflow", "overflow-norm-stat", "string-value", "bool-value",
+            "string-norm-stat", "bool-norm-stat"])
     def test_malformed_weights_is_data_error(self, artifacts, edit, tmp_path, capsys):
         samples, _, _, weights = artifacts
         bad = tmp_path / "weights.json"

@@ -96,17 +96,24 @@ class TestSweep:
         with pytest.raises(ConfigError, match=f"^data size {size} is below 1$"):
             run_sweep(samples, dcfg, sweep)
 
-    def test_failed_cell_recorded_not_raised(self, small_idm_corpus):
+    def test_failed_cell_recorded_not_raised(self, small_idm_corpus, monkeypatch):
         samples, dcfg, _ = small_idm_corpus
-        # a zero-width layer fails inside the cell, not at sweep setup
+
+        def failing(*args):
+            raise RuntimeError("training diverged")
+
+        # the forked workers inherit the patched module
+        monkeypatch.setattr(evaluation, "train", failing)
         sweep = SweepConfig(variants=("nn",), data_sizes=(20,), seeds=(0,),
-                            physics_model="idm", max_epochs=1, units1=0)
+                            physics_model="idm", max_epochs=1)
         cells = run_sweep(samples, dcfg, sweep)
         assert len(cells) == 1
-        assert cells[0].error is not None
+        assert "RuntimeError: training diverged" in cells[0].error
         assert cells[0].eval_report is None
+        assert cells[0].seconds > 0.0
 
-    @pytest.mark.parametrize("setting", [{"max_epochs": 0}, {"mu": 2.0}, {"patience": 0}])
+    @pytest.mark.parametrize("setting", [{"max_epochs": 0}, {"mu": 2.0}, {"patience": 0},
+                                         {"units1": 0}])
     def test_bad_training_setting_raised_before_any_fit(self, small_idm_corpus,
                                                         monkeypatch, setting):
         samples, dcfg, _ = small_idm_corpus

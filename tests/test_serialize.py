@@ -85,3 +85,17 @@ def test_array_round_trip(values):
 def test_deterministic_output():
     obj = {"b": 2.0, "a": [1, math.pi]}
     assert serialize.dumps(obj) == serialize.dumps(obj)
+
+
+def test_check_numbers_accepts_json_numbers():
+    serialize.check_numbers([[1, 2.5], [-0.0, 3]], 2, "m")
+    serialize.check_numbers([], 1, "empty")
+
+
+@pytest.mark.parametrize("value, kind", [
+    (["8.5"], "string"), ([True], "true or false"), ([None], "null"),
+    ([[1.0]], "array or object"), ([{"a": 1}], "array or object"),
+])
+def test_check_numbers_names_the_first_non_number_kind(value, kind):
+    with pytest.raises(DataError, match=f"^where holds a JSON {kind}, not a number$"):
+        serialize.check_numbers(value, 1, "where")
