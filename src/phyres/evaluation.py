@@ -16,10 +16,11 @@ import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from . import serialize
+from . import forkpool, serialize
 from .calibrate import CalibrationConfig, CalibrationReport, make_params, monte_carlo_calibrate
 from .domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
 from .errors import ConfigError, DataError
@@ -163,40 +164,6 @@ def _run_cell(batch, test, delta: float, nconf: NetConfig | None, tconf: TrainCo
     return cell
 
 
-_held: list = []  # in a pool worker: the sweep's shared inputs and its jobs
-
-
-def _hold(shared: tuple, jobs: list[tuple]) -> None:
-    _held[:] = [shared, jobs]
-
-
-def _run_held_cell(index: int) -> SweepCell:
-    shared, jobs = _held
-    return _run_cell(*shared, *jobs[index])
-
-
-def _pool_cells(shared: tuple, jobs: list[tuple], workers: int, finish) -> None:
-    """Run each job's cell in a pool of forked workers and pass it to
-    ``finish`` as it comes back; a worker that dies fails each cell that had
-    not come back.  Forked workers inherit the inputs and phyres as
-    imported, so nothing is pickled out and nothing is imported again; the
-    executor forks them all before it starts its own thread."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_hold, initargs=(shared, jobs)) as pool:
-        futures = {pool.submit(_run_held_cell, i): job for i, job in enumerate(jobs)}
-        for future in as_completed(futures):
-            try:
-                cell = future.result()
-            except Exception:  # the result was lost, not the cell's own failure
-                rows, _, variant, seed = futures[future]
-                cell = SweepCell(variant=variant, data_size=len(rows), seed=seed,
-                                 error=traceback.format_exc())
-            finish(cell)
-
-
 def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
               on_cell=None) -> list[SweepCell]:
     """Run the (data_size x variant x seed) grid; cells never abort the
@@ -228,7 +195,7 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
             f"largest data size {max(sweep.data_sizes)} exceeds the "
             f"{len(train_rows)}-sample train split")
     test = batch.take(by_id[np.isin(batch.sample_ids[by_id], list(split.test_ids))])
-    shared = (batch, test, dcfg.delta, nconf, tconf)
+    run_cell = partial(_run_cell, batch, test, dcfg.delta, nconf, tconf)
     cells, jobs = [], []
 
     def finish(cell):
@@ -248,9 +215,15 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
                 if variant in learned:
                     jobs.append((rows, calibration, variant, seed))
                 else:
-                    finish(_run_cell(*shared, rows, calibration, variant, seed))
-    if jobs:  # the executor takes no fewer than one worker
-        _pool_cells(shared, jobs, min(len(os.sched_getaffinity(0)), len(jobs)), finish)
+                    finish(run_cell(rows, calibration, variant, seed))
+    for i, future in forkpool.completed(run_cell, jobs):
+        try:
+            cell = future.result()
+        except Exception:  # the result was lost, not the cell's own failure
+            rows, _, variant, seed = jobs[i]
+            cell = SweepCell(variant=variant, data_size=len(rows), seed=seed,
+                             error=traceback.format_exc())
+        finish(cell)
     cells.sort(key=lambda c: (c.data_size, c.variant, c.seed))
     return cells
 

@@ -346,8 +346,9 @@ def _parse_header(path, line: bytes) -> dict:
             f"expected {SAMPLE_FORMAT_VERSION}"
         )
     try:
-        k, tb, tf = (int(header[key]) for key in ("k_vehicles", "t_back", "t_fwd"))
-        delta = float(header["delta"])
+        k, tb, tf = (serialize.json_number(header, key, int)
+                     for key in ("k_vehicles", "t_back", "t_fwd"))
+        delta = serialize.json_number(header, "delta")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{path}:1: bad header: {exc!r}") from exc
     if k < 2 or tb < 1 or tf < 1 or not 0 < delta < math.inf:

@@ -59,10 +59,12 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        return cls(cell=d["cell"], units1=int(d["units1"]), units2=int(d["units2"]),
-                   dense_units=int(d["dense_units"]), output_dim=int(d["output_dim"]),
-                   input_dim=int(d["input_dim"]), dropout=float(d["dropout"]),
-                   output_activation=d["output_activation"], seed=int(d["seed"]))
+        """The config of ``to_dict``; a number that is no JSON number of its
+        field's kind is a ValueError."""
+        ints = {k: serialize.json_number(d, k, int) for k in
+                ("units1", "units2", "dense_units", "output_dim", "input_dim", "seed")}
+        return cls(cell=d["cell"], dropout=serialize.json_number(d, "dropout"),
+                   output_activation=d["output_activation"], **ints)
 
 
 @dataclass

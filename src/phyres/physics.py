@@ -23,6 +23,7 @@ from .domain import SampleBatch, TrajectorySample
 from .errors import ConfigError, NumericError
 
 ROLLOUT_GAP_FLOOR = 0.1  # m; used when a rollout gap collapses
+IDM_GAP_ERROR = "IDM requires a positive gap"
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,12 @@ def idm_accel(v, dv, gap, params: IdmParams):
     Accepts scalars or equally-shaped arrays.
     """
     if np.any(np.asarray(gap) <= 0):
-        raise NumericError("IDM requires a positive gap")
+        raise NumericError(IDM_GAP_ERROR)
+    return _idm_unchecked(v, dv, gap, params)
+
+
+def _idm_unchecked(v, dv, gap, params: IdmParams):
+    """``idm_accel`` for a gap already checked to be positive."""
     s_star = params.s0 + params.t_gap * v - v * dv / (2.0 * np.sqrt(params.a_max * params.b_comf))
     return params.a_max * (1.0 - (v / params.v_free) ** 4 - (s_star / gap) ** 2)
 
@@ -174,7 +180,8 @@ def rollout_batch(batch: SampleBatch, params: PhysicsParams,
 @dataclass(frozen=True)
 class OneStepInputs:
     """What a first-future-step prediction reads of a batch, sliced once:
-    a fit builds them once and every objective call reuses them."""
+    a fit builds them once and every objective call reuses them, IDM's
+    positive-gap check included."""
 
     lead_hist_accel: np.ndarray  # (n, K-1, t_back) the leaders' histories
     dist_t0: np.ndarray          # (n, K-1) each leader's distance ahead of the ego at t0
@@ -182,6 +189,7 @@ class OneStepInputs:
     dv: np.ndarray               # (n,) ego minus immediate-leader speed at t0
     gap: np.ndarray              # (n,) immediate-leader gap at t0
     target: np.ndarray           # (n,) the realized ego_future_accel[:, 0]
+    gap_closed: bool             # some gap is not positive: IDM cannot predict
 
     @classmethod
     def of(cls, samples) -> "OneStepInputs":
@@ -191,9 +199,10 @@ class OneStepInputs:
         batch = SampleBatch.of(samples)
         pos_t0 = batch.hist_position[:, :, -1]  # (n, K)
         v = batch.ego_speed_at_t0
+        gap = pos_t0[:, -2] - pos_t0[:, -1]
         return cls(batch.hist_accel[:, :-1], pos_t0[:, :-1] - pos_t0[:, -1:], v,
-                   v - batch.hist_speed[:, -2, -1], pos_t0[:, -2] - pos_t0[:, -1],
-                   batch.ego_future_accel[:, 0])
+                   v - batch.hist_speed[:, -2, -1], gap, batch.ego_future_accel[:, 0],
+                   bool(np.any(gap <= 0)))
 
 
 def one_step_batch(samples, params: PhysicsParams, delta: float) -> np.ndarray:
@@ -203,5 +212,7 @@ def one_step_batch(samples, params: PhysicsParams, delta: float) -> np.ndarray:
     if isinstance(params, NewellParams):
         return newell_predict_batch(x.lead_hist_accel, x.dist_t0 / params.w, 1, delta)[:, 0]
     if isinstance(params, IdmParams):
-        return idm_accel(x.v, x.dv, x.gap, params)
+        if x.gap_closed:
+            raise NumericError(IDM_GAP_ERROR)
+        return _idm_unchecked(x.v, x.dv, x.gap, params)
     return fvd_accel(x.v, x.dv, x.gap, params)

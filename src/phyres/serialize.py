@@ -79,6 +79,16 @@ def check_numbers(value, ndim: int, what: str) -> None:
         raise DataError(f"{what} holds a JSON {kind}, not a number")
 
 
+def json_number(obj: dict, key: str, kind: type = float):
+    """``obj[key]`` as ``kind`` if it is a JSON number (an integer for int),
+    else a ValueError: int() and float() would read "8" and true."""
+    value = obj[key]
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        raise ValueError(f"{key} is {value!r}, not a JSON "
+                         f"{'integer' if kind is int else 'number'}")
+    return kind(value)
+
+
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,21 @@ from phyres.physics import IdmParams
 # Reference parameter set used across calibration and generation tests.
 IDM_TRUE = IdmParams(v_free=22.495, a_max=0.911, b_comf=2.859,
                      s0=1.627, t_gap=1.132)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_sample(sample_id=0, k=3, tb=6, tf=4, seed=0, delta=0.1):

@@ -1,12 +1,16 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from conftest import IDM_TRUE, make_sample
+from conftest import IDM_TRUE, make_sample, time_limit
+from phyres import calibrate, cli, forkpool, serialize
 from phyres.calibrate import (CalibrationConfig, calibration_objective,
                               fit_physics, make_params, monte_carlo_calibrate,
                               params_to_dict, DEFAULT_BOUNDS)
 from phyres.domain import DatasetConfig, SampleBatch
-from phyres.errors import ConfigError, NumericError
+from phyres.errors import CalibrationError, ConfigError, NumericError
 from phyres.ingest import extract_samples, parse_trajectory_csv
 from phyres.physics import (FvdParams, IdmParams, NewellParams, OneStepInputs, fvd_accel,
                             idm_accel, newell_predict_batch, one_step_batch)
@@ -102,6 +106,18 @@ class TestObjective:
             assert np.isfinite(expected)
             assert calibration_objective(inputs, params, DELTA) == expected
             assert calibration_objective(batch, params, DELTA) == expected
+
+    def test_idm_gap_checked_when_inputs_are_built(self):
+        samples = [make_sample(k=2, tb=6, tf=3, seed=i) for i in range(4)]
+        assert not OneStepInputs.of(samples).gap_closed
+        samples[2].hist_position[0, -1] = samples[2].hist_position[1, -1]  # zero t0 gap
+        inputs = OneStepInputs.of(samples)
+        assert inputs.gap_closed
+        for given in (samples, SampleBatch.of(samples), inputs):
+            with pytest.raises(NumericError, match="^IDM requires a positive gap$"):
+                one_step_batch(given, IDM_TRUE, DELTA)
+        fvd = make_params("fvd", {"kappa": 0.4, "lam": 0.6})
+        assert np.isfinite(one_step_batch(inputs, fvd, DELTA)).all()
 
     @pytest.mark.parametrize("params", [
         IDM_TRUE, make_params("fvd", {"kappa": 0.4, "lam": 0.6}), NewellParams(w=4.0)])
@@ -224,3 +240,112 @@ class TestMonteCarlo:
         obj = json.loads(path.read_text())
         assert obj["model"] == "newell"
         assert len(obj["per_repetition"]) == 2
+
+
+def _draw_ids(samples, cfg, rep):
+    """The sample ids of repetition ``rep``'s draw."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, rep]))
+    return sorted(samples.sample_ids[rng.choice(len(samples), size=cfg.sample_size,
+                                                replace=False)].tolist())
+
+
+class TestCalibrationPool:
+    """IDM and FVD repetitions run in forked workers when two CPUs are free;
+    the report does not depend on it."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_outlives_the_case(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("model", ["idm", "fvd"])
+    def test_report_does_not_depend_on_cpus(self, newell_samples, monkeypatch, model):
+        cfg = CalibrationConfig(model=model, sample_size=40, repetitions=3, seed=9,
+                                nm_restarts=2, nm_maxiter=40)
+        pools = []
+        completed = forkpool.completed
+
+        def spy(fn, jobs):
+            pools.append(len(jobs))
+            return completed(fn, jobs)
+
+        monkeypatch.setattr(forkpool, "completed", spy)
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            reports.append(serialize.dumps(
+                monte_carlo_calibrate(newell_samples, cfg, DELTA).to_dict()))
+        assert pools == [3]
+        assert reports[0] == reports[1]
+
+    def test_lowest_failing_repetition_raises(self, newell_samples, monkeypatch):
+        cfg = CalibrationConfig(model="fvd", sample_size=30, repetitions=3, seed=4,
+                                nm_restarts=1, nm_maxiter=20)
+        failing = {tuple(_draw_ids(newell_samples, cfg, rep)): rep for rep in (1, 2)}
+        fit = calibrate.fit_physics
+
+        def fit_or_fail(samples, *args, **kwargs):
+            rep = failing.get(tuple(sorted(samples.sample_ids.tolist())))
+            if rep is not None:
+                raise CalibrationError(f"fit {rep} failed")
+            return fit(samples, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "fit_physics", fit_or_fail)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            with pytest.raises(CalibrationError) as caught:
+                monte_carlo_calibrate(newell_samples, cfg, DELTA)
+            assert str(caught.value) == "repetition 1: fit 1 failed"
+
+    def test_non_positive_gap_is_numeric_error(self, monkeypatch):
+        samples = [make_sample(sample_id=i, k=2, tb=6, tf=3, seed=i) for i in range(6)]
+        samples[3].hist_position[0, -1] = samples[3].hist_position[1, -1]  # zero t0 gap
+        cfg = CalibrationConfig(model="idm", sample_size=6, repetitions=2, seed=0)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            with pytest.raises(NumericError) as caught:
+                monte_carlo_calibrate(SampleBatch.of(samples), cfg, DELTA)
+            assert type(caught.value) is NumericError
+            assert str(caught.value) == "IDM requires a positive gap"
+
+    def test_dead_worker_names_its_repetition(self, newell_samples, tmp_path, capsys,
+                                              monkeypatch):
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("an idm repetition ran in the calling process")
+            os._exit(9)
+
+        monkeypatch.setattr(calibrate, "fit_physics", die)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = CalibrationConfig(model="idm", sample_size=20, repetitions=3, seed=0)
+        with time_limit(60), pytest.raises(CalibrationError,
+                                           match=r"^repetition 0: .*terminated abruptly"):
+            monte_carlo_calibrate(newell_samples, cfg, DELTA)
+        assert multiprocessing.active_children() == []
+
+        corpus, samples = tmp_path / "corpus.csv", tmp_path / "samples.jsonl"
+        assert cli.main(["synth", "--out", str(corpus), "--seed", "2",
+                         "--platoons", "3"]) == 0
+        assert cli.main(["extract", "--input", str(corpus), "--out", str(samples)]) == 0
+        capsys.readouterr()
+        with time_limit(60):
+            assert cli.main(["calibrate", "--samples", str(samples), "--seed", "0",
+                             "--out", str(tmp_path / "c.json"), "--model", "idm",
+                             "--sample-size", "20"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: repetition 0: "), err
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("model, repetitions", [("newell", 3), ("idm", 1)])
+    def test_no_pool(self, newell_samples, monkeypatch, model, repetitions):
+        def no_pool(fn, jobs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(forkpool, "completed", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = CalibrationConfig(model=model, sample_size=30, repetitions=repetitions,
+                                seed=1, nm_restarts=1, nm_maxiter=20)
+        report = monte_carlo_calibrate(newell_samples, cfg, DELTA)
+        assert len(report.per_repetition) == repetitions

@@ -1,16 +1,15 @@
-import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
 import re
 import shutil
-import signal
 
 import numpy as np
 import pytest
 
 from conftest import LINE_CORRUPTIONS, SIDECAR_CORRUPTIONS, corrupt_line, corrupt_sidecar
+from conftest import time_limit as _time_limit
 from phyres import cli, evaluation, serialize
 from phyres.cli import _write_records, main, read_records
 from phyres.domain import DatasetConfig
@@ -537,21 +536,6 @@ class TestPipeline:
         assert got["mse_v_test"] == cell.eval_report.mse_v_test
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _with_out_b(weights: dict, value) -> dict:
     """A weights object whose output biases all hold ``value``."""
     out_b = weights["tensors"]["out_b"]
@@ -797,9 +781,15 @@ class TestArtifactMismatch:
         lambda obj: _with_out_b(obj, True),
         lambda obj: dict(obj, norm_stats=dict(obj["norm_stats"], accel_std="0.5")),
         lambda obj: dict(obj, norm_stats=dict(obj["norm_stats"], accel_std=True)),
+        lambda obj: dict(obj, net_config=dict(obj["net_config"], units1="4")),
+        lambda obj: dict(obj, net_config=dict(obj["net_config"], units1=4.5)),
+        lambda obj: dict(obj, net_config=dict(obj["net_config"], seed=True)),
+        lambda obj: dict(obj, net_config=dict(obj["net_config"], dropout="0.2")),
+        lambda obj: dict(obj, net_config=dict(obj["net_config"], dropout=False)),
     ], ids=["not-object", "no-net-config", "no-tensors", "values-misfit-shape",
             "nan-token", "overflow", "overflow-norm-stat", "string-value", "bool-value",
-            "string-norm-stat", "bool-norm-stat"])
+            "string-norm-stat", "bool-norm-stat", "string-int-config", "fractional-int-config",
+            "bool-int-config", "string-float-config", "bool-float-config"])
     def test_malformed_weights_is_data_error(self, artifacts, edit, tmp_path, capsys):
         samples, _, _, weights = artifacts
         bad = tmp_path / "weights.json"
@@ -810,6 +800,24 @@ class TestArtifactMismatch:
         assert run(["predict", "--samples", str(samples), "--out", str(tmp_path / "p.jsonl"),
                     "--variant", "nn", "--weights", str(bad)]) == 2
         assert str(bad) in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta", '"0.10000000000000001"'), ("t_fwd", '"5"'), ("t_back", "true"),
+        ("k_vehicles", "4.0")])
+    def test_non_number_header_is_data_error(self, workspace, key, value, tmp_path, capsys):
+        _, _, samples = workspace
+        header, rest = samples.read_text().split("\n", 1)
+        obj = json.loads(header)
+        obj[key] = "VALUE"
+        bad = tmp_path / "samples.jsonl"
+        bad.write_text(json.dumps(obj).replace('"VALUE"', value) + "\n" + rest)
+        capsys.readouterr()
+        assert run(["calibrate", "--samples", str(bad), "--out", str(tmp_path / "c.json"),
+                    "--seed", "0", "--model", "newell", "--sample-size", "20",
+                    "--repetitions", "1"]) == 2
+        line = _one_error_line(capsys)
+        assert f"{bad}:1: bad header" in line and f"{key} is " in line
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("content, detail", [
         ('{"model": "newell"}', "not a calibration report"),
