@@ -22,6 +22,12 @@ and variance.  IDM and FVD fit them in ``forkpool`` workers, one per CPU
 and at most one per repetition, when that makes two or more; a Newell fit
 (about 4 ms) stays in-process, as forking a pool costs 11-15 ms.  Neither the report nor the error (that of
 the lowest failing repetition) depends on where the repetitions ran.
+
+scipy (``minimize``, ``expit``) is imported by the first IDM or FVD fit
+only, so that a command that fits newell, or nothing, never loads it.  A
+pooled calibration imports it in the calling process before the pool
+forks: the workers then inherit it, where each would otherwise import it
+again, which costs more than the fits it runs.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from . import forkpool, serialize
 from .domain import SampleBatch
@@ -126,8 +130,12 @@ def _box_to_unbounded(x, lo, hi):
     return np.log(frac / (1.0 - frac))
 
 
-def _unbounded_to_box(u, lo, hi):
-    return lo + (hi - lo) * expit(u)
+def _nelder_mead():
+    """scipy's ``minimize`` and ``expit``, imported on the first call: see
+    the module docstring."""
+    from scipy.optimize import minimize
+    from scipy.special import expit
+    return minimize, expit
 
 
 def fit_physics(samples, config: CalibrationConfig,
@@ -161,8 +169,13 @@ def fit_physics(samples, config: CalibrationConfig,
             raise CalibrationError("all wave-speed candidates produced non-finite errors")
         return NewellParams(float(w_star)), f_star
 
+    minimize, expit = _nelder_mead()
+
+    def to_box(u):
+        return lo + (hi - lo) * expit(u)
+
     def obj_u(u):
-        return obj_vec(_unbounded_to_box(u, lo, hi))
+        return obj_vec(to_box(u))
 
     nm_options = {"xatol": NM_XATOL, "fatol": float("inf"),
                   "maxiter": config.nm_maxiter, "maxfev": 4 * config.nm_maxiter}
@@ -181,7 +194,7 @@ def fit_physics(samples, config: CalibrationConfig,
         res = minimize(obj_u, best_u, method="Nelder-Mead", options=nm_options)
         if np.isfinite(res.fun) and res.fun < best_f:
             best_f, best_u = float(res.fun), res.x
-    return params_of(*_unbounded_to_box(best_u, lo, hi)), best_f
+    return params_of(*to_box(best_u)), best_f
 
 
 @dataclass
@@ -225,6 +238,7 @@ def monte_carlo_calibrate(train_samples, config: CalibrationConfig,
     if config.model == "newell" or forkpool.workers(len(jobs)) < 2:
         per_rep = [_repetition(*job) for job in jobs]
     else:
+        _nelder_mead()  # import scipy before the fork, or every worker imports it
         done = dict(forkpool.completed(_repetition, jobs))
         per_rep = []
         for rep in range(config.repetitions):  # in order: the lowest failing one raises

@@ -69,10 +69,13 @@ def _checked(kind, holds, rule: str):
 
 
 def _int_list_of(item):
-    """An argparse type: a comma list of ``item`` values, kept as its text."""
+    """An argparse type: a comma list of distinct ``item`` values, kept as
+    its text."""
     def parse(text):
-        for tok in text.split(","):
-            item(tok)
+        values = [item(tok) for tok in text.split(",")]
+        for i, value in enumerate(values):
+            if value in values[:i]:  # it would run the same sweep cells twice
+                raise argparse.ArgumentTypeError(f"repeated value {value}")
         return text
     parse.__name__ = "comma list of int"
     return parse
@@ -364,10 +367,12 @@ def _print_cell(cell):
 def _cmd_sweep(args):
     started = time.monotonic()
     variants = tuple(args.variants.split(","))
-    for v in variants:
+    for i, v in enumerate(variants):
         if v not in VARIANTS:
             raise UsageError(f"argument --variants: invalid choice: {v!r} "
                              f"(choose from {', '.join(VARIANTS)})")
+        if v in variants[:i]:
+            raise UsageError(f"argument --variants: repeated value {v!r}")
     data_sizes = tuple(map(int, args.data_sizes.split(",")))
     seeds = tuple(map(int, args.seeds.split(","))) if args.seeds else (args.seed,)
     samples, header = read_samples(args.samples)
@@ -415,7 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--generator", choices=["idm", "newell_shift"], default="idm")
-    p.add_argument("--platoons", type=int, default=10)
+    p.add_argument("--platoons", type=_SIZE, default=10)
     p.add_argument("--delta", type=_FINITE_FLOAT, default=0.1)
     p.add_argument("--noise-sigma", type=_FINITE_FLOAT, default=0.0)
     p.add_argument("--wave-speed", type=_FINITE_FLOAT, default=4.0)

@@ -62,6 +62,8 @@ class SynthConfig:
             raise ConfigError("newell_shift generator needs NewellParams")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
+        if self.n_platoons < 1:
+            raise ConfigError("need at least 1 platoon")
         if self.vehicles_per_platoon < 2:
             raise ConfigError("need at least 2 vehicles per platoon")
         if self.duration_steps < 2:

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phyres
 from phyres.domain import DatasetConfig, TrajectorySample
 from phyres.physics import IdmParams
 
@@ -31,6 +35,18 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_fresh(script: str, *args: str, cwd=None) -> str:
+    """Run ``script`` with ``args`` in a new interpreter that imports this
+    phyres; returns its stdout, and fails the test unless it exits 0."""
+    src = str(Path(phyres.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def make_sample(sample_id=0, k=3, tb=6, tf=4, seed=0, delta=0.1):

@@ -1,22 +1,25 @@
+import json
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from conftest import IDM_TRUE, make_sample, time_limit
+from conftest import IDM_TRUE, make_sample, run_fresh, time_limit
 from phyres import calibrate, cli, forkpool, serialize
 from phyres.calibrate import (CalibrationConfig, calibration_objective,
                               fit_physics, make_params, monte_carlo_calibrate,
                               params_to_dict, DEFAULT_BOUNDS)
 from phyres.domain import DatasetConfig, SampleBatch
 from phyres.errors import CalibrationError, ConfigError, NumericError
-from phyres.ingest import extract_samples, parse_trajectory_csv
+from phyres.ingest import extract_samples, parse_trajectory_csv, write_samples
 from phyres.physics import (FvdParams, IdmParams, NewellParams, OneStepInputs, fvd_accel,
                             idm_accel, newell_predict_batch, one_step_batch)
 from phyres.synth import LeadProfile, SynthConfig, generate_corpus
 
 DELTA = 0.1
+NEWELL_DCFG = DatasetConfig(delta=DELTA, k_vehicles=4, t_back=50, t_fwd=1,
+                            omega_train=0.6, omega_val=0.2, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +34,7 @@ def newell_samples(tmp_path_factory):
                             osc_amp=0.3, accel_cap=1.0, base_jump_max=0.8),
     )
     generate_corpus(cfg, csv_path)
-    dcfg = DatasetConfig(delta=DELTA, k_vehicles=4, t_back=50, t_fwd=1,
-                         omega_train=0.6, omega_val=0.2, seed=0)
-    return extract_samples(parse_trajectory_csv(csv_path, DELTA), dcfg)
+    return extract_samples(parse_trajectory_csv(csv_path, DELTA), NEWELL_DCFG)
 
 
 class TestConfig:
@@ -236,7 +237,6 @@ class TestMonteCarlo:
         report = monte_carlo_calibrate(newell_samples, cfg, DELTA)
         path = tmp_path / "report.json"
         report.write_json(path)
-        import json
         obj = json.loads(path.read_text())
         assert obj["model"] == "newell"
         assert len(obj["per_repetition"]) == 2
@@ -338,6 +338,18 @@ class TestCalibrationPool:
         assert len(err) == 1 and err[0].startswith("numeric error: repetition 0: "), err
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("model", ["idm", "fvd"])
+    def test_scipy_loaded_before_the_fork(self, newell_samples, tmp_path, model):
+        # a new interpreter, as this one has imported scipy already
+        cfg = dict(model=model, sample_size=30, repetitions=2, seed=3,
+                   nm_restarts=1, nm_maxiter=20)
+        write_samples(newell_samples, tmp_path / "s.jsonl", NEWELL_DCFG)
+        got = run_fresh(SCIPY_BEFORE_FORK_SCRIPT, str(tmp_path / "s.jsonl"), json.dumps(cfg))
+        loaded, report = got.splitlines()
+        assert loaded == "[True]"  # one pool, forked once scipy.optimize was imported
+        assert report == serialize.dumps(monte_carlo_calibrate(
+            newell_samples, CalibrationConfig(**cfg), DELTA).to_dict())
+
     @pytest.mark.parametrize("model, repetitions", [("newell", 3), ("idm", 1)])
     def test_no_pool(self, newell_samples, monkeypatch, model, repetitions):
         def no_pool(fn, jobs):
@@ -349,3 +361,29 @@ class TestCalibrationPool:
                                 seed=1, nm_restarts=1, nm_maxiter=20)
         report = monte_carlo_calibrate(newell_samples, cfg, DELTA)
         assert len(report.per_repetition) == repetitions
+
+
+# Calibrates the samples file argv[1] as the CalibrationConfig fields argv[2]
+# say, on two CPUs; prints, for each pool started, whether scipy.optimize was
+# imported when it started, then the report.
+SCIPY_BEFORE_FORK_SCRIPT = """
+import json, os, sys
+from phyres import forkpool, serialize
+from phyres.calibrate import CalibrationConfig, monte_carlo_calibrate
+from phyres.ingest import read_samples
+
+assert "scipy.optimize" not in sys.modules
+os.sched_getaffinity = lambda pid: {0, 1}
+loaded, completed = [], forkpool.completed
+
+def spy(fn, jobs):
+    loaded.append("scipy.optimize" in sys.modules)
+    return completed(fn, jobs)
+
+forkpool.completed = spy
+samples, header = read_samples(sys.argv[1])
+report = monte_carlo_calibrate(samples, CalibrationConfig(**json.loads(sys.argv[2])),
+                               header["delta"])
+print(loaded)
+print(serialize.dumps(report.to_dict()))
+"""

@@ -8,7 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import LINE_CORRUPTIONS, SIDECAR_CORRUPTIONS, corrupt_line, corrupt_sidecar
+from conftest import (LINE_CORRUPTIONS, SIDECAR_CORRUPTIONS, corrupt_line, corrupt_sidecar,
+                      run_fresh)
 from conftest import time_limit as _time_limit
 from phyres import cli, evaluation, serialize
 from phyres.cli import _write_records, main, read_records
@@ -87,6 +88,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"usage error: argument {flag}: must be a finite number, "
                        f"got {float(value)}"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("platoons", ["0", "-3"])
+    def test_no_platoons_is_usage_error(self, tmp_path, capsys, platoons):
+        assert run(["synth", "--out", str(tmp_path / "c.csv"), "--seed", "1",
+                    "--platoons", platoons]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: argument --platoons: must be at least 1, got {platoons}"]
         assert list(tmp_path.iterdir()) == []
 
     def test_gradcheck_success(self, capsys):
@@ -423,6 +432,27 @@ class TestPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: "), err
         assert flag in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("flag, value, repeated", [
+        ("--variants", "physics,nn,physics", "'physics'"),
+        ("--data-sizes", "20,40,20", "20"),
+        ("--seeds", "1,2,01", "1"),
+    ])
+    def test_repeated_sweep_list_value_is_usage_error(self, workspace, tmp_path, capsys,
+                                                      monkeypatch, flag, value, repeated):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_fit)
+        _, _, samples = workspace
+        out = tmp_path / "sweep"
+        lists = {"--variants": "physics", "--data-sizes": "20", flag: value}
+        capsys.readouterr()
+        assert run(["sweep", "--samples", str(samples), "--out", str(out), "--seed", "0",
+                    *(a for item in lists.items() for a in item)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: argument {flag}: repeated value {repeated}"]
+        assert not out.exists()
 
     def test_sweep_outputs_and_exit_code(self, workspace, tmp_path, capsys):
         _, _, samples = workspace
@@ -837,3 +867,39 @@ class TestArtifactMismatch:
         assert run(["predict", "--samples", str(samples), "--out", str(tmp_path / "p.jsonl"),
                     "--variant", "physics", "--params-file", str(bad)]) == 2
         assert f"{bad}: {detail}" in _one_error_line(capsys)
+
+
+# Runs the commands given as a JSON list of argv lists, in a new interpreter in
+# which any import of scipy fails, after checking that phyres.cli loads none.
+NO_SCIPY_SCRIPT = """
+import json, sys
+import phyres.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"import phyres.cli loaded {loaded}"
+sys.modules["scipy"] = None  # an import of scipy, or of any part of it, now fails
+for argv in json.loads(sys.argv[1]):
+    assert phyres.cli.main(argv) == 0, argv
+"""
+
+
+def test_newell_commands_never_load_scipy(tmp_path):
+    net = ["--units1", "4", "--units2", "3", "--dense-units", "4",
+           "--max-epochs", "2", "--patience", "2"]
+    commands = [
+        ["synth", "--out", "c.csv", "--seed", "3", "--platoons", "4",
+         "--generator", "newell_shift"],
+        ["extract", "--input", "c.csv", "--out", "s.jsonl"],
+        ["calibrate", "--samples", "s.jsonl", "--out", "calib.json", "--seed", "3",
+         "--model", "newell", "--sample-size", "50", "--repetitions", "2"],
+        ["train", "--samples", "s.jsonl", "--out", "t", "--seed", "1", "--variant", "perl",
+         "--params-file", "calib.json", *net],
+        ["predict", "--samples", "s.jsonl", "--out", "p.jsonl", "--variant", "perl",
+         "--params-file", "calib.json", "--weights", "t/weights.json"],
+        ["evaluate", "--samples", "s.jsonl", "--records", "p.jsonl", "--out", "m.json"],
+        ["sweep", "--samples", "s.jsonl", "--out", "w", "--seed", "0", "--model", "newell",
+         "--variants", "physics,perl", "--data-sizes", "40", *net],
+        ["gradcheck", "--cell", "gru"],
+    ]
+    run_fresh(NO_SCIPY_SCRIPT, json.dumps(commands), cwd=tmp_path)
+    assert (tmp_path / "m.json").exists()
+    assert len(json.loads((tmp_path / "w" / "aggregate.json").read_text())) == 2

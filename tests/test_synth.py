@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _newell_config(params=IDM_TRUE)
 
+    @pytest.mark.parametrize("n_platoons", [0, -3])
+    def test_no_platoons_rejected(self, n_platoons):
+        with pytest.raises(ConfigError, match="at least 1 platoon"):
+            _idm_config(n_platoons=n_platoons)
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ConfigError):
             _idm_config(vehicles_per_platoon=1)
