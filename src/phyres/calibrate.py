@@ -207,11 +207,8 @@ class CalibrationReport:
     param_mean: dict
     param_variance: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def write_json(self, path) -> None:
-        serialize.write_json(path, self.to_dict())
+        serialize.write_json(path, asdict(self))
 
 
 def _repetition(train_samples, config: CalibrationConfig, delta: float, rep: int) -> dict:

@@ -68,17 +68,25 @@ def _checked(kind, holds, rule: str):
     return parse
 
 
-def _int_list_of(item):
+def _list_of(item):
     """An argparse type: a comma list of distinct ``item`` values, kept as
     its text."""
     def parse(text):
         values = [item(tok) for tok in text.split(",")]
         for i, value in enumerate(values):
             if value in values[:i]:  # it would run the same sweep cells twice
-                raise argparse.ArgumentTypeError(f"repeated value {value}")
+                raise argparse.ArgumentTypeError(f"repeated value {value!r}")
         return text
-    parse.__name__ = "comma list of int"
+    parse.__name__ = f"comma list of {item.__name__}"
     return parse
+
+
+def _variant(text):
+    """An argparse type: a predictor variant."""
+    if text not in VARIANTS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(VARIANTS)})")
+    return text
 
 
 _SEED = _checked(int, lambda value: value >= 0, "at least 0")
@@ -367,12 +375,6 @@ def _print_cell(cell):
 def _cmd_sweep(args):
     started = time.monotonic()
     variants = tuple(args.variants.split(","))
-    for i, v in enumerate(variants):
-        if v not in VARIANTS:
-            raise UsageError(f"argument --variants: invalid choice: {v!r} "
-                             f"(choose from {', '.join(VARIANTS)})")
-        if v in variants[:i]:
-            raise UsageError(f"argument --variants: repeated value {v!r}")
     data_sizes = tuple(map(int, args.data_sizes.split(",")))
     seeds = tuple(map(int, args.seeds.split(","))) if args.seeds else (args.seed,)
     samples, header = read_samples(args.samples)
@@ -484,10 +486,10 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
-    p.add_argument("--seeds", type=_int_list_of(_SEED), default=None,
+    p.add_argument("--seeds", type=_list_of(_SEED), default=None,
                    help="comma list; overrides --seed")
-    p.add_argument("--variants", default="physics,nn,pinn,perl")
-    p.add_argument("--data-sizes", type=_int_list_of(_SIZE), default="300,500,1000")
+    p.add_argument("--variants", type=_list_of(_variant), default="physics,nn,pinn,perl")
+    p.add_argument("--data-sizes", type=_list_of(_SIZE), default="300,500,1000")
     p.add_argument("--model", choices=tuple(PARAM_ORDER), default="newell")
     _add_training_flags(p, max_epochs=100, patience=15)
     _add_split_seed(p)

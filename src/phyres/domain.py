@@ -151,10 +151,6 @@ class SplitIndex:
                 or self.val_ids & self.test_ids:
             raise ConfigError("split sets must be pairwise disjoint")
 
-    @property
-    def all_ids(self) -> frozenset:
-        return self.train_ids | self.val_ids | self.test_ids
-
 
 def split_dataset(ids, config: DatasetConfig) -> SplitIndex:
     """Randomly partition sample ids into train/val/test.

@@ -26,8 +26,8 @@ from .domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
 from .errors import ConfigError, DataError
 from .neuralnet import NetConfig
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (PHYSICS_VARIANTS, PredictionRecord, TrainConfig,
-                         TrainReport, predict_many, reconstruct_speed, train,
+from .predictors import (PHYSICS_VARIANTS, VARIANTS, PredictionRecord, TrainConfig,
+                         TrainReport, predict_many, squared_errors, train,
                          train_nn, train_perl, train_pinn)
 
 DEFAULT_DATA_SIZES = (300, 500, 1000, 2000, 5000, 10000, 12000)
@@ -35,16 +35,10 @@ DEFAULT_DATA_SIZES = (300, 500, 1000, 2000, 5000, 10000, 12000)
 
 @dataclass
 class EvalReport:
-    variant: str
-    data_size: int
-    seed: int
     mse_a_test: float
     mse_v_test: float
     per_sample_mse_a: list[float]
     collision_count: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _squared_errors(records: list[PredictionRecord], truth,
@@ -65,11 +59,9 @@ def _squared_errors(records: list[PredictionRecord], truth,
                             f"steps but its sample has a {t_fwd}-step horizon")
     order = np.argsort(batch.sample_ids)
     rows = order[np.searchsorted(batch.sample_ids, ids, sorter=order)]
-    accel = batch.ego_future_accel[rows]
-    v_true = reconstruct_speed(batch.ego_speed_at_t0[rows, None], accel, delta)
-    sq_a = (accel - np.stack([r.predicted_accel for r in records])) ** 2
-    sq_v = (v_true - np.stack([r.predicted_speed for r in records])) ** 2
-    return sq_a, sq_v
+    return squared_errors(np.stack([r.predicted_accel for r in records]),
+                          np.stack([r.predicted_speed for r in records]),
+                          batch.ego_future_accel[rows], batch.ego_speed_at_t0[rows], delta)
 
 
 def mse_metrics(records: list[PredictionRecord], truth,
@@ -97,6 +89,18 @@ class SweepConfig:
     patience: int = 20
     lr: float = 1e-3
     mu: float = 0.5
+
+    def __post_init__(self):
+        for name, values in (("variant", self.variants), ("data size", self.data_sizes),
+                             ("seed", self.seeds)):
+            for i, value in enumerate(values):
+                if value in values[:i]:  # it would run the same cells twice
+                    raise ConfigError(f"repeated {name} {value!r}")
+        for variant in self.variants:
+            if variant not in VARIANTS:
+                raise ConfigError(f"unknown variant {variant!r}")
+        if min(self.data_sizes) < 1:
+            raise ConfigError(f"data size {min(self.data_sizes)} is below 1")
 
 
 @dataclass
@@ -150,13 +154,10 @@ def _run_cell(batch, test, delta: float, nconf: NetConfig | None, tconf: TrainCo
                                            replace(nconf, seed=seed), delta, params)
         records = predict_many(variant, test, delta=delta, params=params, net=net)
         sq_a, sq_v = _squared_errors(records, test, delta)
-        mse_a, mse_v = float(np.mean(sq_a)), float(np.mean(sq_v))
         cell.eval_report = EvalReport(
-            variant=variant, data_size=len(rows), seed=seed, mse_a_test=mse_a,
-            mse_v_test=mse_v, per_sample_mse_a=np.mean(sq_a, axis=1).tolist(),
+            mse_a_test=float(np.mean(sq_a)), mse_v_test=float(np.mean(sq_v)),
+            per_sample_mse_a=np.mean(sq_a, axis=1).tolist(),
             collision_count=sum(r.collision_in_rollout for r in records))
-        if cell.train_report is not None:
-            cell.train_report.test_metrics = {"mse_a_test": mse_a, "mse_v_test": mse_v}
     except Exception:
         cell.error = traceback.format_exc()
     finally:
@@ -188,8 +189,6 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
     split = split_dataset(batch.sample_ids.tolist(), dcfg)
     by_id = np.argsort(batch.sample_ids, kind="stable")  # the rows in id order
     train_rows = by_id[np.isin(batch.sample_ids[by_id], list(split.train_ids))]
-    if min(sweep.data_sizes) < 1:
-        raise ConfigError(f"data size {min(sweep.data_sizes)} is below 1")
     if max(sweep.data_sizes) > len(train_rows):
         raise ConfigError(
             f"largest data size {max(sweep.data_sizes)} exceeds the "
@@ -247,9 +246,9 @@ def write_sweep_outputs(cells: list[SweepCell], outdir) -> list[str]:
         obj = {
             "variant": c.variant, "data_size": c.data_size, "seed": c.seed,
             "error": c.error,
-            "eval": c.eval_report.to_dict() if c.eval_report else None,
-            "train": c.train_report.to_dict() if c.train_report else None,
-            "calibration": c.calib_report.to_dict() if c.calib_report else None,
+            "eval": asdict(c.eval_report) if c.eval_report else None,
+            "train": asdict(c.train_report) if c.train_report else None,
+            "calibration": asdict(c.calib_report) if c.calib_report else None,
         }
         serialize.write_json(report_path, obj)
         paths.append(report_path)
@@ -269,8 +268,6 @@ def write_sweep_outputs(cells: list[SweepCell], outdir) -> list[str]:
 def emit_plot_data(cells: list[SweepCell], outdir) -> list[str]:
     """Long-format summary CSV plus per-run convergence CSV."""
     ok = [c for c in cells if c.eval_report is not None]
-    if not ok:
-        raise DataError("no successful sweep cells to emit")
     os.makedirs(outdir, exist_ok=True)
     summary_path = os.path.join(outdir, "summary_long.csv")
     _write_csv(summary_path, ["variant", "data_size", "seed", "metric", "value"],

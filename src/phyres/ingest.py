@@ -33,7 +33,7 @@ import hashlib
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -200,9 +200,6 @@ class NormStats:
     speed_std: float
     spacing_mean: float
     spacing_std: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":

@@ -16,7 +16,7 @@ applies none.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .ingest import NormStats
 WEIGHTS_FORMAT_VERSION = 1
 GRADCHECK_FD_STEP = 1e-5    # central-difference step of gradient_check
 GRADCHECK_SEED = 12345      # draws gradient_check's input, target and masks
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 CELLS = ("lstm", "gru")
 ACTIVATIONS = ("linear", "relu")  # of the output layer
 
@@ -54,12 +55,9 @@ class NetConfig:
         if not (0 <= self.dropout < 1):
             raise ConfigError("dropout must be in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        """The config of ``to_dict``; a number that is no JSON number of its
+        """The config of ``asdict``; a number that is no JSON number of its
         field's kind is a ValueError."""
         ints = {k: serialize.json_number(d, k, int) for k in
                 ("units1", "units2", "dense_units", "output_dim", "input_dim", "seed")}
@@ -336,38 +334,33 @@ def backward(net: RecurrentNet, cache: dict, output_grad: np.ndarray) -> dict[st
 
 @dataclass
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_net(cls, net: RecurrentNet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                   m={k: np.zeros_like(p) for k, p in net.params.items()},
+    def for_net(cls, net: RecurrentNet, lr: float = 1e-3) -> "AdamState":
+        return cls(lr=lr, m={k: np.zeros_like(p) for k, p in net.params.items()},
                    v={k: np.zeros_like(p) for k, p in net.params.items()})
 
 
 def adam_step(net: RecurrentNet, grads: dict[str, np.ndarray], state: AdamState):
     """Bias-corrected Adam update, in place; returns (net, state)."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, param in net.params.items():
         g = grads[name]
         if g.shape != param.shape:
             raise ConfigError(f"gradient shape mismatch for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return net, state
 
 
@@ -425,8 +418,8 @@ def gradient_check(cfg: NetConfig, t_steps: int = 5) -> float:
 def save_net(net: RecurrentNet, path) -> None:
     serialize.write_json(path, {
         "format_version": WEIGHTS_FORMAT_VERSION,
-        "net_config": net.config.to_dict(),
-        "norm_stats": net.norm_stats.to_dict() if net.norm_stats else None,
+        "net_config": asdict(net.config),
+        "norm_stats": asdict(net.norm_stats) if net.norm_stats else None,
         "tensors": {
             name: {"shape": list(t.shape), "values": t.reshape(-1)}
             for name, t in net.params.items()
@@ -453,7 +446,7 @@ def load_net(path) -> RecurrentNet:
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad weights file: {exc!r}") from exc
     # json reads an overflowing literal such as 1e999 as infinity
-    numbers = [*params.values(), list(stats.to_dict().values()) if stats else []]
+    numbers = [*params.values(), list(asdict(stats).values()) if stats else []]
     if not all(np.isfinite(a).all() for a in numbers):
         raise DataError(f"{path}: a number beyond the float range")
     expected = _tensor_shapes(cfg)

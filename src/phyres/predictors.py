@@ -37,9 +37,6 @@ class TrainConfig:
     max_epochs: int = 200
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 20
     mu: float = 0.5   # pinn loss weight on the data term
 
@@ -55,9 +52,6 @@ class TrainConfig:
         if not (0.0 <= self.mu <= 1.0):
             raise ConfigError("mu must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainReport:
@@ -67,13 +61,9 @@ class TrainReport:
     per_epoch: list[dict]   # {epoch, train_loss, mse_a_val, mse_v_val}
     best_epoch: int
     seeds: dict
-    test_metrics: dict | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def write_json(self, path) -> None:
-        serialize.write_json(path, self.to_dict())
+        serialize.write_json(path, asdict(self))
 
 
 @dataclass
@@ -115,13 +105,13 @@ def compose_prediction(phys: np.ndarray, resid: np.ndarray):
     return total, np.where(phys_big, phys, small), np.where(phys_big, small, resid)
 
 
-def _val_metrics(pred: np.ndarray, truth: np.ndarray, v0: np.ndarray,
-                 delta: float) -> tuple[float, float]:
-    mse_a = float(np.mean((truth - pred) ** 2))
-    v_pred = reconstruct_speed(v0[:, None], pred, delta)
-    v_true = reconstruct_speed(v0[:, None], truth, delta)
-    mse_v = float(np.mean((v_true - v_pred) ** 2))
-    return mse_a, mse_v
+def squared_errors(accel: np.ndarray, speed: np.ndarray, true_accel: np.ndarray,
+                   v0: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The squared acceleration and speed errors of predictions ``accel`` and
+    ``speed``, a row per sample and a column per horizon step; the true
+    speed is reconstructed from ``true_accel`` and the speeds ``v0`` at t0."""
+    v_true = reconstruct_speed(v0[:, None], true_accel, delta)
+    return (true_accel - accel) ** 2, (v_true - speed) ** 2
 
 
 def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delta: float,
@@ -156,8 +146,7 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
 
     n, t_fwd = targets.shape
     net = init_net(nconf, norm_stats=stats)
-    state = AdamState.for_net(net, lr=tconf.lr, beta1=tconf.beta1,
-                              beta2=tconf.beta2, eps=tconf.eps)
+    state = AdamState.for_net(net, tconf.lr)
     rng = np.random.default_rng(tconf.seed)
     mu = tconf.mu
     best = (float("inf"), -1, net.copy_params())
@@ -186,13 +175,15 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
             epoch_losses.append(loss)
         y_val, _ = forward_batch(net, x_val, "eval")
         pred_val = y_val if val_phys is None else val_phys + y_val
-        mse_a, mse_v = _val_metrics(pred_val, val_batch.ego_future_accel,
-                                    val_batch.ego_speed_at_t0, delta)
+        v0 = val_batch.ego_speed_at_t0
+        sq_a, sq_v = squared_errors(pred_val, reconstruct_speed(v0[:, None], pred_val, delta),
+                                    val_batch.ego_future_accel, v0, delta)
+        mse_a = float(np.mean(sq_a))
         per_epoch.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
             "mse_a_val": mse_a,
-            "mse_v_val": mse_v,
+            "mse_v_val": float(np.mean(sq_v)),
         })
         if mse_a < best[0]:
             best = (mse_a, epoch, net.copy_params())
@@ -203,7 +194,7 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
                 break
     net.params = best[2]
     report = TrainReport(
-        variant=tconf.variant, config=tconf.to_dict(), net_config=nconf.to_dict(),
+        variant=tconf.variant, config=asdict(tconf), net_config=asdict(nconf),
         per_epoch=per_epoch, best_epoch=best[1],
         seeds={"train_seed": tconf.seed, "net_seed": nconf.seed},
     )

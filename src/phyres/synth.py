@@ -60,6 +60,8 @@ class SynthConfig:
             raise ConfigError("idm generator needs IdmParams")
         if self.generator == "newell_shift" and not isinstance(self.params, NewellParams):
             raise ConfigError("newell_shift generator needs NewellParams")
+        if not self.delta > 0:
+            raise ConfigError("delta must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
         if self.n_platoons < 1:
@@ -107,13 +109,6 @@ def _integrate_lead(v_des: np.ndarray, delta: float, x0: float, accel_cap: float
     return a, v, x
 
 
-def _follower_accel_idm(cfg: SynthConfig, v_f, v_l, gap, rng) -> float:
-    a = float(idm_accel(v_f, v_f - v_l, gap, cfg.params))
-    if cfg.noise_sigma > 0:
-        a += cfg.noise_sigma * rng.standard_normal()
-    return a
-
-
 def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
     """Returns (accel, speed, position) arrays of shape (n_veh, steps)."""
     n_veh, steps, delta = cfg.vehicles_per_platoon, cfg.duration_steps, cfg.delta
@@ -144,7 +139,8 @@ def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
                     ok = False
                     break
                 if cfg.generator == "idm":
-                    acc = _follower_accel_idm(cfg, v[k, t - 1], v[k - 1, t - 1], gap, noise_rng)
+                    acc = float(idm_accel(v[k, t - 1], v[k, t - 1] - v[k - 1, t - 1], gap,
+                                          cfg.params))
                 else:
                     shift = gap / (cfg.params.w * delta)  # steps of delay
                     src = np.clip(t - shift, 0.0, steps - 1.0)
@@ -152,8 +148,8 @@ def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
                     hi = min(lo + 1, steps - 1)
                     frac = src - lo
                     acc = (1.0 - frac) * a[k - 1, lo] + frac * a[k - 1, hi]
-                    if cfg.noise_sigma > 0:
-                        acc += cfg.noise_sigma * noise_rng.standard_normal()
+                if cfg.noise_sigma > 0:
+                    acc += cfg.noise_sigma * noise_rng.standard_normal()
                 if not np.isfinite(acc):
                     raise NumericError("non-finite acceleration during generation")
                 v_new = v[k, t - 1] + acc * delta
@@ -176,15 +172,15 @@ def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
 def generate_corpus(cfg: SynthConfig, path) -> dict:
     """Generate a corpus and write it as a raw trajectory CSV.
 
-    Byte-identical output for identical configs.  Returns diagnostics
-    (vehicle and row counts).
+    Byte-identical output for identical configs; a failed platoon leaves
+    no file.  Returns diagnostics (vehicle and row counts).
     """
     rng = np.random.default_rng(cfg.seed)
+    platoons = [_generate_platoon(cfg, rng) for _ in range(cfg.n_platoons)]
     n_rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("vehicle_id,time,position,speed,accel,leader_id\n")
-        for p in range(cfg.n_platoons):
-            a, v, x = _generate_platoon(cfg, rng)
+        for p, (a, v, x) in enumerate(platoons):
             for k in range(cfg.vehicles_per_platoon):
                 vid = p * 1000 + k + 1
                 lid = "" if k == 0 else str(p * 1000 + k)

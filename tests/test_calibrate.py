@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ class TestMonteCarlo:
                                 repetitions=2, seed=7)
         a = monte_carlo_calibrate(newell_samples, cfg, DELTA)
         b = monte_carlo_calibrate(newell_samples, cfg, DELTA)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
     def test_too_few_samples_rejected(self, newell_samples):
         cfg = CalibrationConfig(model="newell", sample_size=10 ** 6, seed=0)
@@ -274,7 +275,7 @@ class TestCalibrationPool:
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             reports.append(serialize.dumps(
-                monte_carlo_calibrate(newell_samples, cfg, DELTA).to_dict()))
+                asdict(monte_carlo_calibrate(newell_samples, cfg, DELTA))))
         assert pools == [3]
         assert reports[0] == reports[1]
 
@@ -347,8 +348,8 @@ class TestCalibrationPool:
         got = run_fresh(SCIPY_BEFORE_FORK_SCRIPT, str(tmp_path / "s.jsonl"), json.dumps(cfg))
         loaded, report = got.splitlines()
         assert loaded == "[True]"  # one pool, forked once scipy.optimize was imported
-        assert report == serialize.dumps(monte_carlo_calibrate(
-            newell_samples, CalibrationConfig(**cfg), DELTA).to_dict())
+        assert report == serialize.dumps(asdict(monte_carlo_calibrate(
+            newell_samples, CalibrationConfig(**cfg), DELTA)))
 
     @pytest.mark.parametrize("model, repetitions", [("newell", 3), ("idm", 1)])
     def test_no_pool(self, newell_samples, monkeypatch, model, repetitions):
@@ -368,6 +369,7 @@ class TestCalibrationPool:
 # imported when it started, then the report.
 SCIPY_BEFORE_FORK_SCRIPT = """
 import json, os, sys
+from dataclasses import asdict
 from phyres import forkpool, serialize
 from phyres.calibrate import CalibrationConfig, monte_carlo_calibrate
 from phyres.ingest import read_samples
@@ -385,5 +387,5 @@ samples, header = read_samples(sys.argv[1])
 report = monte_carlo_calibrate(samples, CalibrationConfig(**json.loads(sys.argv[2])),
                                header["delta"])
 print(loaded)
-print(serialize.dumps(report.to_dict()))
+print(serialize.dumps(asdict(report)))
 """

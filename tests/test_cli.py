@@ -98,6 +98,20 @@ class TestExitCodes:
         assert err == [f"usage error: argument --platoons: must be at least 1, got {platoons}"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("delta", ["0", "-0.1"])
+    def test_non_positive_synth_delta_is_config_error(self, tmp_path, capsys, delta):
+        assert run(["synth", "--out", str(tmp_path / "c.csv"), "--seed", "1",
+                    "--delta", delta]) == 2
+        assert _one_error_line(capsys) == "error: delta must be positive"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_platoon_leaves_no_corpus(self, tmp_path, capsys):
+        assert run(["synth", "--out", str(tmp_path / "c.csv"), "--seed", "1",
+                    "--generator", "newell_shift", "--initial-gap", "0"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numeric error: persistent gap violation; could not generate platoon"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_gradcheck_success(self, capsys):
         assert run(["gradcheck", "--cell", "gru"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
@@ -433,6 +447,17 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("usage error: "), err
         assert flag in err[0] and not out.exists()
 
+    def test_bad_config_variant_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"variants": "physics,foo"}')
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(cfg), "--samples", str(tmp_path / "none.jsonl"),
+                    "--out", str(out), "--seed", "0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: config {cfg}: variants: invalid choice: 'foo' "
+                       "(choose from physics, nn, pinn, perl)"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, repeated", [
         ("--variants", "physics,nn,physics", "'physics'"),
         ("--data-sizes", "20,40,20", "20"),
@@ -474,6 +499,25 @@ class TestPipeline:
                        for line in lines)
         assert cells == sorted((r["variant"], str(r["data_size"]),
                                 format(r["mse_a_test"], ".6g")) for r in agg)
+
+    def test_all_cells_failed_exits_4_with_manifest(self, workspace, tmp_path, capsys,
+                                                    monkeypatch):
+        def failing(*args):
+            raise RuntimeError("training diverged")
+
+        # the forked worker inherits the patched module
+        monkeypatch.setattr(evaluation, "train", failing)
+        _, _, samples = workspace
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run(["sweep", "--samples", str(samples), "--out", str(out), "--seed", "0",
+                    "--variants", "nn", "--data-sizes", "20", "--max-epochs", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["sweep: 0/1 cells succeeded"]
+        assert re.fullmatch(r"cell nn/20/0 in \S+ s: failed\n", captured.err)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "summary_long.csv" in manifest["outputs"]
+        assert "convergence.csv" in manifest["outputs"]
 
     def test_dead_worker_fails_its_cells(self, workspace, tmp_path, capsys, monkeypatch):
         _, _, samples = workspace

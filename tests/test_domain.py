@@ -161,10 +161,6 @@ class TestSplitIndex:
             SplitIndex(train_ids=frozenset({1, 2}), val_ids=frozenset({2}),
                        test_ids=frozenset())
 
-    def test_all_ids(self):
-        s = SplitIndex(frozenset({1}), frozenset({2}), frozenset({3}))
-        assert s.all_ids == {1, 2, 3}
-
 
 class TestSplitDataset:
     def test_floor_sizes(self):
@@ -200,7 +196,7 @@ class TestSplitDataset:
     def test_partition_property(self, n, seed):
         ids = list(range(n))
         split = split_dataset(ids, _config(seed=seed))
-        assert split.all_ids == set(ids)
+        assert split.train_ids | split.val_ids | split.test_ids == set(ids)
         total = len(split.train_ids) + len(split.val_ids) + len(split.test_ids)
         assert total == n
         assert len(split.train_ids) == int(np.floor(0.6 * n))

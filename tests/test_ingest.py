@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ class TestNormStats:
     def test_round_trip(self):
         stats = NormStats(accel_mean=0.1, accel_std=1.0, speed_mean=5.0,
                           speed_std=2.0, spacing_mean=10.0, spacing_std=3.0)
-        assert NormStats.from_dict(stats.to_dict()) == stats
+        assert NormStats.from_dict(asdict(stats)) == stats
 
 
 class TestSampleFeatures:

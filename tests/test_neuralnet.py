@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ class TestConfigAndInit:
 
     def test_round_trip(self):
         cfg = small_config()
-        assert NetConfig.from_dict(cfg.to_dict()) == cfg
+        assert NetConfig.from_dict(asdict(cfg)) == cfg
 
     def test_init_shapes_and_bounds(self):
         cfg = small_config()
@@ -186,7 +188,7 @@ class TestAdam:
         # from zero moments: update = lr * g / (|g| + eps) elementwise
         net = init_net(small_config())
         before = net.copy_params()
-        state = AdamState.for_net(net, lr=0.01, eps=1e-8)
+        state = AdamState.for_net(net, lr=0.01)
         rng = np.random.default_rng(8)
         grads = {k: rng.standard_normal(p.shape) for k, p in net.params.items()}
         adam_step(net, grads, state)

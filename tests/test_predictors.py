@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,7 +190,7 @@ class TestTraining:
             tconf = TrainConfig(variant=variant, seed=2, max_epochs=2)
             _, r_alias = alias(samples, split, tconf, nconf, *args, DELTA)
             _, r_train = train(samples, split, tconf, nconf, DELTA, *args)
-            assert r_alias.to_dict() == r_train.to_dict()
+            assert asdict(r_alias) == asdict(r_train)
 
     def test_empty_split_rejected(self):
         samples, _ = self._data(10)

@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least 1 platoon"):
             _idm_config(n_platoons=n_platoons)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_non_positive_delta_rejected(self, delta):
+        with pytest.raises(ConfigError, match="^delta must be positive$"):
+            _idm_config(delta=delta)
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ConfigError):
             _idm_config(vehicles_per_platoon=1)
