@@ -163,11 +163,8 @@ def _load_params(path):
     missing = [k for k in PARAM_ORDER[obj["model"]] if k not in values]
     if missing:
         raise DataError(f"{path}: param_mean lacks {', '.join(missing)}")
-    for k in PARAM_ORDER[obj["model"]]:
-        v = values[k]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise DataError(f"{path}: param_mean.{k} is {v!r}, not a finite number")
-    return make_params(obj["model"], values)
+    return make_params(obj["model"], {k: serialize.number(values[k], f"{path}: param_mean.{k}")
+                                      for k in PARAM_ORDER[obj["model"]]})
 
 
 # ---------------------------------------------------------------- synth
@@ -190,10 +187,9 @@ def _cmd_synth(args):
         delta=args.delta, noise_sigma=args.noise_sigma, seed=args.seed,
         initial_gap=args.initial_gap,
     )
-    outdir = _out_dir(args.out)
     diag = generate_corpus(cfg, args.out)
     print(f"wrote {diag['rows']} rows ({diag['vehicles']} vehicles) to {args.out}")
-    _write_manifest(outdir, "synth", args, [], [args.out], started)
+    _write_manifest(_out_dir(args.out), "synth", args, [], [args.out], started)
     return 0
 
 
@@ -298,22 +294,19 @@ def read_records(path) -> list[PredictionRecord]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            bad = f"{path}:{lineno}: malformed record: "
             try:  # JSONDecodeError is a ValueError
                 obj = serialize.DECODER.decode(line)
                 sid, collided = obj["sample_id"], obj["collision_in_rollout"]
-                if type(sid) not in (int, float) or int(sid) != sid:
+                if serialize.number(sid, bad + "sample_id") % 1:
                     raise ValueError(f"sample_id {sid!r} is not an integer")
                 if type(collided) is not bool:
                     raise ValueError(f"collision_in_rollout {collided!r} is not true or false")
                 # a variant without a physics or a residual part writes null
                 arrays = {name: None if obj[name] is None and name.endswith("_component")
-                          else np.array(obj[name], dtype=float) for name in _RECORD_ARRAYS}
-                serialize.check_numbers([obj[k] for k, a in arrays.items() if a is not None], 2,
-                                        f"{path}:{lineno}: malformed record: an array")
-            except (KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
-            if not all(np.isfinite(a).all() for a in arrays.values() if a is not None):
-                raise DataError(f"{path}:{lineno}: a number beyond the float range")
+                          else serialize.numbers(obj[name], 1, bad + name) for name in _RECORD_ARRAYS}
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{bad}{exc!r}") from exc
             records.append(PredictionRecord(sample_id=int(sid), collision_in_rollout=collided,
                                             **arrays))
     return records

@@ -93,6 +93,8 @@ class SweepConfig:
     def __post_init__(self):
         for name, values in (("variant", self.variants), ("data size", self.data_sizes),
                              ("seed", self.seeds)):
+            if not values:  # a sweep of no cells, or no data size for min() below
+                raise ConfigError(f"the {name} list is empty")
             for i, value in enumerate(values):
                 if value in values[:i]:  # it would run the same cells twice
                     raise ConfigError(f"repeated {name} {value!r}")

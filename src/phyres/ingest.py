@@ -202,8 +202,8 @@ class NormStats:
     spacing_std: float
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+    def from_dict(cls, d: dict, what: str = "norm_stats") -> "NormStats":
+        return cls(**{f.name: serialize.number(d[f.name], f"{what}.{f.name}") for f in fields(cls)})
 
 
 def compute_norm_stats(batch: SampleBatch) -> NormStats:
@@ -337,18 +337,14 @@ def _parse_header(path, line: bytes) -> dict:
         raise DataError(f"{path}:1: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}:1: the header is not a JSON object")
-    if header.get("format_version") != SAMPLE_FORMAT_VERSION:
-        raise DataError(
-            f"{path}: format_version {header.get('format_version')!r}, "
-            f"expected {SAMPLE_FORMAT_VERSION}"
-        )
-    try:
-        k, tb, tf = (serialize.json_number(header, key, int)
-                     for key in ("k_vehicles", "t_back", "t_fwd"))
-        delta = serialize.json_number(header, "delta")
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}:1: bad header: {exc!r}") from exc
-    if k < 2 or tb < 1 or tf < 1 or not 0 < delta < math.inf:
+    bad = f"{path}:1: bad header: "
+    version = serialize.number(header.get("format_version"), bad + "format_version", int)
+    if version != SAMPLE_FORMAT_VERSION:
+        raise DataError(f"{path}: format_version {version}, expected {SAMPLE_FORMAT_VERSION}")
+    k, tb, tf = (serialize.number(header.get(key), bad + key, int)
+                 for key in ("k_vehicles", "t_back", "t_fwd"))
+    delta = serialize.number(header.get("delta"), bad + "delta")
+    if k < 2 or tb < 1 or tf < 1 or delta <= 0:
         raise DataError(f"{path}:1: bad header geometry {header}")
     return dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
 
@@ -356,8 +352,8 @@ def _parse_header(path, line: bytes) -> dict:
 def _parse_lines(path, shapes: dict, n_lines: int):
     """Decode the ``n_lines`` sample lines after the header into the
     sidecar's matrix layout; returns it and its ``where`` for
-    ``_check_matrix``.  A DataError names a line that is no JSON object
-    with the header's fields and shapes; the values are left to the check."""
+    ``_check_matrix``.  A DataError names a line that is no JSON object with
+    the header's fields and shapes of finite numbers; ids are left to the check."""
     matrix = np.empty((n_lines, 1 + sum(math.prod(shape) for shape in shapes.values())))
     linenos = []
     with open(path, "rb") as fh:
@@ -371,17 +367,17 @@ def _parse_lines(path, shapes: dict, n_lines: int):
                 raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
             row = matrix[len(linenos)]
             try:
-                arrays = {name: np.array(obj[name], dtype=float) for name in shapes}
+                arrays = {name: serialize.numbers(obj[name], len(shape), f"{path}:{lineno}: {name}")
+                          for name, shape in shapes.items()}
                 sid = obj["sample_id"]
                 # a bool or a string goes in as NaN, which _check_matrix rejects
                 row[0] = sid if type(sid) in (int, float) else math.nan
-            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError) as exc:  # an id beyond the float range
                 raise DataError(f"{path}:{lineno}: bad sample object: {exc!r}") from exc
             for name, shape in shapes.items():
                 if arrays[name].shape != shape:
                     raise DataError(f"{path}:{lineno}: {name} has shape "
                                     f"{arrays[name].shape}, the header implies {shape}")
-                serialize.check_numbers(obj[name], len(shape), f"{path}:{lineno}: {name}")
             np.concatenate([a.ravel() for a in arrays.values()], out=row[1:])
             linenos.append(lineno)
     return matrix, lambda row: (f"{path}:{linenos[row]}", f"line {linenos[row]}")

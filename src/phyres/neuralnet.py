@@ -56,12 +56,11 @@ class NetConfig:
             raise ConfigError("dropout must be in [0, 1)")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NetConfig":
-        """The config of ``asdict``; a number that is no JSON number of its
-        field's kind is a ValueError."""
-        ints = {k: serialize.json_number(d, k, int) for k in
+    def from_dict(cls, d: dict, what: str = "net_config") -> "NetConfig":
+        """The config of ``asdict``; ``what`` names ``d`` in a DataError."""
+        ints = {k: serialize.number(d[k], f"{what}.{k}", int) for k in
                 ("units1", "units2", "dense_units", "output_dim", "input_dim", "seed")}
-        return cls(cell=d["cell"], dropout=serialize.json_number(d, "dropout"),
+        return cls(cell=d["cell"], dropout=serialize.number(d["dropout"], f"{what}.dropout"),
                    output_activation=d["output_activation"], **ints)
 
 
@@ -431,24 +430,19 @@ def load_net(path) -> RecurrentNet:
     obj = serialize.read_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"{path}: a weights file must be a JSON object")
-    if obj.get("format_version") != WEIGHTS_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported weight format_version "
-                        f"{obj.get('format_version')!r}")
+    version = serialize.number(obj.get("format_version"), f"{path}: weight format_version", int)
+    if version != WEIGHTS_FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported weight format_version {version}")
     try:
-        cfg = NetConfig.from_dict(obj["net_config"])
-        serialize.check_numbers([t["values"] for t in obj["tensors"].values()], 2,
-                                f"{path}: a tensor")
-        serialize.check_numbers(list((obj.get("norm_stats") or {}).values()), 1,
-                                f"{path}: norm_stats")
-        params = {name: np.array(t["values"], dtype=float).reshape(t["shape"])
-                  for name, t in obj["tensors"].items()}
-        stats = NormStats.from_dict(obj["norm_stats"]) if obj.get("norm_stats") else None
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        cfg = NetConfig.from_dict(obj["net_config"], f"{path}: net_config")
+        params = {}
+        for name, t in obj["tensors"].items():
+            shape = [serialize.number(n, f"{path}: tensor {name} shape", int) for n in t["shape"]]
+            params[name] = serialize.numbers(t["values"], 1, f"{path}: tensor {name}").reshape(shape)
+        stats = (NormStats.from_dict(obj["norm_stats"], f"{path}: norm_stats")
+                 if obj.get("norm_stats") else None)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad weights file: {exc!r}") from exc
-    # json reads an overflowing literal such as 1e999 as infinity
-    numbers = [*params.values(), list(asdict(stats).values()) if stats else []]
-    if not all(np.isfinite(a).all() for a in numbers):
-        raise DataError(f"{path}: a number beyond the float range")
     expected = _tensor_shapes(cfg)
     if set(params) != set(expected) or any(params[k].shape != expected[k] for k in expected):
         raise DataError(f"{path}: tensor set/shape mismatch with net_config")

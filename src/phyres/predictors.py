@@ -55,12 +55,10 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    variant: str
     config: dict
     net_config: dict
     per_epoch: list[dict]   # {epoch, train_loss, mse_a_val, mse_v_val}
     best_epoch: int
-    seeds: dict
 
     def write_json(self, path) -> None:
         serialize.write_json(path, asdict(self))
@@ -193,11 +191,8 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
             if bad >= tconf.patience:
                 break
     net.params = best[2]
-    report = TrainReport(
-        variant=tconf.variant, config=asdict(tconf), net_config=asdict(nconf),
-        per_epoch=per_epoch, best_epoch=best[1],
-        seeds={"train_seed": tconf.seed, "net_seed": nconf.seed},
-    )
+    report = TrainReport(config=asdict(tconf), net_config=asdict(nconf),
+                         per_epoch=per_epoch, best_epoch=best[1])
     return net, report
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 import numpy as np
 
@@ -66,27 +67,30 @@ def json_slots(shape: tuple, slot: str = "%.17g") -> str:
             if shape else slot)
 
 
-def check_numbers(value, ndim: int, what: str) -> None:
-    """A DataError unless every leaf of ``value``, ``ndim`` nested lists
-    deep, is a JSON number: float() would read "8.5" and true as numbers."""
+def number(value, what: str, kind: type = float):
+    """``value`` as ``kind`` if it is a finite JSON number (for int, a JSON
+    integer), else a DataError that begins with ``what``: float() would read
+    "8" and true, and json reads 1e999 as infinity."""
+    if type(value) in ((int,) if kind is int else (int, float)) and (
+            kind is int or abs(value) <= sys.float_info.max):
+        return kind(value)
+    raise DataError(f"{what} is {value!r}, not a "
+                    f"{'JSON integer' if kind is int else 'finite JSON number'}")
+
+
+def numbers(value, ndim: int, what: str) -> np.ndarray:
+    """``value``, ``ndim`` deep rectangular lists of finite JSON numbers, as a
+    float64 array; else a DataError that begins with ``what``."""
     leaves = [value]
     for _ in range(ndim):
-        leaves = itertools.chain.from_iterable(leaves)
-    kinds = set(map(type, leaves)) - {int, float}
-    if kinds:
-        kind = {str: "string", bool: "true or false", type(None): "null"}.get(
-            kinds.pop(), "array or object")
-        raise DataError(f"{what} holds a JSON {kind}, not a number")
-
-
-def json_number(obj: dict, key: str, kind: type = float):
-    """``obj[key]`` as ``kind`` if it is a JSON number (an integer for int),
-    else a ValueError: int() and float() would read "8" and true."""
-    value = obj[key]
-    if type(value) not in ((int,) if kind is int else (int, float)):
-        raise ValueError(f"{key} is {value!r}, not a JSON "
-                         f"{'integer' if kind is int else 'number'}")
-    return kind(value)
+        if not all(type(v) is list for v in leaves) or len(set(map(len, leaves))) > 1:
+            raise DataError(f"{what} is not a {ndim}-dimensional JSON array")
+        leaves = list(itertools.chain.from_iterable(leaves))
+    # number()'s float rule, for each leaf
+    bad = [v for v in leaves if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
+    if bad:
+        raise DataError(f"{what} holds {bad[0]!r}, not a finite JSON number")
+    return np.array(value, dtype=float)
 
 
 def write_json(path, obj) -> None:

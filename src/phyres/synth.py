@@ -17,6 +17,7 @@ Output is the raw CSV schema consumed by ingest.parse_trajectory_csv.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,10 +174,11 @@ def generate_corpus(cfg: SynthConfig, path) -> dict:
     """Generate a corpus and write it as a raw trajectory CSV.
 
     Byte-identical output for identical configs; a failed platoon leaves
-    no file.  Returns diagnostics (vehicle and row counts).
+    no file and no new folder.  Returns diagnostics (vehicle and row counts).
     """
     rng = np.random.default_rng(cfg.seed)
     platoons = [_generate_platoon(cfg, rng) for _ in range(cfg.n_platoons)]
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     n_rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("vehicle_id,time,position,speed,accel,leader_id\n")

@@ -112,6 +112,13 @@ class TestExitCodes:
         assert err == ["numeric error: persistent gap violation; could not generate platoon"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_platoon_leaves_no_folder(self, tmp_path, capsys):
+        assert run(["synth", "--out", str(tmp_path / "new" / "c.csv"), "--seed", "1",
+                    "--generator", "newell_shift", "--initial-gap", "0"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numeric error: persistent gap violation; could not generate platoon"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_gradcheck_success(self, capsys):
         assert run(["gradcheck", "--cell", "gru"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
@@ -812,7 +819,7 @@ class TestArtifactMismatch:
 
     @pytest.mark.parametrize("token, message", [
         ("NaN", ":3: malformed record: ValueError('NaN is not a finite number')"),
-        ("1e999", ":3: a number beyond the float range"),
+        ("1e999", ":3: malformed record: predicted_accel holds inf, not a finite JSON number"),
     ], ids=["nan-token", "overflow"])
     def test_non_finite_record_is_data_error(self, artifacts, token, message,
                                              tmp_path, capsys):
@@ -860,10 +867,13 @@ class TestArtifactMismatch:
         lambda obj: dict(obj, net_config=dict(obj["net_config"], seed=True)),
         lambda obj: dict(obj, net_config=dict(obj["net_config"], dropout="0.2")),
         lambda obj: dict(obj, net_config=dict(obj["net_config"], dropout=False)),
+        lambda obj: dict(obj, format_version=True),
+        lambda obj: dict(obj, format_version=1.0),
     ], ids=["not-object", "no-net-config", "no-tensors", "values-misfit-shape",
             "nan-token", "overflow", "overflow-norm-stat", "string-value", "bool-value",
             "string-norm-stat", "bool-norm-stat", "string-int-config", "fractional-int-config",
-            "bool-int-config", "string-float-config", "bool-float-config"])
+            "bool-int-config", "string-float-config", "bool-float-config",
+            "bool-format-version", "float-format-version"])
     def test_malformed_weights_is_data_error(self, artifacts, edit, tmp_path, capsys):
         samples, _, _, weights = artifacts
         bad = tmp_path / "weights.json"
@@ -877,7 +887,7 @@ class TestArtifactMismatch:
 
     @pytest.mark.parametrize("key, value", [
         ("delta", '"0.10000000000000001"'), ("t_fwd", '"5"'), ("t_back", "true"),
-        ("k_vehicles", "4.0")])
+        ("k_vehicles", "4.0"), ("format_version", "true"), ("format_version", "1.0")])
     def test_non_number_header_is_data_error(self, workspace, key, value, tmp_path, capsys):
         _, _, samples = workspace
         header, rest = samples.read_text().split("\n", 1)
@@ -900,8 +910,10 @@ class TestArtifactMismatch:
         ('{"model": "newell", "param_mean": ', "malformed JSON"),
         ('{"model": "newell", "param_mean": {"w": null}}', "param_mean.w is None"),
         ('{"model": "newell", "param_mean": {"w": "4"}}', "param_mean.w is '4'"),
+        ('{"model": "newell", "param_mean": {"w": true}}', "param_mean.w is True"),
+        ('{"model": "newell", "param_mean": {"w": 1e999}}', "param_mean.w is inf"),
     ], ids=["no-param-mean", "no-model", "missing-name", "malformed", "null-value",
-            "string-value"])
+            "string-value", "bool-value", "overflow"])
     def test_bad_params_file_is_data_error(self, artifacts, content, detail, tmp_path,
                                            capsys):
         samples = artifacts[0]

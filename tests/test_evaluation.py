@@ -100,7 +100,11 @@ class TestSweep:
         ({"variants": ("physics", "nn", "physics")}, "repeated variant 'physics'"),
         ({"data_sizes": (20, 40, 20)}, "repeated data size 20"),
         ({"seeds": (1, 2, 1)}, "repeated seed 1"),
-    ], ids=["unknown-variant", "variant", "data-size", "seed"])
+        ({"variants": ()}, "the variant list is empty"),
+        ({"data_sizes": ()}, "the data size list is empty"),
+        ({"seeds": ()}, "the seed list is empty"),
+    ], ids=["unknown-variant", "variant", "data-size", "seed", "no-variant", "no-data-size",
+            "no-seed"])
     def test_bad_list_value_rejected(self, lists, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SweepConfig(**lists)

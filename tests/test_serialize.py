@@ -87,15 +87,57 @@ def test_deterministic_output():
     assert serialize.dumps(obj) == serialize.dumps(obj)
 
 
-def test_check_numbers_accepts_json_numbers():
-    serialize.check_numbers([[1, 2.5], [-0.0, 3]], 2, "m")
-    serialize.check_numbers([], 1, "empty")
-
-
-@pytest.mark.parametrize("value, kind", [
-    (["8.5"], "string"), ([True], "true or false"), ([None], "null"),
-    ([[1.0]], "array or object"), ([{"a": 1}], "array or object"),
+@pytest.mark.parametrize("text, kind, expected", [
+    ("2", float, 2.0), ("2.5", float, 2.5), ("-0", float, -0.0), ("7", int, 7),
 ])
-def test_check_numbers_names_the_first_non_number_kind(value, kind):
-    with pytest.raises(DataError, match=f"^where holds a JSON {kind}, not a number$"):
-        serialize.check_numbers(value, 1, "where")
+def test_number_takes_a_finite_json_number(text, kind, expected):
+    value = serialize.number(serialize.DECODER.decode(text), "w", kind)
+    assert type(value) is kind and value == expected
+    assert math.copysign(1, value) == math.copysign(1, expected)
+
+
+BIG = "1" + "0" * 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    ('"8.5"', float, "'8.5', not a finite JSON number"),
+    ("true", float, "True, not a finite JSON number"),
+    ("null", float, "None, not a finite JSON number"),
+    ("[1.0]", float, "[1.0], not a finite JSON number"),
+    ('{"a": 1}', float, "{'a': 1}, not a finite JSON number"),
+    ("1e999", float, "inf, not a finite JSON number"),
+    (BIG, float, f"{BIG}, not a finite JSON number"),
+    ("4.0", int, "4.0, not a JSON integer"),
+    ("true", int, "True, not a JSON integer"),
+    ('"4"', int, "'4', not a JSON integer"),
+], ids=["string", "bool", "null", "array", "object", "overflow", "big-integer",
+        "float-for-int", "bool-for-int", "string-for-int"])
+def test_number_rejects_all_else(text, kind, message):
+    with pytest.raises(DataError, match=f"^w is {re.escape(message)}$"):
+        serialize.number(serialize.DECODER.decode(text), "w", kind)
+
+
+def test_numbers_takes_nested_json_numbers():
+    array = serialize.numbers([[1, 2.5], [-0.0, 3]], 2, "m")
+    assert array.dtype == np.float64 and array.tolist() == [[1.0, 2.5], [-0.0, 3.0]]
+    assert serialize.numbers(4, 0, "scalar").shape == ()
+    assert serialize.numbers([], 1, "empty").shape == (0,)
+
+
+@pytest.mark.parametrize("text, ndim, message", [
+    ('["8.5"]', 1, "holds '8.5', not a finite JSON number"),
+    ("[1, true]", 1, "holds True, not a finite JSON number"),
+    ("[null]", 1, "holds None, not a finite JSON number"),
+    ("[[1.0]]", 1, "holds [1.0], not a finite JSON number"),
+    ('[{"a": 1}]', 1, "holds {'a': 1}, not a finite JSON number"),
+    ('"8.5"', 0, "holds '8.5', not a finite JSON number"),
+    ("null", 1, "is not a 1-dimensional JSON array"),
+    ("[1, 2]", 2, "is not a 2-dimensional JSON array"),
+    ("[[1, 2], [3]]", 2, "is not a 2-dimensional JSON array"),
+    ("[1, 1e999]", 1, "holds inf, not a finite JSON number"),
+    (f"[[1], [{BIG}]]", 2, f"holds {BIG}, not a finite JSON number"),
+], ids=["string", "bool", "null", "nested-too-deep", "object", "scalar-string",
+        "null-for-array", "flat-for-2d", "unequal-rows", "overflow", "big-integer"])
+def test_numbers_rejects_all_else(text, ndim, message):
+    with pytest.raises(DataError, match=f"^where {re.escape(message)}$"):
+        serialize.numbers(serialize.DECODER.decode(text), ndim, "where")
