@@ -49,6 +49,9 @@ CSV_HEADER = ["vehicle_id", "time", "position", "speed", "accel", "leader_id"]
 # at 32 than at 16, and 1.1 MB higher at 64, for a writer under 1% faster)
 WRITE_CHUNK = 32
 GRID_ATOL = 1e-6  # seconds a CSV timestep may stray from delta
+# numbers in one sample (id included) that a header may imply: a float64 row
+# of this many takes 128 MB; extract's default window has 322
+MAX_SAMPLE_WIDTH = 2**24
 
 
 @dataclass
@@ -241,6 +244,11 @@ def _sample_shapes(k: int, tb: int, tf: int) -> dict[str, tuple]:
             "ego_speed_at_t0": (), "leader_future_accel": (k - 1, tf)}
 
 
+def _sample_width(shapes: dict) -> int:
+    """Numbers in one sample of the fields ``shapes``: its id and every value."""
+    return 1 + sum(math.prod(shape) for shape in shapes.values())
+
+
 def sidecar_path(path, digest: str) -> str:
     """The sidecar of the sample file ``path`` whose bytes hash to ``digest``."""
     return f"{os.fspath(path)}.{digest}.npy"
@@ -346,6 +354,10 @@ def _parse_header(path, line: bytes) -> dict:
     delta = serialize.number(header.get("delta"), bad + "delta")
     if k < 2 or tb < 1 or tf < 1 or delta <= 0:
         raise DataError(f"{path}:1: bad header geometry {header}")
+    width = _sample_width(_sample_shapes(k, tb, tf))
+    if width > MAX_SAMPLE_WIDTH:
+        raise DataError(f"{path}:1: bad header: k_vehicles is {k}, t_back is {tb} and t_fwd is "
+                        f"{tf}, {width} numbers a sample, more than {MAX_SAMPLE_WIDTH}")
     return dict(header, delta=delta, k_vehicles=k, t_back=tb, t_fwd=tf)
 
 
@@ -354,7 +366,7 @@ def _parse_lines(path, shapes: dict, n_lines: int):
     sidecar's matrix layout; returns it and its ``where`` for
     ``_check_matrix``.  A DataError names a line that is no JSON object with
     the header's fields and shapes of finite numbers; ids are left to the check."""
-    matrix = np.empty((n_lines, 1 + sum(math.prod(shape) for shape in shapes.values())))
+    matrix = np.empty((n_lines, _sample_width(shapes)))
     linenos = []
     with open(path, "rb") as fh:
         next(fh)  # the header
@@ -390,7 +402,7 @@ def _load_sidecar(sidecar: str, shapes: dict, n_lines: int):
         matrix = np.load(sidecar, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"{sidecar}: unreadable sidecar: {exc}") from exc
-    want = (n_lines, 1 + sum(math.prod(shape) for shape in shapes.values()))
+    want = (n_lines, _sample_width(shapes))
     if matrix.dtype != np.float64 or matrix.shape != want:
         raise DataError(f"{sidecar}: a {matrix.dtype} array of shape {matrix.shape}, "
                         f"the file implies a float64 matrix of shape {want}")

@@ -2,7 +2,11 @@
 recurrent layers, three dropout sites, a dense head, exact BPTT gradients,
 Adam, and a finite-difference gradient check.
 
-All math is float64.  Cell recurrences are the canonical forms:
+Every kernel computes in the dtype of its inputs: ``predictors.train``
+runs the net in float32, while ``gradient_check``, the train loss, the val
+scores, prediction and perl's composition run in float64 (float32 weights
+upcast exactly against float64 features).  Cell recurrences are the
+canonical forms:
 
 LSTM:  i,f,o = sigmoid(...), g = tanh(...);  c' = f*c + i*g;  h = o*tanh(c')
 GRU:   z,r = sigmoid(...); n = tanh(Wn x + Un (r*h) + bn);
@@ -108,41 +112,38 @@ def init_net(cfg: NetConfig, norm_stats: NormStats | None = None) -> RecurrentNe
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf below about -88.7 in float32; 1/inf = 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def make_dropout_masks(cfg: NetConfig, batch: int, t_steps: int,
-                       rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Sample the three inverted-dropout masks for a train-mode forward."""
+                       rng: np.random.Generator, dtype=np.float64) -> dict[str, np.ndarray]:
+    """Sample the three inverted-dropout masks for a train-mode forward, as
+    ``dtype`` arrays; the draws are float64 whatever ``dtype`` is."""
     p = cfg.dropout
+    shapes = {"m1": (batch, t_steps, cfg.units1), "m2": (batch, cfg.units2),
+              "m3": (batch, cfg.dense_units)}
     if p == 0.0:
-        return {
-            "m1": np.ones((batch, t_steps, cfg.units1)),
-            "m2": np.ones((batch, cfg.units2)),
-            "m3": np.ones((batch, cfg.dense_units)),
-        }
+        return {key: np.ones(shape, dtype) for key, shape in shapes.items()}
     scale = 1.0 / (1.0 - p)
-    return {
-        "m1": (rng.random((batch, t_steps, cfg.units1)) >= p) * scale,
-        "m2": (rng.random((batch, cfg.units2)) >= p) * scale,
-        "m3": (rng.random((batch, cfg.dense_units)) >= p) * scale,
-    }
+    return {key: (rng.random(shape) >= p).astype(dtype) * scale
+            for key, shape in shapes.items()}
 
 
 def _lstm_layer_forward(x_seq, W, U, b, units, steps=None):
     """Hidden sequence (B, T, units); appends each step's BPTT cache to
     ``steps`` when one is given."""
     batch, t_steps, _ = x_seq.shape
-    h = np.zeros((batch, units))
-    c = np.zeros((batch, units))
-    h_seq = np.empty((batch, t_steps, units))
+    dtype = np.result_type(x_seq, W)
+    h = np.zeros((batch, units), dtype)
+    c = np.zeros((batch, units), dtype)
+    h_seq = np.empty((batch, t_steps, units), dtype)
     for t in range(t_steps):
         x = x_seq[:, t, :]
         a = x @ W + h @ U + b
-        i = _sigmoid(a[:, :units])
-        f = _sigmoid(a[:, units:2 * units])
+        s = _sigmoid(a)  # one call for the i, f and o gates; g's block goes unused
+        i, f, o = s[:, :units], s[:, units:2 * units], s[:, 3 * units:]
         g = np.tanh(a[:, 2 * units:3 * units])
-        o = _sigmoid(a[:, 3 * units:])
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
         if steps is not None:
@@ -158,10 +159,10 @@ def _lstm_layer_backward(dh_seq, steps, W, U, units, input_grad=True):
     batch = dh_seq.shape[0]
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
-    db = np.zeros(W.shape[1])
-    dx_seq = np.empty((batch, len(steps), W.shape[0])) if input_grad else None
-    dh_next = np.zeros((batch, units))
-    dc_next = np.zeros((batch, units))
+    db = np.zeros(W.shape[1], W.dtype)
+    dx_seq = np.empty((batch, len(steps), W.shape[0]), dh_seq.dtype) if input_grad else None
+    dh_next = np.zeros((batch, units), dh_seq.dtype)
+    dc_next = np.zeros((batch, units), dh_seq.dtype)
     for t in reversed(range(len(steps))):
         x, h_prev, c_prev, i, f, g, o, c_new = steps[t]
         dh = dh_seq[:, t, :] + dh_next
@@ -190,13 +191,14 @@ def _lstm_layer_backward(dh_seq, steps, W, U, units, input_grad=True):
 
 def _gru_layer_forward(x_seq, W, U, b, units, steps=None):
     batch, t_steps, _ = x_seq.shape
-    h = np.zeros((batch, units))
-    h_seq = np.empty((batch, t_steps, units))
+    dtype = np.result_type(x_seq, W)
+    h = np.zeros((batch, units), dtype)
+    h_seq = np.empty((batch, t_steps, units), dtype)
     for t in range(t_steps):
         x = x_seq[:, t, :]
         azr = x @ W[:, :2 * units] + h @ U[:, :2 * units] + b[:2 * units]
-        z = _sigmoid(azr[:, :units])
-        r = _sigmoid(azr[:, units:])
+        zr = _sigmoid(azr)
+        z, r = zr[:, :units], zr[:, units:]
         rh = r * h
         an = x @ W[:, 2 * units:] + rh @ U[:, 2 * units:] + b[2 * units:]
         n = np.tanh(an)
@@ -212,9 +214,9 @@ def _gru_layer_backward(dh_seq, steps, W, U, units, input_grad=True):
     batch = dh_seq.shape[0]
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
-    db = np.zeros(W.shape[1])
-    dx_seq = np.empty((batch, len(steps), W.shape[0])) if input_grad else None
-    dh_next = np.zeros((batch, units))
+    db = np.zeros(W.shape[1], W.dtype)
+    dx_seq = np.empty((batch, len(steps), W.shape[0]), dh_seq.dtype) if input_grad else None
+    dh_next = np.zeros((batch, units), dh_seq.dtype)
     for t in reversed(range(len(steps))):
         x, h_prev, z, r, n, rh = steps[t]
         dh = dh_seq[:, t, :] + dh_next
@@ -264,7 +266,7 @@ def forward_batch(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
     if train and masks is None:
         if dropout_rng is None:
             raise ConfigError("train-mode forward needs dropout_rng or masks")
-        masks = make_dropout_masks(cfg, batch, t_steps, dropout_rng)
+        masks = make_dropout_masks(cfg, batch, t_steps, dropout_rng, x.dtype)
 
     def drop(a, key):
         return a * masks[key] if train else a
@@ -319,7 +321,7 @@ def backward(net: RecurrentNet, cache: dict, output_grad: np.ndarray) -> dict[st
 
     layer_bwd = _lstm_layer_backward if cfg.cell == "lstm" else _gru_layer_backward
     batch, t_steps = dh2.shape[0], cache["x"].shape[1]
-    dh2_seq = np.zeros((batch, t_steps, cfg.units2))
+    dh2_seq = np.zeros((batch, t_steps, cfg.units2), dh2.dtype)
     dh2_seq[:, -1, :] = dh2
     dh1_drop, dW2, dU2, db2 = layer_bwd(dh2_seq, cache["steps2"], p["l2_W"], p["l2_U"], cfg.units2)
     grads["l2_W"], grads["l2_U"], grads["l2_b"] = dW2, dU2, db2

@@ -121,6 +121,11 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
     (perl); pinn blends a data term with weight mu and a term anchored on
     the frozen physics prediction; perl adds the physics prediction to the
     net's validation output before scoring.
+
+    The net trains in float32: its features, targets, pinn's anchor and its
+    weights.  The train loss is averaged in float64, and the val scores come
+    from an eval forward on float64 features, as in ``predict_many``; the
+    returned net holds float32 weights.
     """
     variant = tconf.variant
     if variant == "physics":
@@ -132,18 +137,21 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
     if not len(train_batch) or not len(val_batch):
         raise ConfigError("train and val splits must be non-empty")
     stats = compute_norm_stats(train_batch)
-    x_train = sample_features(train_batch, stats)
+    x_train = sample_features(train_batch, stats).astype(np.float32)
     x_val = sample_features(val_batch, stats)
     targets = train_batch.ego_future_accel
     pinn_phys = val_phys = None
     if variant == "pinn":
         _, pinn_phys, _ = make_residual_targets(train_batch, params, delta)
+        pinn_phys = pinn_phys.astype(np.float32)
     elif variant == "perl":
         targets, _, _ = make_residual_targets(train_batch, params, delta)
         _, val_phys, _ = make_residual_targets(val_batch, params, delta)
+    targets = targets.astype(np.float32)
 
     n, t_fwd = targets.shape
     net = init_net(nconf, norm_stats=stats)
+    net.params = {name: p.astype(np.float32) for name, p in net.params.items()}
     state = AdamState.for_net(net, tconf.lr)
     rng = np.random.default_rng(tconf.seed)
     mu = tconf.mu
@@ -159,12 +167,12 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
             y, cache = forward_batch(net, xb, "train", dropout_rng=rng)
             scale = y.shape[0] * t_fwd
             if pinn_phys is None:
-                loss = float(np.mean((y - tb) ** 2))
+                loss = float(np.mean((y - tb) ** 2, dtype=np.float64))
                 grad = 2.0 * (y - tb) / scale
             else:
                 pb = pinn_phys[idx]
-                loss = mu * float(np.mean((y - tb) ** 2)) \
-                    + (1.0 - mu) * float(np.mean((y - pb) ** 2))
+                loss = mu * float(np.mean((y - tb) ** 2, dtype=np.float64)) \
+                    + (1.0 - mu) * float(np.mean((y - pb) ** 2, dtype=np.float64))
                 grad = (2.0 * mu * (y - tb) + 2.0 * (1.0 - mu) * (y - pb)) / scale
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {start // tconf.batch_size}")

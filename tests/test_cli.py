@@ -887,7 +887,8 @@ class TestArtifactMismatch:
 
     @pytest.mark.parametrize("key, value", [
         ("delta", '"0.10000000000000001"'), ("t_fwd", '"5"'), ("t_back", "true"),
-        ("k_vehicles", "4.0"), ("format_version", "true"), ("format_version", "1.0")])
+        ("k_vehicles", "4.0"), ("format_version", "true"), ("format_version", "1.0"),
+        ("k_vehicles", str(10**30))])  # no matrix that wide can be allocated
     def test_non_number_header_is_data_error(self, workspace, key, value, tmp_path, capsys):
         _, _, samples = workspace
         header, rest = samples.read_text().split("\n", 1)

@@ -443,8 +443,9 @@ class TestSampleFilePersistence:
         '{"format_version": 1, "delta": 0.1, "k_vehicles": 3, "t_back": true, "t_fwd": 4}',
         '{"format_version": 1, "delta": 0.1, "k_vehicles": 3.0, "t_back": 6, "t_fwd": 4}',
         '{"format_version": 1, "delta": true, "k_vehicles": 3, "t_back": 6, "t_fwd": 4}',
+        '{"format_version": 1, "delta": 0.1, "k_vehicles": %d, "t_back": 6, "t_fwd": 4}' % 10**30,
     ], ids=["no-k", "bad-t-fwd", "zero-delta", "not-object", "string-delta",
-            "string-t-fwd", "bool-t-back", "float-k", "bool-delta"])
+            "string-t-fwd", "bool-t-back", "float-k", "bool-delta", "huge-k"])
     def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "samples.jsonl"
         path.write_text(header + "\n")

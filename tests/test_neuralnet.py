@@ -3,8 +3,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from phyres import neuralnet
+from conftest import make_samples
+from phyres import neuralnet, predictors
+from phyres.domain import SplitIndex
 from phyres.errors import ConfigError, DataError
+from phyres.physics import NewellParams
 from phyres.neuralnet import (AdamState, NetConfig, adam_step, backward,
                               forward_batch, gradient_check, init_net,
                               load_net, make_dropout_masks, save_net)
@@ -171,6 +174,98 @@ class TestBackward:
     def test_gradient_check_rejects_large_nets(self):
         with pytest.raises(ConfigError):
             gradient_check(small_config(units1=64))
+
+
+def _arrays(obj):
+    """Every array in nested dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (dict, list, tuple)):
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(v)
+
+
+class _Allocations:
+    """Stands in for numpy in ``neuralnet``: records the dtype of every array
+    that np.zeros, np.zeros_like, np.empty and np.ones return while ``on``."""
+
+    def __init__(self):
+        self.on, self.dtypes = False, []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("zeros", "zeros_like", "empty", "ones"):
+            return fn
+
+        def allocate(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if self.on:
+                self.dtypes.append(out.dtype)
+            return out
+        return allocate
+
+
+class TestDtype:
+    """One stray float64 buffer promotes a whole layer's backward to float64,
+    and an in-place update into a float32 array hides it from the results."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("variant", ["nn", "pinn", "perl"])
+    def test_training_step_is_float32(self, variant, cell, monkeypatch):
+        seen = []
+        allocations = _Allocations()
+
+        def spy_forward(net, x, mode="eval", **kwargs):
+            # the val forward runs float64 features through the float32 net
+            allocations.on = mode == "train"
+            return forward_batch(net, x, mode, **kwargs)
+
+        def spy_backward(net, cache, output_grad):
+            grads = backward(net, cache, output_grad)
+            seen.append([cache["steps1"], cache["steps2"], cache["masks"], grads])
+            return grads
+
+        def spy_adam_step(net, grads, state):
+            adam_step(net, grads, state)
+            seen[-1] += [state.m, state.v, net.params]
+
+        monkeypatch.setattr(neuralnet, "np", allocations)
+        monkeypatch.setattr(predictors, "forward_batch", spy_forward)
+        monkeypatch.setattr(predictors, "backward", spy_backward)
+        monkeypatch.setattr(predictors, "adam_step", spy_adam_step)
+        samples = make_samples(20, k=3, tb=6, tf=4)
+        split = SplitIndex(frozenset(range(12)), frozenset(range(12, 16)),
+                           frozenset(range(16, 20)))
+        net, _ = predictors.train(
+            samples, split, predictors.TrainConfig(variant=variant, seed=0, max_epochs=1,
+                                                   batch_size=8),
+            small_config(cell=cell, input_dim=9, output_dim=4, dropout=0.2), 0.1,
+            NewellParams(w=4.0))
+        assert len(seen) == 2  # two minibatches of the 12 train samples
+        arrays = list(_arrays(seen)) + list(net.params.values())
+        assert len(arrays) > 100 and {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert len(allocations.dtypes) > 20
+        assert set(allocations.dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_gradient_check_is_float64(self, cell, monkeypatch):
+        seen = []
+
+        def spy_backward(net, cache, output_grad):
+            grads = backward(net, cache, output_grad)
+            seen.append([cache["steps1"], cache["steps2"], cache["masks"], grads, net.params])
+            return grads
+
+        monkeypatch.setattr(neuralnet, "backward", spy_backward)
+        assert gradient_check(small_config(cell=cell, dropout=0.2), t_steps=5) < 1e-4
+        arrays = list(_arrays(seen))
+        assert len(arrays) > 50 and {a.dtype for a in arrays} == {np.dtype(np.float64)}
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_saturates_without_overflow_warning():
+    assert neuralnet._sigmoid(np.float32(-100.0)) == 0.0
+    assert neuralnet._sigmoid(np.full(3, -800.0)).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestAdam:

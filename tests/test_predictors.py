@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import IDM_TRUE, make_sample, make_samples
 from phyres.domain import SampleBatch, SplitIndex
 from phyres.errors import ConfigError
-from phyres.neuralnet import NetConfig
+from phyres.neuralnet import NetConfig, load_net, save_net
 from phyres.physics import NewellParams, physics_rollout
 from phyres.predictors import (TrainConfig, compose_prediction,
                                make_residual_targets, predict_many,
@@ -248,6 +248,28 @@ class TestPredict:
         for variant in ("nn", "perl"):
             with pytest.raises(ConfigError, match="horizon"):
                 predict_many(variant, [short], delta=DELTA, params=params, net=net)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("variant", ["nn", "perl"])
+def test_trained_and_saved_net_predict_same_bits(variant, cell, tmp_path):
+    """A sweep cell scores the float32 net that train returns; predict reads
+    weights.json back as float64.  Both must give the same records."""
+    samples = make_samples(30, k=3, tb=6, tf=4)
+    params = NewellParams(w=4.0)
+    tconf = TrainConfig(variant=variant, seed=3, max_epochs=3)
+    net, _ = train(samples, _split(30), tconf, _net_config(cell=cell), DELTA, params)
+    save_net(net, tmp_path / "weights.json")
+    loaded = load_net(tmp_path / "weights.json")
+    assert {p.dtype for p in net.params.values()} == {np.dtype(np.float32)}
+    assert {p.dtype for p in loaded.params.values()} == {np.dtype(np.float64)}
+    got = predict_many(variant, samples, delta=DELTA, params=params, net=net)
+    want = predict_many(variant, samples, delta=DELTA, params=params, net=loaded)
+    for a, b in zip(got, want, strict=True):
+        for field in ("predicted_accel", "predicted_speed", "physics_component",
+                      "residual_component"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or x.tobytes() == y.tobytes(), field
 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
