@@ -1,14 +1,38 @@
 """Independent jobs in forked worker processes, at most one per CPU.  They
 inherit the function, its jobs and phyres as imported, so only results are
-pickled; the executor forks them all before it starts its own thread."""
+pickled; the executor forks them all before it starts its own thread.  Each
+worker holds numpy's OpenBLAS to one thread: the workers already fill the
+CPUs, and a GEMM that OpenBLAS splits across threads would oversubscribe
+them."""
 
 import os
 
 _held: list = []  # in a worker: the function and its jobs
 
 
-def _hold(fn, jobs: list[tuple]) -> None:
+def _hold(fn, jobs: list[tuple], blas) -> None:
     _held[:] = [fn, jobs]
+    if blas is not None:
+        blas.scipy_openblas_set_num_threads64_(1)
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, with its thread-count setter
+    and getter declared, or None when it is not found."""
+    import ctypes
+    import glob
+
+    import numpy
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__) + ".libs",
+                                  "libscipy_openblas64_-*.so"))
+    if len(libs) != 1:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    return lib
 
 
 def _run_held(index: int):
@@ -30,7 +54,7 @@ def completed(fn, jobs: list[tuple]):
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     with ProcessPoolExecutor(workers(len(jobs)), mp_context=multiprocessing.get_context("fork"),
-                             initializer=_hold, initargs=(fn, jobs)) as pool:
+                             initializer=_hold, initargs=(fn, jobs, _openblas())) as pool:
         futures = {pool.submit(_run_held, i): i for i in range(len(jobs))}
         for future in as_completed(futures):
             yield futures[future], future

@@ -130,14 +130,21 @@ def make_dropout_masks(cfg: NetConfig, batch: int, t_steps: int,
             for key, shape in shapes.items()}
 
 
-def _lstm_layer_forward(x_seq, W, U, b, units, steps=None):
-    """Hidden sequence (B, T, units); appends each step's BPTT cache to
-    ``steps`` when one is given."""
+def _lstm_layer_forward(x_seq, W, U, b, units, train=False):
+    """Hidden sequence (B, T, units) and, in train mode, the BPTT cache: the
+    input, each step's gates [i, f, g, o] in a time-major (T, B, 4 * units)
+    buffer, and the hidden and cell states at every step boundary,
+    (T + 1, B, units) with the zero initial state first.  Eval mode
+    allocates no per-step buffer and returns no cache."""
     batch, t_steps, _ = x_seq.shape
     dtype = np.result_type(x_seq, W)
     h = np.zeros((batch, units), dtype)
     c = np.zeros((batch, units), dtype)
     h_seq = np.empty((batch, t_steps, units), dtype)
+    if train:
+        gates = np.empty((t_steps, batch, 4 * units), dtype)
+        hs = np.zeros((t_steps + 1, batch, units), dtype)
+        cs = np.zeros((t_steps + 1, batch, units), dtype)
     for t in range(t_steps):
         x = x_seq[:, t, :]
         a = x @ W + h @ U + b
@@ -146,54 +153,72 @@ def _lstm_layer_forward(x_seq, W, U, b, units, steps=None):
         g = np.tanh(a[:, 2 * units:3 * units])
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
-        if steps is not None:
-            steps.append((x, h, c, i, f, g, o, c_new))
+        if train:
+            gates[t] = s
+            gates[t, :, 2 * units:3 * units] = g
+            hs[t + 1], cs[t + 1] = h_new, c_new
         h, c = h_new, c_new
         h_seq[:, t, :] = h
-    return h_seq
+    if not train:
+        return h_seq, None
+    return h_seq, {"x": x_seq, "gates": gates, "h": hs, "c": cs}
 
 
-def _lstm_layer_backward(dh_seq, steps, W, U, units, input_grad=True):
-    """dh_seq: (B, T, units) upstream grads on every output step.  Returns
-    (dx_seq, dW, dU, db); dx_seq is None unless ``input_grad``."""
-    batch = dh_seq.shape[0]
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(W.shape[1], W.dtype)
-    dx_seq = np.empty((batch, len(steps), W.shape[0]), dh_seq.dtype) if input_grad else None
+def _input_grads(da, x_seq, W, input_grad):
+    """dW, db and the input gradient (T, B, input_dim) (None unless
+    ``input_grad``) from the gate gradients ``da`` (T, B, gates), each as one
+    GEMM or sum over the T*B rows."""
+    t_steps, batch = da.shape[:2]
+    da = da.reshape(t_steps * batch, -1)
+    dW = x_seq.transpose(1, 0, 2).reshape(t_steps * batch, -1).T @ da
+    dx_seq = (da @ W.T).reshape(t_steps, batch, -1) if input_grad else None
+    return dx_seq, dW, da.sum(axis=0)
+
+
+def _lstm_layer_backward(dh_seq, cache, W, U, units, input_grad=True):
+    """dh_seq: (T, B, units) upstream grads on every output step.  Returns
+    (dx_seq, dW, dU, db), dx_seq time-major like dh_seq.  The time loop
+    carries only the recurrence; the gate derivatives come before it and the
+    parameter and input gradients after it."""
+    gates, hs, cs = cache["gates"], cache["h"], cache["c"]
+    t_steps, batch, _ = gates.shape
+    i, f, g, o = (gates[:, :, k * units:(k + 1) * units] for k in range(4))
+    tc = np.tanh(cs[1:])
+    # gate order in the weight matrix is [i, f, g, o]; a step's gate gradient
+    # is dc * fac[:3] for i, f and g, and dh * fac[3] for o
+    fac = np.empty((t_steps, batch, 4, units), gates.dtype)
+    fac[:, :, 0] = g * i * (1.0 - i)
+    fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
+    fac[:, :, 2] = i * (1.0 - g * g)
+    fac[:, :, 3] = tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tc * tc)
+    da = np.empty((t_steps, batch, 4, units), dh_seq.dtype)
     dh_next = np.zeros((batch, units), dh_seq.dtype)
     dc_next = np.zeros((batch, units), dh_seq.dtype)
-    for t in reversed(range(len(steps))):
-        x, h_prev, c_prev, i, f, g, o, c_new = steps[t]
-        dh = dh_seq[:, t, :] + dh_next
-        tc = np.tanh(c_new)
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        dc_next = dc * f
-        da = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ], axis=1)
-        # gate order in the weight matrix is [i, f, g, o]
-        dW += x.T @ da
-        dU += h_prev.T @ da
-        db += da.sum(axis=0)
-        if input_grad:
-            dx_seq[:, t, :] = da @ W.T
-        dh_next = da @ U.T
+    for t in reversed(range(t_steps)):
+        dh = dh_seq[t] + dh_next
+        dc = dh * dc_dh[t] + dc_next
+        np.multiply(fac[t, :, :3], dc[:, None, :], out=da[t, :, :3])
+        np.multiply(fac[t, :, 3], dh, out=da[t, :, 3])
+        dc_next = dc * f[t]
+        dh_next = da[t].reshape(batch, 4 * units) @ U.T
+    da = da.reshape(t_steps, batch, 4 * units)
+    dU = hs[:-1].reshape(t_steps * batch, units).T @ da.reshape(t_steps * batch, -1)
+    dx_seq, dW, db = _input_grads(da, cache["x"], W, input_grad)
     return dx_seq, dW, dU, db
 
 
-def _gru_layer_forward(x_seq, W, U, b, units, steps=None):
+def _gru_layer_forward(x_seq, W, U, b, units, train=False):
+    """As ``_lstm_layer_forward``; the cache holds the gates [z, r, n] and
+    r * h of each step, and the hidden states."""
     batch, t_steps, _ = x_seq.shape
     dtype = np.result_type(x_seq, W)
     h = np.zeros((batch, units), dtype)
     h_seq = np.empty((batch, t_steps, units), dtype)
+    if train:
+        gates = np.empty((t_steps, batch, 3 * units), dtype)
+        rhs = np.empty((t_steps, batch, units), dtype)
+        hs = np.zeros((t_steps + 1, batch, units), dtype)
     for t in range(t_steps):
         x = x_seq[:, t, :]
         azr = x @ W[:, :2 * units] + h @ U[:, :2 * units] + b[:2 * units]
@@ -203,45 +228,44 @@ def _gru_layer_forward(x_seq, W, U, b, units, steps=None):
         an = x @ W[:, 2 * units:] + rh @ U[:, 2 * units:] + b[2 * units:]
         n = np.tanh(an)
         h_new = (1.0 - z) * h + z * n
-        if steps is not None:
-            steps.append((x, h, z, r, n, rh))
+        if train:
+            gates[t, :, :2 * units], gates[t, :, 2 * units:] = zr, n
+            rhs[t], hs[t + 1] = rh, h_new
         h = h_new
         h_seq[:, t, :] = h
-    return h_seq
+    if not train:
+        return h_seq, None
+    return h_seq, {"x": x_seq, "gates": gates, "rh": rhs, "h": hs}
 
 
-def _gru_layer_backward(dh_seq, steps, W, U, units, input_grad=True):
-    batch = dh_seq.shape[0]
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(W.shape[1], W.dtype)
-    dx_seq = np.empty((batch, len(steps), W.shape[0]), dh_seq.dtype) if input_grad else None
+def _gru_layer_backward(dh_seq, cache, W, U, units, input_grad=True):
+    """As ``_lstm_layer_backward``, for the GRU."""
+    gates, h_prev = cache["gates"], cache["h"][:-1]
+    t_steps, batch, _ = gates.shape
+    z, r, n = (gates[:, :, k * units:(k + 1) * units] for k in range(3))
+    # a step's gate gradients: daz = dh * kz, dan = dh * kn, dar = drh * kr
+    # with drh = dan @ Un.T; dh reaches the previous step as dh * (1 - z),
+    # drh * r and [daz, dar] @ [Uz, Ur].T
+    kz = (n - h_prev) * z * (1.0 - z)
+    kn = z * (1.0 - n * n)
+    kr = h_prev * r * (1.0 - r)
+    keep = 1.0 - z
+    uzr_t, un_t = U[:, :2 * units].T, U[:, 2 * units:].T
+    da = np.empty((t_steps, batch, 3, units), dh_seq.dtype)
     dh_next = np.zeros((batch, units), dh_seq.dtype)
-    for t in reversed(range(len(steps))):
-        x, h_prev, z, r, n, rh = steps[t]
-        dh = dh_seq[:, t, :] + dh_next
-        dz = dh * (n - h_prev)
-        dn = dh * z
-        dh_prev = dh * (1.0 - z)
-        dan = dn * (1.0 - n * n)
-        drh = dan @ U[:, 2 * units:].T
-        dr = drh * h_prev
-        dh_prev += drh * r
-        daz = dz * z * (1.0 - z)
-        dar = dr * r * (1.0 - r)
-        dW[:, :units] += x.T @ daz
-        dW[:, units:2 * units] += x.T @ dar
-        dW[:, 2 * units:] += x.T @ dan
-        dU[:, :units] += h_prev.T @ daz
-        dU[:, units:2 * units] += h_prev.T @ dar
-        dU[:, 2 * units:] += rh.T @ dan
-        db[:units] += daz.sum(axis=0)
-        db[units:2 * units] += dar.sum(axis=0)
-        db[2 * units:] += dan.sum(axis=0)
-        if input_grad:
-            dx_seq[:, t, :] = daz @ W[:, :units].T + dar @ W[:, units:2 * units].T \
-                + dan @ W[:, 2 * units:].T
-        dh_next = dh_prev + daz @ U[:, :units].T + dar @ U[:, units:2 * units].T
+    for t in reversed(range(t_steps)):
+        dh = dh_seq[t] + dh_next
+        np.multiply(dh, kz[t], out=da[t, :, 0])
+        np.multiply(dh, kn[t], out=da[t, :, 2])
+        drh = da[t, :, 2] @ un_t
+        np.multiply(drh, kr[t], out=da[t, :, 1])
+        dh_next = dh * keep[t] + drh * r[t] + da[t, :, :2].reshape(batch, 2 * units) @ uzr_t
+    rows = t_steps * batch
+    da = da.reshape(t_steps, batch, 3 * units)
+    dU = np.empty_like(U)
+    dU[:, :2 * units] = h_prev.reshape(rows, units).T @ da[..., :2 * units].reshape(rows, -1)
+    dU[:, 2 * units:] = cache["rh"].reshape(rows, units).T @ da[..., 2 * units:].reshape(rows, -1)
+    dx_seq, dW, db = _input_grads(da, cache["x"], W, input_grad)
     return dx_seq, dW, dU, db
 
 
@@ -271,11 +295,10 @@ def forward_batch(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
     def drop(a, key):
         return a * masks[key] if train else a
 
-    steps1, steps2 = ([], []) if train else (None, None)
     layer_fwd = _lstm_layer_forward if cfg.cell == "lstm" else _gru_layer_forward
-    h1_seq = layer_fwd(x, p["l1_W"], p["l1_U"], p["l1_b"], cfg.units1, steps1)
-    h1_drop = drop(h1_seq, "m1")
-    h2_seq = layer_fwd(h1_drop, p["l2_W"], p["l2_U"], p["l2_b"], cfg.units2, steps2)
+    h1_seq, l1 = layer_fwd(x, p["l1_W"], p["l1_U"], p["l1_b"], cfg.units1, train)
+    h2_seq, l2 = layer_fwd(drop(h1_seq, "m1"), p["l2_W"], p["l2_U"], p["l2_b"], cfg.units2,
+                           train)
     h2_drop = drop(h2_seq[:, -1, :], "m2")
     z3_drop = drop(h2_drop @ p["dense_W"] + p["dense_b"], "m3")
     y_lin = z3_drop @ p["out_W"] + p["out_b"]
@@ -285,12 +308,8 @@ def forward_batch(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
             raise NumericError(f"non-finite values in {name}")
     if not train:
         return y, None
-    cache = {
-        "x": x, "masks": masks, "steps1": steps1, "steps2": steps2,
-        "h1_drop": h1_drop, "h2_drop": h2_drop, "z3_drop": z3_drop,
-        "y_lin": y_lin,
-    }
-    return y, cache
+    return y, {"masks": masks, "l1": l1, "l2": l2, "h2_drop": h2_drop, "z3_drop": z3_drop,
+               "y_lin": y_lin}
 
 
 def backward(net: RecurrentNet, cache: dict, output_grad: np.ndarray) -> dict[str, np.ndarray]:
@@ -320,14 +339,14 @@ def backward(net: RecurrentNet, cache: dict, output_grad: np.ndarray) -> dict[st
     dh2 = (dz3 @ p["dense_W"].T) * masks["m2"]
 
     layer_bwd = _lstm_layer_backward if cfg.cell == "lstm" else _gru_layer_backward
-    batch, t_steps = dh2.shape[0], cache["x"].shape[1]
-    dh2_seq = np.zeros((batch, t_steps, cfg.units2), dh2.dtype)
-    dh2_seq[:, -1, :] = dh2
-    dh1_drop, dW2, dU2, db2 = layer_bwd(dh2_seq, cache["steps2"], p["l2_W"], p["l2_U"], cfg.units2)
+    # the layers' backwards run time-major: (T, B, ·)
+    dh2_seq = np.zeros((cache["l1"]["x"].shape[1], *dh2.shape), dh2.dtype)
+    dh2_seq[-1] = dh2
+    dh1_drop, dW2, dU2, db2 = layer_bwd(dh2_seq, cache["l2"], p["l2_W"], p["l2_U"], cfg.units2)
     grads["l2_W"], grads["l2_U"], grads["l2_b"] = dW2, dU2, db2
-    dh1_seq = dh1_drop * masks["m1"]
+    dh1_seq = dh1_drop * masks["m1"].transpose(1, 0, 2)
     # nothing reads the gradient on the network input
-    _, dW1, dU1, db1 = layer_bwd(dh1_seq, cache["steps1"], p["l1_W"], p["l1_U"], cfg.units1,
+    _, dW1, dU1, db1 = layer_bwd(dh1_seq, cache["l1"], p["l1_W"], p["l1_U"], cfg.units1,
                                  input_grad=False)
     grads["l1_W"], grads["l1_U"], grads["l1_b"] = dW1, dU1, db1
     return grads

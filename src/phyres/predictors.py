@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not (0.0 <= self.mu <= 1.0):
             raise ConfigError("mu must be in [0, 1]")
 
@@ -158,46 +160,49 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
     best = (float("inf"), -1, net.copy_params())
     per_epoch = []
     bad = 0
-    for epoch in range(1, tconf.max_epochs + 1):
-        perm = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, tconf.batch_size):
-            idx = perm[start:start + tconf.batch_size]
-            xb, tb = x_train[idx], targets[idx]
-            y, cache = forward_batch(net, xb, "train", dropout_rng=rng)
-            scale = y.shape[0] * t_fwd
-            if pinn_phys is None:
-                loss = float(np.mean((y - tb) ** 2, dtype=np.float64))
-                grad = 2.0 * (y - tb) / scale
+    # a diverging run overflows float32: the finite checks on the loss and in
+    # forward_batch report it as one error, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, tconf.max_epochs + 1):
+            perm = rng.permutation(n)
+            epoch_losses = []
+            for start in range(0, n, tconf.batch_size):
+                idx = perm[start:start + tconf.batch_size]
+                xb, tb = x_train[idx], targets[idx]
+                y, cache = forward_batch(net, xb, "train", dropout_rng=rng)
+                scale = y.shape[0] * t_fwd
+                if pinn_phys is None:
+                    loss = float(np.mean((y - tb) ** 2, dtype=np.float64))
+                    grad = 2.0 * (y - tb) / scale
+                else:
+                    pb = pinn_phys[idx]
+                    loss = mu * float(np.mean((y - tb) ** 2, dtype=np.float64)) \
+                        + (1.0 - mu) * float(np.mean((y - pb) ** 2, dtype=np.float64))
+                    grad = (2.0 * mu * (y - tb) + 2.0 * (1.0 - mu) * (y - pb)) / scale
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {start // tconf.batch_size}")
+                grads = backward(net, cache, grad)
+                adam_step(net, grads, state)
+                epoch_losses.append(loss)
+            y_val, _ = forward_batch(net, x_val, "eval")
+            pred_val = y_val if val_phys is None else val_phys + y_val
+            v0 = val_batch.ego_speed_at_t0
+            sq_a, sq_v = squared_errors(pred_val, reconstruct_speed(v0[:, None], pred_val, delta),
+                                        val_batch.ego_future_accel, v0, delta)
+            mse_a = float(np.mean(sq_a))
+            per_epoch.append({
+                "epoch": epoch,
+                "train_loss": float(np.mean(epoch_losses)),
+                "mse_a_val": mse_a,
+                "mse_v_val": float(np.mean(sq_v)),
+            })
+            if mse_a < best[0]:
+                best = (mse_a, epoch, net.copy_params())
+                bad = 0
             else:
-                pb = pinn_phys[idx]
-                loss = mu * float(np.mean((y - tb) ** 2, dtype=np.float64)) \
-                    + (1.0 - mu) * float(np.mean((y - pb) ** 2, dtype=np.float64))
-                grad = (2.0 * mu * (y - tb) + 2.0 * (1.0 - mu) * (y - pb)) / scale
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {start // tconf.batch_size}")
-            grads = backward(net, cache, grad)
-            adam_step(net, grads, state)
-            epoch_losses.append(loss)
-        y_val, _ = forward_batch(net, x_val, "eval")
-        pred_val = y_val if val_phys is None else val_phys + y_val
-        v0 = val_batch.ego_speed_at_t0
-        sq_a, sq_v = squared_errors(pred_val, reconstruct_speed(v0[:, None], pred_val, delta),
-                                    val_batch.ego_future_accel, v0, delta)
-        mse_a = float(np.mean(sq_a))
-        per_epoch.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
-            "mse_a_val": mse_a,
-            "mse_v_val": float(np.mean(sq_v)),
-        })
-        if mse_a < best[0]:
-            best = (mse_a, epoch, net.copy_params())
-            bad = 0
-        else:
-            bad += 1
-            if bad >= tconf.patience:
-                break
+                bad += 1
+                if bad >= tconf.patience:
+                    break
     net.params = best[2]
     report = TrainReport(config=asdict(tconf), net_config=asdict(nconf),
                          per_epoch=per_epoch, best_epoch=best[1])
@@ -243,7 +248,11 @@ def predict_many(variant: str, samples, *, delta: float,
     if variant in ("physics", "perl"):
         accel, flags = rollout_batch(batch, params, delta)
     if variant != "physics":
-        y, _ = forward_batch(net, sample_features(batch, net.norm_stats), "eval")
+        x = sample_features(batch, net.norm_stats)
+        # numpy multiplies a lone row as a matrix-vector product, which rounds
+        # otherwise than the matrix product: a lone sample runs as two rows,
+        # so that it predicts the bits it would in any batch
+        y = forward_batch(net, np.concatenate([x, x]) if n == 1 else x, "eval")[0][:n]
         if variant == "perl":
             accel, phys_parts, resid_parts = compose_prediction(accel, y)
         else:

@@ -37,12 +37,14 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_fresh(script: str, *args: str, cwd=None) -> str:
+def run_fresh(script: str, *args: str, cwd=None, environ=None) -> str:
     """Run ``script`` with ``args`` in a new interpreter that imports this
-    phyres; returns its stdout, and fails the test unless it exits 0."""
+    phyres, in ``environ`` (default: this one's environment); returns its
+    stdout, and fails the test unless it exits 0."""
     src = str(Path(phyres.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    environ = os.environ if environ is None else environ
+    env = dict(environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

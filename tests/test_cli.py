@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,29 @@ class TestExitCodes:
                     "--delta", delta]) == 2
         assert _one_error_line(capsys) == "error: delta must be positive"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("lr", ["0", "-0.001", "-1"])
+    def test_non_positive_lr_is_config_error(self, workspace, tmp_path, capsys, command, lr):
+        argv = [command, "--samples", str(workspace[2]), "--out", str(tmp_path / "o"),
+                "--seed", "1", "--max-epochs", "1", "--lr", lr]
+        argv += ["--variant", "nn"] if command == "train" else ["--data-sizes", "50"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert _one_error_line(capsys) == f"error: lr must be > 0, got {float(lr)}"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cell, lr", [("lstm", "1e300"), ("gru", "1e30")])
+    def test_diverging_training_is_one_line(self, workspace, tmp_path, capsys, cell, lr):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--samples", str(workspace[2]), "--out", str(tmp_path / "t"),
+                        "--seed", "1", "--variant", "nn", "--cell", cell, "--lr", lr,
+                        "--max-epochs", "3"]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: non-finite values in "), err
 
     def test_failed_platoon_leaves_no_corpus(self, tmp_path, capsys):
         assert run(["synth", "--out", str(tmp_path / "c.csv"), "--seed", "1",

@@ -166,7 +166,7 @@ class TestBackward:
         assert got.keys() == want.keys()
         for k in want:
             assert got[k].tobytes() == want[k].tobytes(), k
-        assert layer_bwd(np.zeros((7, 6, 8)), cache["steps1"], net.params["l1_W"],
+        assert layer_bwd(np.zeros((6, 7, 8)), cache["l1"], net.params["l1_W"],
                          net.params["l1_U"], 8, input_grad=False)[0] is None
         monkeypatch.undo()
         assert gradient_check(small_config(cell=cell, dropout=0.2), t_steps=5) < 1e-4
@@ -186,21 +186,23 @@ def _arrays(obj):
 
 
 class _Allocations:
-    """Stands in for numpy in ``neuralnet``: records the dtype of every array
-    that np.zeros, np.zeros_like, np.empty and np.ones return while ``on``."""
+    """Stands in for numpy in ``neuralnet``: records the dtype and shape of
+    every array that np.zeros, np.zeros_like, np.empty, np.empty_like and
+    np.ones return while ``on``."""
 
     def __init__(self):
-        self.on, self.dtypes = False, []
+        self.on, self.dtypes, self.shapes = False, [], []
 
     def __getattr__(self, name):
         fn = getattr(np, name)
-        if name not in ("zeros", "zeros_like", "empty", "ones"):
+        if name not in ("zeros", "zeros_like", "empty", "empty_like", "ones"):
             return fn
 
         def allocate(*args, **kwargs):
             out = fn(*args, **kwargs)
             if self.on:
                 self.dtypes.append(out.dtype)
+                self.shapes.append(out.shape)
             return out
         return allocate
 
@@ -222,7 +224,7 @@ class TestDtype:
 
         def spy_backward(net, cache, output_grad):
             grads = backward(net, cache, output_grad)
-            seen.append([cache["steps1"], cache["steps2"], cache["masks"], grads])
+            seen.append([cache["l1"], cache["l2"], cache["masks"], grads])
             return grads
 
         def spy_adam_step(net, grads, state):
@@ -253,13 +255,180 @@ class TestDtype:
 
         def spy_backward(net, cache, output_grad):
             grads = backward(net, cache, output_grad)
-            seen.append([cache["steps1"], cache["steps2"], cache["masks"], grads, net.params])
+            seen.append([cache["l1"], cache["l2"], cache["masks"], grads, net.params])
             return grads
 
         monkeypatch.setattr(neuralnet, "backward", spy_backward)
         assert gradient_check(small_config(cell=cell, dropout=0.2), t_steps=5) < 1e-4
         arrays = list(_arrays(seen))
-        assert len(arrays) > 50 and {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        assert len(arrays) > 30 and {a.dtype for a in arrays} == {np.dtype(np.float64)}
+
+
+# A stepwise reference BPTT: each step's gradients and its weight-gradient
+# GEMMs inside the time loop, over a list of per-step caches.  The kernel
+# batches all but the recurrence over the T*B rows.
+
+def _reference_lstm_forward(x_seq, W, U, b, units, steps):
+    batch, t_steps, _ = x_seq.shape
+    h = np.zeros((batch, units), x_seq.dtype)
+    c = np.zeros((batch, units), x_seq.dtype)
+    h_seq = np.empty((batch, t_steps, units), x_seq.dtype)
+    for t in range(t_steps):
+        x = x_seq[:, t, :]
+        a = x @ W + h @ U + b
+        s = neuralnet._sigmoid(a)
+        i, f, o = s[:, :units], s[:, units:2 * units], s[:, 3 * units:]
+        g = np.tanh(a[:, 2 * units:3 * units])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        steps.append((x, h, c, i, f, g, o, c_new))
+        h, c = h_new, c_new
+        h_seq[:, t, :] = h
+    return h_seq
+
+
+def _reference_lstm_backward(dh_seq, steps, W, U, units):
+    batch = dh_seq.shape[0]
+    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros(W.shape[1], W.dtype)
+    dx_seq = np.empty((batch, len(steps), W.shape[0]), dh_seq.dtype)
+    dh_next = np.zeros((batch, units), dh_seq.dtype)
+    dc_next = np.zeros((batch, units), dh_seq.dtype)
+    for t in reversed(range(len(steps))):
+        x, h_prev, c_prev, i, f, g, o, c_new = steps[t]
+        dh = dh_seq[:, t, :] + dh_next
+        tc = np.tanh(c_new)
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        df = dc * c_prev
+        di = dc * g
+        dg = dc * i
+        dc_next = dc * f
+        da = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f),
+                             dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        dW += x.T @ da
+        dU += h_prev.T @ da
+        db += da.sum(axis=0)
+        dx_seq[:, t, :] = da @ W.T
+        dh_next = da @ U.T
+    return dx_seq, dW, dU, db
+
+
+def _reference_gru_forward(x_seq, W, U, b, units, steps):
+    batch, t_steps, _ = x_seq.shape
+    h = np.zeros((batch, units), x_seq.dtype)
+    h_seq = np.empty((batch, t_steps, units), x_seq.dtype)
+    for t in range(t_steps):
+        x = x_seq[:, t, :]
+        azr = x @ W[:, :2 * units] + h @ U[:, :2 * units] + b[:2 * units]
+        zr = neuralnet._sigmoid(azr)
+        z, r = zr[:, :units], zr[:, units:]
+        rh = r * h
+        an = x @ W[:, 2 * units:] + rh @ U[:, 2 * units:] + b[2 * units:]
+        n = np.tanh(an)
+        h_new = (1.0 - z) * h + z * n
+        steps.append((x, h, z, r, n, rh))
+        h = h_new
+        h_seq[:, t, :] = h
+    return h_seq
+
+
+def _reference_gru_backward(dh_seq, steps, W, U, units):
+    batch = dh_seq.shape[0]
+    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros(W.shape[1], W.dtype)
+    dx_seq = np.empty((batch, len(steps), W.shape[0]), dh_seq.dtype)
+    dh_next = np.zeros((batch, units), dh_seq.dtype)
+    for t in reversed(range(len(steps))):
+        x, h_prev, z, r, n, rh = steps[t]
+        dh = dh_seq[:, t, :] + dh_next
+        dz = dh * (n - h_prev)
+        dn = dh * z
+        dh_prev = dh * (1.0 - z)
+        dan = dn * (1.0 - n * n)
+        drh = dan @ U[:, 2 * units:].T
+        dr = drh * h_prev
+        dh_prev += drh * r
+        daz = dz * z * (1.0 - z)
+        dar = dr * r * (1.0 - r)
+        dW[:, :units] += x.T @ daz
+        dW[:, units:2 * units] += x.T @ dar
+        dW[:, 2 * units:] += x.T @ dan
+        dU[:, :units] += h_prev.T @ daz
+        dU[:, units:2 * units] += h_prev.T @ dar
+        dU[:, 2 * units:] += rh.T @ dan
+        db[:units] += daz.sum(axis=0)
+        db[units:2 * units] += dar.sum(axis=0)
+        db[2 * units:] += dan.sum(axis=0)
+        dx_seq[:, t, :] = daz @ W[:, :units].T + dar @ W[:, units:2 * units].T \
+            + dan @ W[:, 2 * units:].T
+        dh_next = dh_prev + daz @ U[:, :units].T + dar @ U[:, units:2 * units].T
+    return dx_seq, dW, dU, db
+
+
+_REFERENCE = {"lstm": (_reference_lstm_forward, _reference_lstm_backward),
+              "gru": (_reference_gru_forward, _reference_gru_backward)}
+
+
+def _layer_case(cell, batch, t_steps, dtype=np.float64, units=5, input_dim=3):
+    rng = np.random.default_rng([batch, t_steps])
+    width = (4 if cell == "lstm" else 3) * units
+    W, U = rng.uniform(-1, 1, (input_dim, width)), rng.uniform(-1, 1, (units, width))
+    b = rng.uniform(-0.5, 0.5, width)
+    x = rng.standard_normal((batch, t_steps, input_dim))
+    dh = rng.standard_normal((batch, t_steps, units))
+    return [a.astype(dtype) for a in (x, W, U, b, dh)]
+
+
+class TestTimeBatchedBPTT:
+    """The layer kernels against the stepwise reference above."""
+
+    SHAPES = [(6, 7), (1, 7), (6, 1), (1, 1)]
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("batch,t_steps", SHAPES)
+    def test_backward_matches_stepwise_reference(self, cell, batch, t_steps):
+        x, W, U, b, dh = _layer_case(cell, batch, t_steps)
+        ref_forward, ref_backward = _REFERENCE[cell]
+        steps = []
+        ref_forward(x, W, U, b, 5, steps)
+        want = ref_backward(dh, steps, W, U, 5)
+        _, cache = getattr(neuralnet, f"_{cell}_layer_forward")(x, W, U, b, 5, train=True)
+        dx, dW, dU, db = getattr(neuralnet, f"_{cell}_layer_backward")(
+            dh.transpose(1, 0, 2).copy(), cache, W, U, 5)
+        for name, got, ref in zip(("dx", "dW", "dU", "db"),
+                                  (dx.transpose(1, 0, 2), dW, dU, db), want):
+            assert got.shape == ref.shape and got.dtype == ref.dtype, name
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("batch,t_steps", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_train_and_eval_forwards_bit_equal_reference(self, cell, batch, t_steps, dtype):
+        x, W, U, b, _ = _layer_case(cell, batch, t_steps, dtype)
+        want = _REFERENCE[cell][0](x, W, U, b, 5, [])
+        layer_forward = getattr(neuralnet, f"_{cell}_layer_forward")
+        h_train, cache = layer_forward(x, W, U, b, 5, train=True)
+        h_eval, no_cache = layer_forward(x, W, U, b, 5)
+        assert no_cache is None
+        assert h_train.tobytes() == want.tobytes() and h_eval.tobytes() == want.tobytes()
+        assert h_train.dtype == h_eval.dtype == dtype
+        assert cache["h"][1:].transpose(1, 0, 2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_eval_forward_allocates_no_per_step_buffer(self, cell, monkeypatch):
+        # a per-step buffer over predict's thousands of rows once raised the
+        # pipeline's peak RSS by two thirds
+        net = init_net(small_config(cell=cell, units1=8, units2=5))
+        x = np.random.default_rng(3).standard_normal((7, 6, 6))
+        allocations = _Allocations()
+        monkeypatch.setattr(neuralnet, "np", allocations)
+        allocations.on = True
+        forward_batch(net, x, "eval")
+        # the states (B, units) and each layer's hidden sequence (B, T, units)
+        assert set(allocations.shapes) == {(7, 8), (7, 6, 8), (7, 5), (7, 6, 5)}
+        allocations.shapes.clear()
+        forward_batch(net, x, "train", dropout_rng=np.random.default_rng(0))
+        gates = 4 if cell == "lstm" else 3
+        assert {(6, 7, gates * 8), (6, 7, gates * 5)} <= set(allocations.shapes)
 
 
 @pytest.mark.filterwarnings("error")
