@@ -4,7 +4,8 @@ Subcommands: synth, extract, calibrate, train, predict, evaluate, sweep,
 gradcheck.  Every subcommand accepts ``--config FILE`` (a flat JSON object
 whose keys are flag names with dashes replaced by underscores); explicit
 flags override config values.  Commands that draw random numbers require
-``--seed``.  Each run writes a manifest next to its outputs.  ``extract``
+``--seed``.  ``main`` runs the command and then writes a manifest in the
+folder that holds its outputs.  ``extract``
 takes the sample geometry (delta, K, t_back, t_fwd) from its flags; every
 later command reads it from the samples file's header.
 
@@ -37,8 +38,8 @@ from .neuralnet import (ACTIVATIONS, CELLS, NetConfig, gradient_check, load_net,
                         save_net)
 from .physics import IdmParams, NewellParams
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (VARIANTS, PredictionRecord, TrainConfig, predict_many,
-                         train, train_nn, train_perl, train_pinn)
+from .predictors import (VARIANTS, PredictionRecord, predict_many, train, train_nn,
+                         train_perl, train_pinn, training_configs)
 from .synth import SynthConfig, generate_corpus
 
 
@@ -102,27 +103,31 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir, command, args, inputs, outputs, started, digests=None):
-    """``digests`` maps input paths whose sha256 is already known to it."""
-    os.makedirs(outdir, exist_ok=True)
-    digests = digests or {}
-    resolved = {k: v for k, v in vars(args).items()
-                if k not in ("func",) and not callable(v)}
+# the flags that name a command's input files, in the manifest's order
+INPUT_FLAGS = ("input", "samples", "params_file", "weights", "records")
+
+
+def _write_manifest(args, outputs, header, started) -> None:
+    """The run's manifest, in the folder that holds its ``outputs``: its
+    settings, the sha256 of each file an input flag names (the samples
+    file's from its ``header``, which already holds it), its outputs and
+    its wall time."""
+    outdir = os.path.commonpath([os.path.dirname(os.path.abspath(p)) for p in outputs])
     serialize.write_json(os.path.join(outdir, "manifest.json"), {
         "tool_version": __version__,
-        "command": command,
-        "config": resolved,
-        "input_digests": {os.path.basename(p): digests.get(p) or _sha256(p) for p in inputs},
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "input_digests": {
+            os.path.basename(path): header["sha256"] if flag == "samples" else _sha256(path)
+            for flag in INPUT_FLAGS if (path := getattr(args, flag, None))},
         "outputs": sorted(os.path.relpath(p, outdir) for p in outputs),
         "wall_clock_s": time.monotonic() - started,
     })
 
 
-def _out_dir(path) -> str:
-    """Make the folder that will hold ``path``; returns it."""
-    outdir = os.path.dirname(os.path.abspath(path))
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+def _out_dir(path) -> None:
+    """Make the folder that will hold ``path``."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def _dataset_config(args, geometry: dict) -> DatasetConfig:
@@ -132,6 +137,14 @@ def _dataset_config(args, geometry: dict) -> DatasetConfig:
     return DatasetConfig(delta=geometry["delta"], k_vehicles=geometry["k_vehicles"],
                          t_back=geometry["t_back"], t_fwd=geometry["t_fwd"],
                          omega_train=SPLIT_TRAIN, omega_val=SPLIT_VAL, seed=args.split_seed)
+
+
+def _read_split(args):
+    """The samples that ``args.samples`` names, their header, the dataset
+    config of that header and ``args.split_seed``, and its split."""
+    samples, header = read_samples(args.samples)
+    dcfg = _dataset_config(args, header)
+    return samples, header, dcfg, split_dataset(samples.sample_ids.tolist(), dcfg)
 
 
 def _add_split_seed(p):
@@ -178,8 +191,10 @@ SYNTH_STEPS = 80
 SPLIT_TRAIN, SPLIT_VAL = 0.6, 0.2  # shares of the samples; the test split gets the rest
 
 
+# Each command returns its exit code, the paths it wrote and the samples
+# header it read (or None): main writes the manifest from them.
+
 def _cmd_synth(args):
-    started = time.monotonic()
     params = SYNTH_IDM if args.generator == "idm" else NewellParams(w=args.wave_speed)
     cfg = SynthConfig(
         generator=args.generator, params=params, n_platoons=args.platoons,
@@ -189,59 +204,38 @@ def _cmd_synth(args):
     )
     diag = generate_corpus(cfg, args.out)
     print(f"wrote {diag['rows']} rows ({diag['vehicles']} vehicles) to {args.out}")
-    _write_manifest(_out_dir(args.out), "synth", args, [], [args.out], started)
-    return 0
+    return 0, [args.out], None
 
 
 # -------------------------------------------------------------- extract
 
 def _cmd_extract(args):
-    started = time.monotonic()
     dcfg = _dataset_config(args, vars(args))
     series = parse_trajectory_csv(args.input, dcfg.delta)
     samples = extract_samples(series, dcfg)
-    samples.validate()
-    outdir = _out_dir(args.out)
     sidecar = write_samples(samples, args.out, dcfg)
     print(f"extracted {len(samples)} samples from {len(series)} vehicle series")
-    _write_manifest(outdir, "extract", args, [args.input], [args.out, sidecar], started)
-    return 0
+    return 0, [args.out, sidecar], None
 
 
 # ------------------------------------------------------------ calibrate
 
 def _cmd_calibrate(args):
-    started = time.monotonic()
-    samples, header = read_samples(args.samples)
-    dcfg = _dataset_config(args, header)
-    split = split_dataset(samples.sample_ids.tolist(), dcfg)
+    samples, header, dcfg, split = _read_split(args)
     ccfg = CalibrationConfig(model=args.model, sample_size=args.sample_size,
                              repetitions=args.repetitions, seed=args.seed)
     report = monte_carlo_calibrate(samples.select(split.train_ids), ccfg, dcfg.delta)
-    outdir = _out_dir(args.out)
+    _out_dir(args.out)
     report.write_json(args.out)
     print(f"calibrated {args.model}: mean params {report.param_mean}")
-    _write_manifest(outdir, "calibrate", args, [args.samples], [args.out], started,
-                    {args.samples: header["sha256"]})
-    return 0
+    return 0, [args.out], header
 
 
 # ---------------------------------------------------------------- train
 
 def _cmd_train(args):
-    started = time.monotonic()
-    samples, header = read_samples(args.samples)
-    dcfg = _dataset_config(args, header)
-    split = split_dataset(samples.sample_ids.tolist(), dcfg)
-    nconf = NetConfig(cell=args.cell, units1=args.units1, units2=args.units2,
-                      dense_units=args.dense_units,
-                      output_dim=dcfg.t_fwd,
-                      input_dim=3 * dcfg.k_vehicles,
-                      dropout=args.dropout,
-                      output_activation=args.activation, seed=args.seed)
-    tconf = TrainConfig(variant=args.variant, seed=args.seed,
-                        max_epochs=args.max_epochs, batch_size=args.batch_size,
-                        patience=args.patience, lr=args.lr, mu=args.mu)
+    samples, header, dcfg, split = _read_split(args)
+    tconf, nconf = training_configs(args, dcfg, args.variant, args.seed)
     params = _load_params(args.params_file) if args.params_file else None
     net, report = train(samples, split, tconf, nconf, dcfg.delta, params)
     os.makedirs(args.out, exist_ok=True)
@@ -252,10 +246,7 @@ def _cmd_train(args):
     last = report.per_epoch[-1]
     print(f"trained {args.variant}: {len(report.per_epoch)} epochs, "
           f"best epoch {report.best_epoch}, final val mse_a {last['mse_a_val']:.6g}")
-    inputs = [p for p in (args.samples, args.params_file) if p]
-    _write_manifest(args.out, "train", args, inputs, [weights, rpt], started,
-                    {args.samples: header["sha256"]})
-    return 0
+    return 0, [weights, rpt], header
 
 
 # -------------------------------------------------------------- predict
@@ -313,34 +304,27 @@ def read_records(path) -> list[PredictionRecord]:
 
 
 def _cmd_predict(args):
-    started = time.monotonic()
-    samples, header = read_samples(args.samples)
-    dcfg = _dataset_config(args, header)
-    split = split_dataset(samples.sample_ids.tolist(), dcfg)
+    samples, header, dcfg, split = _read_split(args)
     subset = {"train": split.train_ids, "val": split.val_ids,
               "test": split.test_ids, "all": None}[args.subset]
     targets = samples if subset is None else samples.select(subset)
     params = _load_params(args.params_file) if args.params_file else None
     net = load_net(args.weights) if args.weights else None
     records = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
-    outdir = _out_dir(args.out)
+    _out_dir(args.out)
     _write_records(records, args.out)
     print(f"wrote {len(records)} prediction records to {args.out}")
-    inputs = [p for p in (args.samples, args.params_file, args.weights) if p]
-    _write_manifest(outdir, "predict", args, inputs, [args.out], started,
-                    {args.samples: header["sha256"]})
-    return 0
+    return 0, [args.out], header
 
 
 # ------------------------------------------------------------- evaluate
 
 def _cmd_evaluate(args):
-    started = time.monotonic()
     samples, header = read_samples(args.samples)
     records = read_records(args.records)
     truth = samples.select({r.sample_id for r in records})
     mse_a, mse_v = mse_metrics(records, truth, header["delta"])
-    outdir = _out_dir(args.out)
+    _out_dir(args.out)
     serialize.write_json(args.out, {
         "n_samples": len(records),
         "mse_a_test": mse_a,
@@ -348,9 +332,7 @@ def _cmd_evaluate(args):
         "collision_count": sum(r.collision_in_rollout for r in records),
     })
     print(f"mse_a={mse_a:.6g} mse_v={mse_v:.6g} over {len(records)} samples")
-    _write_manifest(outdir, "evaluate", args, [args.samples, args.records],
-                    [args.out], started, {args.samples: header["sha256"]})
-    return 0
+    return 0, [args.out], header
 
 
 # ---------------------------------------------------------------- sweep
@@ -366,7 +348,6 @@ def _print_cell(cell):
 
 
 def _cmd_sweep(args):
-    started = time.monotonic()
     variants = tuple(args.variants.split(","))
     data_sizes = tuple(map(int, args.data_sizes.split(",")))
     seeds = tuple(map(int, args.seeds.split(","))) if args.seeds else (args.seed,)
@@ -376,7 +357,7 @@ def _cmd_sweep(args):
         variants=variants, data_sizes=data_sizes, seeds=seeds,
         physics_model=args.model, cell=args.cell,
         units1=args.units1, units2=args.units2, dense_units=args.dense_units,
-        dropout=args.dropout, output_activation=args.activation,
+        dropout=args.dropout, activation=args.activation,
         max_epochs=args.max_epochs, batch_size=args.batch_size,
         patience=args.patience, lr=args.lr, mu=args.mu,
     )
@@ -386,9 +367,7 @@ def _cmd_sweep(args):
     paths += emit_plot_data(cells, args.out)
     failures = [c for c in cells if c.error is not None]
     print(f"sweep: {len(cells) - len(failures)}/{len(cells)} cells succeeded")
-    _write_manifest(args.out, "sweep", args, [args.samples], paths, started,
-                    {args.samples: header["sha256"]})
-    return 4 if failures else 0
+    return (4 if failures else 0), paths, header
 
 
 # ------------------------------------------------------------ gradcheck
@@ -401,7 +380,7 @@ GRADCHECK_NET = NetConfig(cell="lstm", units1=4, units2=3, dense_units=4, output
 def _cmd_gradcheck(args):
     err = gradient_check(replace(GRADCHECK_NET, cell=args.cell), t_steps=5)
     print(f"max relative gradient error: {err:.3e}")
-    return 0 if err < 1e-4 else 3
+    return (0 if err < 1e-4 else 3), [], None
 
 
 # ------------------------------------------------------------- dispatch
@@ -547,7 +526,11 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.monotonic()
+        code, outputs, header = args.func(args)
+        if outputs:  # gradcheck writes nothing
+            _write_manifest(args, outputs, header, started)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

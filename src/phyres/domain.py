@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,6 @@ class SampleBatch:
     def select(self, ids) -> "SampleBatch":
         """The rows whose id is in ``ids``, in batch order."""
         return self.take(np.flatnonzero(np.isin(self.sample_ids, list(ids))))
-
-    def validate(self) -> None:
-        """A DataError names the first sample with a negative speed or a
-        non-positive spacing."""
-        negative = (self.hist_speed < 0).any(axis=(1, 2))
-        bad = np.flatnonzero(negative | (self.spacing <= 0).any(axis=(1, 2)))
-        if bad.size:
-            what = "negative speed" if negative[bad[0]] else "non-positive spacing"
-            raise DataError(f"{what} in sample {self.sample_ids[bad[0]]}")
 
     @property
     def spacing(self) -> np.ndarray:

@@ -15,7 +15,7 @@ import csv
 import os
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -24,11 +24,10 @@ from . import forkpool, serialize
 from .calibrate import CalibrationConfig, CalibrationReport, make_params, monte_carlo_calibrate
 from .domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
 from .errors import ConfigError, DataError
-from .neuralnet import NetConfig
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (PHYSICS_VARIANTS, VARIANTS, PredictionRecord, TrainConfig,
-                         TrainReport, predict_many, squared_errors, train,
-                         train_nn, train_perl, train_pinn)
+from .predictors import (PHYSICS_VARIANTS, VARIANTS, PredictionRecord, TrainReport,
+                         predict_many, squared_errors, train, train_nn, train_perl,
+                         train_pinn, training_configs)
 
 DEFAULT_DATA_SIZES = (300, 500, 1000, 2000, 5000, 10000, 12000)
 
@@ -83,7 +82,7 @@ class SweepConfig:
     units2: int = 16
     dense_units: int = 32
     dropout: float = 0.2
-    output_activation: str = "linear"
+    activation: str = "linear"
     max_epochs: int = 200
     batch_size: int = 64
     patience: int = 20
@@ -129,10 +128,10 @@ def _calibrate_subset(subset, model: str, delta: float, seed: int
         return None, traceback.format_exc()
 
 
-def _run_cell(batch, test, delta: float, nconf: NetConfig | None, tconf: TrainConfig | None,
-              rows, calibration, variant: str, seed: int) -> SweepCell:
-    """The cell of ``variant`` on the train rows ``rows`` of ``batch``; the
-    net and training templates get the cell's seed and variant."""
+def _run_cell(batch, test, dcfg: DatasetConfig, sweep: SweepConfig, rows, calibration,
+              variant: str, seed: int) -> SweepCell:
+    """The cell of ``variant`` and ``seed`` on the train rows ``rows`` of
+    ``batch``."""
     started = time.perf_counter()
     cell = SweepCell(variant=variant, data_size=len(rows), seed=seed)
     try:
@@ -152,10 +151,10 @@ def _run_cell(batch, test, delta: float, nconf: NetConfig | None, tconf: TrainCo
                                  cell.calib_report.per_repetition[0]["params"])
         if variant != "physics":
             net, cell.train_report = train(subset, inner,
-                                           replace(tconf, variant=variant, seed=seed),
-                                           replace(nconf, seed=seed), delta, params)
-        records = predict_many(variant, test, delta=delta, params=params, net=net)
-        sq_a, sq_v = _squared_errors(records, test, delta)
+                                           *training_configs(sweep, dcfg, variant, seed),
+                                           dcfg.delta, params)
+        records = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
+        sq_a, sq_v = _squared_errors(records, test, dcfg.delta)
         cell.eval_report = EvalReport(
             mse_a_test=float(np.mean(sq_a)), mse_v_test=float(np.mean(sq_v)),
             per_sample_mse_a=np.mean(sq_a, axis=1).tolist(),
@@ -178,15 +177,8 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
     at most one per learned cell.  The cells do not depend on where they
     ran.  ``on_cell(cell)`` is called as each cell finishes."""
     learned = [v for v in sweep.variants if v != "physics"]
-    nconf = tconf = None
-    if learned:  # each cell replaces the seed, and the variant
-        nconf = NetConfig(cell=sweep.cell, units1=sweep.units1, units2=sweep.units2,
-                          dense_units=sweep.dense_units, output_dim=dcfg.t_fwd,
-                          input_dim=3 * dcfg.k_vehicles, dropout=sweep.dropout,
-                          output_activation=sweep.output_activation, seed=sweep.seeds[0])
-        tconf = TrainConfig(variant=learned[0], seed=sweep.seeds[0],
-                            max_epochs=sweep.max_epochs, batch_size=sweep.batch_size,
-                            patience=sweep.patience, lr=sweep.lr, mu=sweep.mu)
+    if learned:  # checks the settings before any fit; each cell builds its own
+        training_configs(sweep, dcfg, learned[0], sweep.seeds[0])
     batch = SampleBatch.of(samples)
     split = split_dataset(batch.sample_ids.tolist(), dcfg)
     by_id = np.argsort(batch.sample_ids, kind="stable")  # the rows in id order
@@ -196,7 +188,7 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
             f"largest data size {max(sweep.data_sizes)} exceeds the "
             f"{len(train_rows)}-sample train split")
     test = batch.take(by_id[np.isin(batch.sample_ids[by_id], list(split.test_ids))])
-    run_cell = partial(_run_cell, batch, test, dcfg.delta, nconf, tconf)
+    run_cell = partial(_run_cell, batch, test, dcfg, sweep)
     cells, jobs = [], []
 
     def finish(cell):

@@ -23,7 +23,9 @@ lines stay the format of record.
 Either way ``read_samples`` holds the one matrix to one set of rules: each id
 an integral JSON number (not a bool or a string) of magnitude below 2**53,
 where float64 stops holding every integer, and unique; every value finite;
-each ``hist_spacing`` within 1e-6 m of its position differences.
+each ``hist_spacing`` within 1e-6 m of its position differences; no
+negative speed and no non-positive spacing.  ``write_samples`` holds the
+samples it writes to the same rules.
 """
 
 from __future__ import annotations
@@ -264,8 +266,9 @@ def write_samples(samples, path, config: DatasetConfig) -> str:
     each trajectory value in many samples, so a slice's distinct doubles,
     told apart by their bits (-0.0 is "-0", 0.0 is "0"), are formatted
     once into a table of strings that fills the template's "%s" float
-    slots.  A non-finite value, or an id that ``read_samples`` rejects, is a
-    DataError naming the first bad sample, raised before the file is opened.
+    slots.  A sample that ``read_samples`` would reject is a DataError
+    naming the first bad sample, raised before the file or its folder is
+    made.
 
     Also writes the file's sidecar and removes its older ones; returns the
     sidecar's path."""
@@ -289,6 +292,7 @@ def write_samples(samples, path, config: DatasetConfig) -> str:
     header = {"format_version": SAMPLE_FORMAT_VERSION, "delta": config.delta,
               "k_vehicles": config.k_vehicles, "t_back": config.t_back, "t_fwd": config.t_fwd}
     digest = hashlib.sha256()
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as fh:
         def put(text: str) -> None:
             data = text.encode()
@@ -416,7 +420,8 @@ def _check_matrix(matrix: np.ndarray, fields: dict, where) -> None:
     ids = matrix[:, 0]
     pos = fields["hist_position"]
     with np.errstate(invalid="ignore"):  # inf - inf: the finite check names it
-        mismatch = abs(fields["hist_spacing"] - (pos[:, :-1] - pos[:, 1:])).max(axis=(1, 2))
+        spacing = pos[:, :-1] - pos[:, 1:]
+        mismatch = abs(fields["hist_spacing"] - spacing).max(axis=(1, 2))
     _, first_row, inverse = np.unique(ids, return_index=True, return_inverse=True)
     earlier = first_row[inverse]
     checks = {  # NaN fails the id test; 2**53 + 1 rounds to 2**53, hence the strict bound
@@ -425,6 +430,8 @@ def _check_matrix(matrix: np.ndarray, fields: dict, where) -> None:
         "a number beyond the float range, or NaN": ~np.isfinite(matrix[:, 1:]).all(axis=1),
         "hist_spacing differs from the position differences by {mismatch:.3g} m":
             mismatch > 1e-6,  # metres
+        "negative speed": (fields["hist_speed"] < 0).any(axis=(1, 2)),
+        "non-positive spacing": (spacing <= 0).any(axis=(1, 2)),
         "sample_id {sid:.0f} repeats {earlier}": earlier != np.arange(len(ids)),
     }
     bad = np.flatnonzero(np.any(list(checks.values()), axis=0))

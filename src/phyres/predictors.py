@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import serialize
-from .domain import SampleBatch, SplitIndex
+from .domain import DatasetConfig, SampleBatch, SplitIndex
 from .errors import ConfigError, NumericError
 from .ingest import compute_norm_stats, sample_features
 from .neuralnet import AdamState, NetConfig, RecurrentNet, adam_step, forward_batch, backward, init_net
@@ -28,6 +28,7 @@ from .physics import PhysicsParams, physics_rollout, rollout_batch
 
 VARIANTS = ("physics", "nn", "pinn", "perl")
 PHYSICS_VARIANTS = ("physics", "pinn", "perl")   # need calibrated params
+LR_MAX = float(np.finfo(np.float32).max)  # float32 training would hold a larger lr as inf
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,25 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr <= LR_MAX:
+            raise ConfigError(f"lr must be > 0 and at most {LR_MAX!r}, got {self.lr}")
         if not (0.0 <= self.mu <= 1.0):
             raise ConfigError("mu must be in [0, 1]")
+
+
+def training_configs(settings, dcfg: DatasetConfig, variant: str,
+                     seed: int) -> tuple[TrainConfig, NetConfig]:
+    """The training and net configs of ``variant`` at ``seed``, from the
+    training settings of ``settings`` (the CLI's parsed flags, or a
+    ``SweepConfig``), read by name; the net takes its input and output
+    widths from the sample geometry ``dcfg``."""
+    s = settings
+    nconf = NetConfig(cell=s.cell, units1=s.units1, units2=s.units2, dense_units=s.dense_units,
+                      output_dim=dcfg.t_fwd, input_dim=3 * dcfg.k_vehicles, dropout=s.dropout,
+                      output_activation=s.activation, seed=seed)
+    tconf = TrainConfig(variant=variant, seed=seed, max_epochs=s.max_epochs,
+                        batch_size=s.batch_size, patience=s.patience, lr=s.lr, mu=s.mu)
+    return tconf, nconf
 
 
 @dataclass

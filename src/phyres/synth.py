@@ -155,8 +155,12 @@ def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
                     raise NumericError("non-finite acceleration during generation")
                 v_new = v[k, t - 1] + acc * delta
                 if v_new < 0.0:
-                    v_new = 0.0
-                    acc = (v_new - v[k, t - 1]) / delta  # keep kinematic consistency
+                    # stop at 0, or an ulp above it: the speed comes from the
+                    # acceleration, so speed[t-1] + accel[t] * delta is speed[t] exactly
+                    acc = -v[k, t - 1] / delta
+                    while v[k, t - 1] + acc * delta < 0.0:  # -v / delta * delta can pass 0
+                        acc = np.nextafter(acc, 0.0)
+                    v_new = v[k, t - 1] + acc * delta
                 a[k, t] = acc
                 v[k, t] = v_new
                 x[k, t] = x[k, t - 1] + v_new * delta

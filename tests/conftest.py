@@ -106,6 +106,14 @@ def _spacing_nudge(m, k, tb):
     return m
 
 
+def _zero_spacing(m, k, tb):
+    m = m.copy()
+    pos = 1 + (3 * k - 1) * tb  # the first hist_position column
+    m[1, pos] = m[1, pos + tb]  # the lead vehicle at its follower's position
+    m[1, 1 + 2 * k * tb] = 0.0  # and the hist_spacing to match
+    return m
+
+
 def _set(m, index, value):
     m = m.copy()
     m[index] = value
@@ -124,6 +132,8 @@ SIDECAR_CORRUPTIONS = {
     "infinite-id": lambda m, k, tb: _set(m, (0, 0), np.inf),
     "nan-value": lambda m, k, tb: _set(m, (1, 5), np.nan),
     "spacing-off": _spacing_nudge,
+    "negative-speed": lambda m, k, tb: _set(m, (1, 1 + k * tb), -2.0),  # the first hist_speed
+    "zero-spacing": _zero_spacing,
     "repeated-id": lambda m, k, tb: _set(m, (1, 0), m[0, 0]),
     "huge-id": lambda m, k, tb: _set(m, (0, 0), 1e30),  # integral, beyond 2**53
     "id-2**53": lambda m, k, tb: _set(m, (0, 0), 2.0 ** 53),  # where 2**53 + 1 rounds to
@@ -135,13 +145,22 @@ def _line_spacing_nudge(obj):
     return dict(obj, hist_spacing=[[spacing[0][0] + 1e-3, *spacing[0][1:]], *spacing[1:]])
 
 
+def _line_zero_spacing(obj):
+    pos, spacing = obj["hist_position"], obj["hist_spacing"]
+    return dict(obj, hist_position=[[pos[1][0], *pos[0][1:]], *pos[1:]],
+                hist_spacing=[[0.0, *spacing[0][1:]], *spacing[1:]])
+
+
 # Ways to spoil a sample line of a sample file, each a DataError naming the
 # line: a function of (the line's object, the object of the line before)
-# giving the new object.  The first three are the JSON-lines counterparts of
+# giving the new object.  The first five are the JSON-lines counterparts of
 # SIDECAR_CORRUPTIONS' cases of the same names.
 LINE_CORRUPTIONS = {
     "fractional-id": lambda obj, prev: dict(obj, sample_id=obj["sample_id"] + 0.5),
     "spacing-off": lambda obj, prev: _line_spacing_nudge(obj),
+    "negative-speed": lambda obj, prev: dict(
+        obj, hist_speed=[[-2.0, *obj["hist_speed"][0][1:]], *obj["hist_speed"][1:]]),
+    "zero-spacing": lambda obj, prev: _line_zero_spacing(obj),
     "repeated-id": lambda obj, prev: dict(obj, sample_id=prev["sample_id"]),
     "id-1.5": lambda obj, prev: dict(obj, sample_id=1.5),
     "id-true": lambda obj, prev: dict(obj, sample_id=True),

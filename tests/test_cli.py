@@ -107,17 +107,20 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
-    @pytest.mark.parametrize("lr", ["0", "-0.001", "-1"])
+    @pytest.mark.parametrize("lr", ["0", "-0.001", "-1", "1e39", "1e300"])
     def test_non_positive_lr_is_config_error(self, workspace, tmp_path, capsys, command, lr):
+        """Also an lr beyond float32's range, which float32 training would
+        cast to inf."""
         argv = [command, "--samples", str(workspace[2]), "--out", str(tmp_path / "o"),
                 "--seed", "1", "--max-epochs", "1", "--lr", lr]
         argv += ["--variant", "nn"] if command == "train" else ["--data-sizes", "50"]
         capsys.readouterr()
         assert run(argv) == 2
-        assert _one_error_line(capsys) == f"error: lr must be > 0, got {float(lr)}"
+        assert _one_error_line(capsys) == (
+            f"error: lr must be > 0 and at most 3.4028234663852886e+38, got {float(lr)}")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("cell, lr", [("lstm", "1e300"), ("gru", "1e30")])
+    @pytest.mark.parametrize("cell, lr", [("lstm", "3e38"), ("gru", "1e30")])
     def test_diverging_training_is_one_line(self, workspace, tmp_path, capsys, cell, lr):
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -204,6 +207,52 @@ class TestManifests:
         assert report["model"] == "idm"
         assert set(report["param_mean"]) == {"v_free", "a_max", "b_comf",
                                              "s0", "t_gap"}
+
+    def test_every_command_manifest(self, workspace, tmp_path, monkeypatch):
+        """Each command, run in a folder of its own, leaves one manifest
+        there: its command, the sha256 of each input file in flag order
+        (input, samples, params_file, weights, records), and every file it
+        wrote.  gradcheck writes none."""
+        _, corpus, samples = workspace
+        net = ["--units1", "4", "--units2", "3", "--dense-units", "4", "--max-epochs", "1"]
+        d = {name: tmp_path / name for name in (
+            "synth", "extract", "calibrate", "nn", "perl", "predict", "evaluate", "sweep")}
+        params, weights, records = (d["calibrate"] / "newell.json", d["perl"] / "weights.json",
+                                    d["predict"] / "p.jsonl")
+        runs = [
+            (["synth", "--out", str(d["synth"] / "c.csv"), "--seed", "1", "--platoons", "1"], []),
+            (["extract", "--input", str(corpus), "--out", str(d["extract"] / "s.jsonl")],
+             [corpus]),
+            (["calibrate", "--samples", str(samples), "--out", str(params), "--seed", "1",
+              "--model", "newell", "--sample-size", "20", "--repetitions", "1"], [samples]),
+            (["train", "--samples", str(samples), "--out", str(d["nn"]), "--seed", "1",
+              "--variant", "nn", *net], [samples]),
+            (["train", "--samples", str(samples), "--out", str(d["perl"]), "--seed", "1",
+              "--variant", "perl", "--params-file", str(params), *net], [samples, params]),
+            (["predict", "--samples", str(samples), "--out", str(records), "--variant", "perl",
+              "--weights", str(weights), "--params-file", str(params)],
+             [samples, params, weights]),
+            (["evaluate", "--samples", str(samples), "--records", str(records),
+              "--out", str(d["evaluate"] / "m.json")], [samples, records]),
+            (["sweep", "--samples", str(samples), "--out", str(d["sweep"]), "--seed", "1",
+              "--variants", "physics,nn", "--data-sizes", "20", *net], [samples]),
+        ]
+        for (argv, inputs), folder in zip(runs, d.values()):
+            assert run(argv) == 0
+            manifest = json.loads((folder / "manifest.json").read_text())
+            assert list(manifest) == ["tool_version", "command", "config", "input_digests",
+                                      "outputs", "wall_clock_s"]
+            assert manifest["command"] == argv[0]
+            assert list(manifest["input_digests"].items()) == [
+                (p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in inputs]
+            assert manifest["outputs"] == sorted(
+                str(p.relative_to(folder)) for p in folder.rglob("*")
+                if p.is_file() and p.name != "manifest.json")
+        (tmp_path / "gradcheck").mkdir()
+        monkeypatch.chdir(tmp_path / "gradcheck")
+        assert run(["gradcheck"]) == 0
+        assert list((tmp_path / "gradcheck").iterdir()) == []
+        assert len(list(tmp_path.rglob("manifest.json"))) == len(runs)
 
 
 class TestConfigFile:

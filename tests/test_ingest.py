@@ -118,7 +118,7 @@ class TestExtractSamples:
         # only vehicle 3 has a 3-deep chain: 30 - (6+4) + 1 windows
         assert len(samples) == 21
         assert [s.sample_id for s in samples] == list(range(21))
-        samples.validate()
+        assert (samples.hist_speed >= 0).all() and (samples.spacing > 0).all()
 
     def test_sample_contents_constant_speed(self, tmp_path):
         path = _write_csv(tmp_path / "c.csv", _linear_platoon(v=4.0, gap=8.0))
@@ -233,9 +233,10 @@ class TestSampleFilePersistence:
             s.hist_accel[i % 3, i % 6] = edge[i % len(edge)]
             s.ego_future_accel[i % 4] = edge[(i + 1) % len(edge)]
             s.leader_future_accel[i % 2, i % 4] = edge[(i + 2) % len(edge)]
-            s.hist_speed[0, i % 6] = edge[(i + 3) % len(edge)]
+            s.hist_speed[0, i % 6] = abs(edge[(i + 3) % len(edge)])  # no speed is negative
             s.ego_speed_at_t0 = edge[(i + 4) % len(edge)]
-            s.hist_position[0] = s.hist_position[1] + edge[(i + 5) % len(edge)]
+            # nor a spacing non-positive: the lead vehicle stays 1 m or more ahead
+            s.hist_position[0] = s.hist_position[1] + 1.0 + abs(edge[(i + 5) % len(edge)])
         samples[3].ego_speed_at_t0 = 8  # an int, as a caller may pass
         want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
         _dumps_writer(samples, want, dataset_config)
@@ -472,6 +473,43 @@ def _assert_bit_equal(a, b):
         for name in SAMPLE_FIELDS:
             u, v = np.asarray(getattr(x, name), dtype=float), np.asarray(getattr(y, name))
             assert u.shape == v.shape and u.tobytes() == v.tobytes(), name
+
+
+class TestSampleChecks:
+    """A negative speed or a non-positive spacing is a DataError naming the
+    first bad sample: from the writer, and from either read route."""
+
+    @pytest.mark.parametrize("bad", [{1: "spacing", 3: "speed"}, {1: "speed", 3: "spacing"}])
+    def test_writer_names_the_first_bad_sample(self, tmp_path, dataset_config, bad):
+        samples = make_samples(5)
+        for i, what in bad.items():
+            if what == "speed":
+                samples[i].hist_speed[0, 2] = -0.5
+            else:
+                samples[i].hist_position[1, 3] = samples[i].hist_position[2, 3]
+        message = {"speed": "negative speed", "spacing": "non-positive spacing"}[bad[1]]
+        path = tmp_path / "new" / "s.jsonl"
+        with pytest.raises(DataError, match=f"^row 2, sample 1: {message}$"):
+            write_samples(samples, path, dataset_config)
+        assert list(tmp_path.iterdir()) == []  # no file and no folder
+        write_samples(samples[4:], path, dataset_config)
+        assert read_samples(path)[0].sample_ids.tolist() == [4]
+
+    @pytest.mark.parametrize("case, message", [("negative-speed", "negative speed"),
+                                               ("zero-spacing", "non-positive spacing")])
+    @pytest.mark.parametrize("route", ["lines", "sidecar"])
+    def test_reader_names_the_line_or_the_row(self, tmp_path, dataset_config, case, message,
+                                              route):
+        path = tmp_path / "s.jsonl"
+        sidecar = write_samples(make_samples(3), path, dataset_config)
+        if route == "lines":
+            corrupt_line(path, case, 3)  # sample 1
+            where = f"{path}:3"
+        else:
+            corrupt_sidecar(sidecar, case, k=3, tb=6)
+            where = f"{sidecar}: row 2"
+        with pytest.raises(DataError, match="^" + re.escape(f"{where}: {message}") + "$"):
+            read_samples(path)
 
 
 class TestSidecar:

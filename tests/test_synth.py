@@ -150,3 +150,15 @@ class TestSpeedClamp:
             assert np.all(s.speed >= 0.0)
             np.testing.assert_allclose(
                 s.speed[1:], s.speed[:-1] + DELTA * s.accel[1:], atol=1e-12)
+
+    def test_follower_that_stops_keeps_exact_kinematics(self, tmp_path):
+        # 1 m behind its leader at the leader's speed, a follower brakes to a stop
+        path = tmp_path / "c.csv"
+        generate_corpus(_idm_config(n_platoons=1, initial_gap=1.0), path)
+        stops = 0
+        for s in parse_trajectory_csv(path, DELTA):
+            assert np.all(s.speed >= 0.0)
+            stops += int(np.sum((s.speed[1:] == 0.0) & (s.speed[:-1] > 0.0)))
+            # the recurrence the generator runs, bit for bit, clamped rows included
+            assert np.array_equal(s.speed[1:], s.speed[:-1] + s.accel[1:] * DELTA)
+        assert stops >= 1
