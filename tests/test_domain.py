@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import make_sample, make_samples
 from phyres.domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
-from phyres.errors import ConfigError
+from phyres.errors import ConfigError, DataError
+from phyres.ingest import read_samples, write_samples
 
 
 def _config(**overrides):
@@ -34,6 +35,19 @@ class TestTrajectorySample:
         s = make_sample(k=3, tb=6, tf=4)
         assert s.hist_accel.shape == s.hist_speed.shape == s.hist_position.shape == (3, 6)
         assert s.ego_future_accel.shape == (4,) and s.leader_future_accel.shape == (2, 4)
+
+    # the sample checks run where samples are written and read (ingest)
+    def test_validate_rejects_negative_speed(self, tmp_path):
+        s = make_sample()
+        s.hist_speed[1, 2] = -0.5
+        with pytest.raises(DataError, match="^row 1, sample 0: negative speed$"):
+            write_samples([s], tmp_path / "s.jsonl", _config())
+
+    def test_validate_rejects_non_positive_gap(self, tmp_path):
+        s = make_sample()
+        s.hist_position[0] = s.hist_position[1] - 1.0
+        with pytest.raises(DataError, match="^row 1, sample 0: non-positive spacing$"):
+            write_samples([s], tmp_path / "s.jsonl", _config())
 
 
 class TestSampleBatch:
@@ -127,6 +141,23 @@ class TestSampleBatch:
         drawn = SampleBatch.of(samples, np.array([4, 1]))
         assert drawn.sample_ids.tolist() == [4, 1]
         np.testing.assert_array_equal(drawn.hist_speed, batch.hist_speed[[4, 1]])
+
+    @pytest.mark.parametrize("bad", [{1: "spacing", 3: "speed"}, {1: "speed", 3: "spacing"}])
+    def test_validate_names_the_first_bad_sample(self, tmp_path, bad):
+        """The writer names the first bad sample and leaves no file or folder."""
+        samples = make_samples(5)
+        for i, what in bad.items():
+            if what == "speed":
+                samples[i].hist_speed[0, 2] = -0.5
+            else:
+                samples[i].hist_position[1, 3] = samples[i].hist_position[2, 3]
+        message = {"speed": "negative speed", "spacing": "non-positive spacing"}[bad[1]]
+        path = tmp_path / "new" / "s.jsonl"
+        with pytest.raises(DataError, match=f"^row 2, sample 1: {message}$"):
+            write_samples(samples, path, _config())
+        assert list(tmp_path.iterdir()) == []
+        write_samples(samples[4:], path, _config())
+        assert read_samples(path)[0].sample_ids.tolist() == [4]
 
 
 class TestSplitIndex:

@@ -476,24 +476,8 @@ def _assert_bit_equal(a, b):
 
 
 class TestSampleChecks:
-    """A negative speed or a non-positive spacing is a DataError naming the
-    first bad sample: from the writer, and from either read route."""
-
-    @pytest.mark.parametrize("bad", [{1: "spacing", 3: "speed"}, {1: "speed", 3: "spacing"}])
-    def test_writer_names_the_first_bad_sample(self, tmp_path, dataset_config, bad):
-        samples = make_samples(5)
-        for i, what in bad.items():
-            if what == "speed":
-                samples[i].hist_speed[0, 2] = -0.5
-            else:
-                samples[i].hist_position[1, 3] = samples[i].hist_position[2, 3]
-        message = {"speed": "negative speed", "spacing": "non-positive spacing"}[bad[1]]
-        path = tmp_path / "new" / "s.jsonl"
-        with pytest.raises(DataError, match=f"^row 2, sample 1: {message}$"):
-            write_samples(samples, path, dataset_config)
-        assert list(tmp_path.iterdir()) == []  # no file and no folder
-        write_samples(samples[4:], path, dataset_config)
-        assert read_samples(path)[0].sample_ids.tolist() == [4]
+    """A negative speed or a non-positive spacing read back is a DataError
+    naming the line or the row (the writer's check is in test_domain)."""
 
     @pytest.mark.parametrize("case, message", [("negative-speed", "negative speed"),
                                                ("zero-spacing", "non-positive spacing")])
