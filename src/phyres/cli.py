@@ -125,11 +125,6 @@ def _write_manifest(args, outputs, header, started) -> None:
     })
 
 
-def _out_dir(path) -> None:
-    """Make the folder that will hold ``path``."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-
-
 def _dataset_config(args, geometry: dict) -> DatasetConfig:
     """The fixed split shares and ``args.split_seed``, with the delta,
     k_vehicles, t_back and t_fwd of ``geometry``: a samples header, or
@@ -225,7 +220,6 @@ def _cmd_calibrate(args):
     ccfg = CalibrationConfig(model=args.model, sample_size=args.sample_size,
                              repetitions=args.repetitions, seed=args.seed)
     report = monte_carlo_calibrate(samples.select(split.train_ids), ccfg, dcfg.delta)
-    _out_dir(args.out)
     report.write_json(args.out)
     print(f"calibrated {args.model}: mean params {report.param_mean}")
     return 0, [args.out], header
@@ -238,7 +232,6 @@ def _cmd_train(args):
     tconf, nconf = training_configs(args, dcfg, args.variant, args.seed)
     params = _load_params(args.params_file) if args.params_file else None
     net, report = train(samples, split, tconf, nconf, dcfg.delta, params)
-    os.makedirs(args.out, exist_ok=True)
     weights = os.path.join(args.out, "weights.json")
     rpt = os.path.join(args.out, "train_report.json")
     save_net(net, weights)
@@ -255,28 +248,31 @@ _RECORD_ARRAYS = ("predicted_accel", "predicted_speed", "physics_component",
                   "residual_component")
 
 
-def _record_template(lengths) -> str:
-    """A record line's '%'-format template; a length of None is a null."""
-    slots = ("null" if n is None else serialize.json_slots((n,)) for n in lengths)
+def _record_template(record) -> str:
+    """A record line's '%'-format template for ``record``'s layout; a None array is null."""
+    slots = ("null" if (a := getattr(record, name)) is None else serialize.json_slots((len(a),))
+             for name in _RECORD_ARRAYS)
     return ('{"sample_id":%d,' + "".join(f'"{k}":{v},' for k, v in zip(_RECORD_ARRAYS, slots))
             + '"collision_in_rollout":%s}\n')
+
+
+def _record_values(record) -> list[float]:
+    """The values of a record's arrays, in the order its line holds them."""
+    return [v for name in _RECORD_ARRAYS if (a := getattr(record, name)) is not None
+            for v in a.tolist()]
 
 
 def _write_records(records, path):
     """One JSON line per record: the bytes of ``serialize.dumps``, from one
     line template built from the first record's layout, which the records
     of one ``predict_many`` call share."""
-    template = None
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            arrays = [getattr(r, name) for name in _RECORD_ARRAYS]
-            values = [v for a in arrays if a is not None for v in a.tolist()]
-            if not all(map(math.isfinite, values)):
-                raise NumericError(f"non-finite prediction for sample {r.sample_id}")
-            if template is None:
-                template = _record_template([None if a is None else len(a) for a in arrays])
-            fh.write(template % (
-                r.sample_id, *values, "true" if r.collision_in_rollout else "false"))
+    for r in records:  # every record is checked before the file is made
+        if not all(map(math.isfinite, _record_values(r))):
+            raise NumericError(f"non-finite prediction for sample {r.sample_id}")
+    template = _record_template(records[0]) if records else None
+    with serialize.create(path) as fh:
+        fh.writelines(template % (r.sample_id, *_record_values(r),
+                                  "true" if r.collision_in_rollout else "false") for r in records)
 
 
 def read_records(path) -> list[PredictionRecord]:
@@ -311,7 +307,6 @@ def _cmd_predict(args):
     params = _load_params(args.params_file) if args.params_file else None
     net = load_net(args.weights) if args.weights else None
     records = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
-    _out_dir(args.out)
     _write_records(records, args.out)
     print(f"wrote {len(records)} prediction records to {args.out}")
     return 0, [args.out], header
@@ -324,7 +319,6 @@ def _cmd_evaluate(args):
     records = read_records(args.records)
     truth = samples.select({r.sample_id for r in records})
     mse_a, mse_v = mse_metrics(records, truth, header["delta"])
-    _out_dir(args.out)
     serialize.write_json(args.out, {
         "n_samples": len(records),
         "mse_a_test": mse_a,
@@ -362,7 +356,6 @@ def _cmd_sweep(args):
         patience=args.patience, lr=args.lr, mu=args.mu,
     )
     cells = run_sweep(samples, dcfg, sweep, on_cell=_print_cell)
-    os.makedirs(args.out, exist_ok=True)
     paths = write_sweep_outputs(cells, args.out)
     paths += emit_plot_data(cells, args.out)
     failures = [c for c in cells if c.error is not None]

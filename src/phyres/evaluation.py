@@ -223,7 +223,7 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
 
 def _write_csv(path, header: list[str], rows) -> None:
     """A CSV file of ``rows`` under ``header``; floats get 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with serialize.create(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
@@ -234,9 +234,8 @@ def write_sweep_outputs(cells: list[SweepCell], outdir) -> list[str]:
     """Write per-cell reports plus the aggregate table; returns paths."""
     paths, agg = [], []
     for c in cells:
-        cell_dir = os.path.join(outdir, "sweep", c.variant, str(c.data_size), str(c.seed))
-        os.makedirs(cell_dir, exist_ok=True)
-        report_path = os.path.join(cell_dir, "report.json")
+        report_path = os.path.join(outdir, "sweep", c.variant, str(c.data_size), str(c.seed),
+                                   "report.json")
         obj = {
             "variant": c.variant, "data_size": c.data_size, "seed": c.seed,
             "error": c.error,
@@ -262,7 +261,6 @@ def write_sweep_outputs(cells: list[SweepCell], outdir) -> list[str]:
 def emit_plot_data(cells: list[SweepCell], outdir) -> list[str]:
     """Long-format summary CSV plus per-run convergence CSV."""
     ok = [c for c in cells if c.eval_report is not None]
-    os.makedirs(outdir, exist_ok=True)
     summary_path = os.path.join(outdir, "summary_long.csv")
     _write_csv(summary_path, ["variant", "data_size", "seed", "metric", "value"],
                [[c.variant, c.data_size, c.seed, metric, getattr(c.eval_report, metric)]

@@ -24,8 +24,9 @@ Either way ``read_samples`` holds the one matrix to one set of rules: each id
 an integral JSON number (not a bool or a string) of magnitude below 2**53,
 where float64 stops holding every integer, and unique; every value finite;
 each ``hist_spacing`` within 1e-6 m of its position differences; no
-negative speed and no non-positive spacing.  ``write_samples`` holds the
-samples it writes to the same rules.
+negative speed and no non-positive spacing; each ``ego_speed_at_t0`` equal
+to the ego's last ``hist_speed``.  ``write_samples`` holds the samples it
+writes to the same rules.
 """
 
 from __future__ import annotations
@@ -292,8 +293,7 @@ def write_samples(samples, path, config: DatasetConfig) -> str:
     header = {"format_version": SAMPLE_FORMAT_VERSION, "delta": config.delta,
               "k_vehicles": config.k_vehicles, "t_back": config.t_back, "t_fwd": config.t_fwd}
     digest = hashlib.sha256()
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as fh:
+    with serialize.create(path, "wb") as fh:
         def put(text: str) -> None:
             data = text.encode()
             digest.update(data)
@@ -431,6 +431,8 @@ def _check_matrix(matrix: np.ndarray, fields: dict, where) -> None:
         "hist_spacing differs from the position differences by {mismatch:.3g} m":
             mismatch > 1e-6,  # metres
         "negative speed": (fields["hist_speed"] < 0).any(axis=(1, 2)),
+        "ego_speed_at_t0 is not the ego's last hist_speed":
+            fields["ego_speed_at_t0"] != fields["hist_speed"][:, -1, -1],
         "non-positive spacing": (spacing <= 0).any(axis=(1, 2)),
         "sample_id {sid:.0f} repeats {earlier}": earlier != np.arange(len(ids)),
     }

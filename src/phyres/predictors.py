@@ -126,8 +126,9 @@ def squared_errors(accel: np.ndarray, speed: np.ndarray, true_accel: np.ndarray,
     """The squared acceleration and speed errors of predictions ``accel`` and
     ``speed``, a row per sample and a column per horizon step; the true
     speed is reconstructed from ``true_accel`` and the speeds ``v0`` at t0."""
-    v_true = reconstruct_speed(v0[:, None], true_accel, delta)
-    return (true_accel - accel) ** 2, (v_true - speed) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf is the caller's to report
+        v_true = reconstruct_speed(v0[:, None], true_accel, delta)
+        return (true_accel - accel) ** 2, (v_true - speed) ** 2
 
 
 def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delta: float,
@@ -269,11 +270,12 @@ def predict_many(variant: str, samples, *, delta: float,
         # otherwise than the matrix product: a lone sample runs as two rows,
         # so that it predicts the bits it would in any batch
         y = forward_batch(net, np.concatenate([x, x]) if n == 1 else x, "eval")[0][:n]
+    with np.errstate(over="ignore", invalid="ignore"):  # the records' writer names an inf
         if variant == "perl":
             accel, phys_parts, resid_parts = compose_prediction(accel, y)
-        else:
+        elif variant != "physics":
             accel = y
-    speed = reconstruct_speed(batch.ego_speed_at_t0[:, None], accel, delta)
+        speed = reconstruct_speed(batch.ego_speed_at_t0[:, None], accel, delta)
     return [PredictionRecord(
         sample_id=sid,
         predicted_accel=accel[i],

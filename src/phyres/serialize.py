@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
 def _reject_constant(token: str):
@@ -93,9 +94,20 @@ def numbers(value, ndim: int, what: str) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def create(path, mode: str = "w"):
+    """Make the folder that holds ``path``, then open it: UTF-8 text, or bytes for "wb"."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    binary = "b" in mode
+    return open(path, mode, encoding=None if binary else "utf-8", newline=None if binary else "")
+
+
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    try:
+        text = dumps(obj)
+    except ValueError as exc:  # a NaN or an infinity: nothing is made
+        raise NumericError(f"{path}: {exc}") from exc
+    with create(path) as fh:
+        fh.write(text)
         fh.write("\n")
 
 

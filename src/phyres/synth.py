@@ -17,11 +17,11 @@ Output is the raw CSV schema consumed by ingest.parse_trajectory_csv.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import serialize
 from .errors import ConfigError, NumericError
 from .physics import IdmParams, NewellParams, PhysicsParams, idm_accel
 
@@ -182,9 +182,8 @@ def generate_corpus(cfg: SynthConfig, path) -> dict:
     """
     rng = np.random.default_rng(cfg.seed)
     platoons = [_generate_platoon(cfg, rng) for _ in range(cfg.n_platoons)]
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     n_rows = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with serialize.create(path) as fh:
         fh.write("vehicle_id,time,position,speed,accel,leader_id\n")
         for p, (a, v, x) in enumerate(platoons):
             for k in range(cfg.vehicles_per_platoon):

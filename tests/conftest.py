@@ -133,6 +133,8 @@ SIDECAR_CORRUPTIONS = {
     "nan-value": lambda m, k, tb: _set(m, (1, 5), np.nan),
     "spacing-off": _spacing_nudge,
     "negative-speed": lambda m, k, tb: _set(m, (1, 1 + k * tb), -2.0),  # the first hist_speed
+    # the ego's last hist_speed, 1 m/s off its ego_speed_at_t0
+    "ego-speed": lambda m, k, tb: _set(m, (1, 2 * k * tb), m[1, 2 * k * tb] + 1.0),
     "zero-spacing": _zero_spacing,
     "repeated-id": lambda m, k, tb: _set(m, (1, 0), m[0, 0]),
     "huge-id": lambda m, k, tb: _set(m, (0, 0), 1e30),  # integral, beyond 2**53
@@ -153,7 +155,7 @@ def _line_zero_spacing(obj):
 
 # Ways to spoil a sample line of a sample file, each a DataError naming the
 # line: a function of (the line's object, the object of the line before)
-# giving the new object.  The first five are the JSON-lines counterparts of
+# giving the new object.  The first six are the JSON-lines counterparts of
 # SIDECAR_CORRUPTIONS' cases of the same names.
 LINE_CORRUPTIONS = {
     "fractional-id": lambda obj, prev: dict(obj, sample_id=obj["sample_id"] + 0.5),
@@ -161,6 +163,7 @@ LINE_CORRUPTIONS = {
     "negative-speed": lambda obj, prev: dict(
         obj, hist_speed=[[-2.0, *obj["hist_speed"][0][1:]], *obj["hist_speed"][1:]]),
     "zero-spacing": lambda obj, prev: _line_zero_spacing(obj),
+    "ego-speed": lambda obj, prev: dict(obj, ego_speed_at_t0=-2.0),
     "repeated-id": lambda obj, prev: dict(obj, sample_id=prev["sample_id"]),
     "id-1.5": lambda obj, prev: dict(obj, sample_id=1.5),
     "id-true": lambda obj, prev: dict(obj, sample_id=True),

@@ -461,7 +461,8 @@ class TestRecordWriter:
         records = self._records("perl", 3)
         records[1].residual_component[2] = np.nan
         with pytest.raises(NumericError, match="sample 101$"):
-            _write_records(records, tmp_path / "p.jsonl")
+            _write_records(records, tmp_path / "out" / "p.jsonl")
+        assert list(tmp_path.iterdir()) == []  # no file, and no folder
 
 
 class TestPipeline:
@@ -759,6 +760,50 @@ class TestArtifactMismatch:
                     "--variant", variant, "--params-file", str(params),
                     "--weights", str(weights)]) == 2
         assert "horizon" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("variant", ["nn", "perl"])
+    def test_overflowing_prediction_is_one_line(self, artifacts, variant, tmp_path, capsys):
+        """Output biases of 1e308 take the predicted speeds past the float
+        range: exit 3 with one line, no numpy warning and no output folder."""
+        samples, _, params, weights = artifacts
+        big = tmp_path / "weights.json"
+        big.write_text(json.dumps(_with_out_b(json.loads(weights.read_text()), 1e308)))
+        out = tmp_path / "pred" / "preds.jsonl"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["predict", "--samples", str(samples), "--out", str(out),
+                        "--variant", variant, "--params-file", str(params),
+                        "--weights", str(big)]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.fullmatch(
+            r"numeric error: non-finite prediction for sample \d+", err[0]), err
+        assert not out.parent.exists()
+
+    def test_overflowing_score_is_one_line(self, artifacts, tmp_path, capsys):
+        """A predicted acceleration of 1e200 squares past the float range:
+        exit 3 with one line naming the metrics file, no numpy warning, and
+        no metrics, manifest or folder."""
+        samples, _, _, weights = artifacts
+        preds = tmp_path / "p.jsonl"
+        assert run(["predict", "--samples", str(samples), "--out", str(preds),
+                    "--variant", "nn", "--weights", str(weights)]) == 0
+        lines = preds.read_text().splitlines()
+        obj = json.loads(lines[0])
+        obj["predicted_accel"][0] = 1e200
+        lines[0] = json.dumps(obj)
+        preds.write_text("\n".join(lines) + "\n")
+        metrics = tmp_path / "eval" / "metrics.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["evaluate", "--samples", str(samples), "--records", str(preds),
+                        "--out", str(metrics)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"numeric error: {metrics}: infinity is not representable in the file formats"]
+        assert not metrics.parent.exists()
 
     def test_evaluate_horizon_mismatch(self, artifacts, tmp_path, capsys):
         samples, short, _, weights = artifacts

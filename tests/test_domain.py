@@ -49,6 +49,14 @@ class TestTrajectorySample:
         with pytest.raises(DataError, match="^row 1, sample 0: non-positive spacing$"):
             write_samples([s], tmp_path / "s.jsonl", _config())
 
+    def test_writer_rejects_ego_speed_off_its_last_hist_speed(self, tmp_path):
+        s = make_sample()
+        s.ego_speed_at_t0 = s.hist_speed[-1, -1] + 1.0
+        with pytest.raises(DataError, match="^row 1, sample 0: ego_speed_at_t0 is not "
+                                            "the ego's last hist_speed$"):
+            write_samples([s], tmp_path / "new" / "s.jsonl", _config())
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSampleBatch:
     FIELDS = ("hist_accel", "hist_speed", "hist_position", "ego_future_accel",

@@ -234,10 +234,11 @@ class TestSampleFilePersistence:
             s.ego_future_accel[i % 4] = edge[(i + 1) % len(edge)]
             s.leader_future_accel[i % 2, i % 4] = edge[(i + 2) % len(edge)]
             s.hist_speed[0, i % 6] = abs(edge[(i + 3) % len(edge)])  # no speed is negative
-            s.ego_speed_at_t0 = edge[(i + 4) % len(edge)]
+            # the ego's last speed is its speed at t0
+            s.ego_speed_at_t0 = s.hist_speed[-1, -1] = abs(edge[(i + 4) % len(edge)])
             # nor a spacing non-positive: the lead vehicle stays 1 m or more ahead
             s.hist_position[0] = s.hist_position[1] + 1.0 + abs(edge[(i + 5) % len(edge)])
-        samples[3].ego_speed_at_t0 = 8  # an int, as a caller may pass
+        samples[3].ego_speed_at_t0 = samples[3].hist_speed[-1, -1] = 8  # an int, as a caller may pass
         want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
         _dumps_writer(samples, want, dataset_config)
         write_samples(samples, got, dataset_config)
@@ -553,11 +554,11 @@ class TestSidecar:
         _, path, sidecar, _ = written
         lines = path.read_text().splitlines()
         obj = json.loads(lines[2])
-        obj["ego_speed_at_t0"] = 12.25
+        obj["ego_future_accel"][0] = 12.25
         lines[2] = serialize.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
         restored, header = read_samples(path)
-        assert restored[1].ego_speed_at_t0 == 12.25
+        assert restored[1].ego_future_accel[0] == 12.25
         assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert sidecar_path(path, header["sha256"]) != sidecar
 

@@ -139,17 +139,16 @@ class TestSelfConsistency:
 
 class TestSpeedClamp:
     def test_negative_speed_clamped_with_consistent_accel(self, tmp_path):
-        # strong noise occasionally drives a follower to the clamp
-        cfg = _idm_config(noise_sigma=2.0, n_platoons=1, seed=3)
+        # at this noise and seed, noisy braking would take a follower below 0
+        # on five rows; the clamp stops it there instead
         path = tmp_path / "c.csv"
-        try:
-            generate_corpus(cfg, path)
-        except Exception:
-            pytest.skip("this seed cannot sustain heavy noise")
+        generate_corpus(_idm_config(noise_sigma=2.0, n_platoons=1, seed=15), path)
+        clamped = 0
         for s in parse_trajectory_csv(path, DELTA):
             assert np.all(s.speed >= 0.0)
-            np.testing.assert_allclose(
-                s.speed[1:], s.speed[:-1] + DELTA * s.accel[1:], atol=1e-12)
+            clamped += int(np.sum(s.speed[1:] == 0.0))
+            assert np.array_equal(s.speed[1:], s.speed[:-1] + s.accel[1:] * DELTA)
+        assert clamped == 5
 
     def test_follower_that_stops_keeps_exact_kinematics(self, tmp_path):
         # 1 m behind its leader at the leader's speed, a follower brakes to a stop
