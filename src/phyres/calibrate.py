@@ -39,13 +39,9 @@ import numpy as np
 
 from . import forkpool, serialize
 from .domain import SampleBatch
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, DataError
 from .physics import (FVD_FIXED, FvdParams, IdmParams, NewellParams, OneStepInputs,
                       PhysicsParams, model_name, one_step_batch)
-
-__all__ = ["CalibrationConfig", "CalibrationReport", "fit_physics",
-           "monte_carlo_calibrate", "calibration_objective", "make_params",
-           "params_to_dict", "DEFAULT_BOUNDS", "PARAM_ORDER"]
 
 DEFAULT_BOUNDS = {
     "newell": {"w": (1.0, 10.0)},
@@ -63,6 +59,7 @@ DEFAULT_BOUNDS = {
 PARAM_ORDER = {model: list(bounds) for model, bounds in DEFAULT_BOUNDS.items()}
 
 NM_XATOL = 1e-6
+NM_RESTARTS = 5  # Nelder-Mead starts, each from a seeded uniform draw in the box
 # golden-section bracket width at termination: well below the 1e-3 m/s
 # requirement so held-out error is optimizer-noise free
 GSS_TOL = 1e-8
@@ -74,7 +71,6 @@ class CalibrationConfig:
     sample_size: int
     repetitions: int = 5
     seed: int = 0
-    nm_restarts: int = 5
     nm_maxiter: int = 2000
 
     def __post_init__(self):
@@ -82,6 +78,8 @@ class CalibrationConfig:
             raise ConfigError(f"unknown physics model {self.model!r}")
         if self.sample_size < 1 or self.repetitions < 1:
             raise ConfigError("sample_size and repetitions must be >= 1")
+        if self.nm_maxiter < 1:
+            raise ConfigError("nm_maxiter must be >= 1")
 
 
 # each model's params from its values in PARAM_ORDER, positionally
@@ -180,7 +178,7 @@ def fit_physics(samples, config: CalibrationConfig,
     nm_options = {"xatol": NM_XATOL, "fatol": float("inf"),
                   "maxiter": config.nm_maxiter, "maxfev": 4 * config.nm_maxiter}
     best_u, best_f = None, float("inf")
-    for _ in range(config.nm_restarts):
+    for _ in range(NM_RESTARTS):
         x0 = rng.uniform(lo, hi)
         res = minimize(obj_u, _box_to_unbounded(x0, lo, hi),
                        method="Nelder-Mead", options=nm_options)
@@ -209,6 +207,21 @@ class CalibrationReport:
 
     def write_json(self, path) -> None:
         serialize.write_json(path, asdict(self))
+
+
+def load_params(path) -> PhysicsParams:
+    """The mean physics params of the calibration report at ``path``."""
+    obj = serialize.read_json(path)
+    if not isinstance(obj, dict) or obj.get("model") not in PARAM_ORDER \
+            or not isinstance(obj.get("param_mean"), dict):
+        raise DataError(f"{path}: not a calibration report (needs a known "
+                        f"model and a param_mean object)")
+    values = obj["param_mean"]
+    missing = [k for k in PARAM_ORDER[obj["model"]] if k not in values]
+    if missing:
+        raise DataError(f"{path}: param_mean lacks {', '.join(missing)}")
+    return make_params(obj["model"], {k: serialize.number(values[k], f"{path}: param_mean.{k}")
+                                      for k in PARAM_ORDER[obj["model"]]})
 
 
 def _repetition(train_samples, config: CalibrationConfig, delta: float, rep: int) -> dict:

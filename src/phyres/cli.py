@@ -26,8 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, serialize
-from .calibrate import (PARAM_ORDER, CalibrationConfig, make_params,
-                        monte_carlo_calibrate)
+from .calibrate import PARAM_ORDER, CalibrationConfig, load_params, monte_carlo_calibrate
 from .domain import DatasetConfig, split_dataset
 from .errors import DataError, NumericError, PhyresError
 from .evaluation import (SweepConfig, emit_plot_data, mse_metrics, run_sweep,
@@ -56,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+# every command's first flag (its ``parents``), and the pre-parse that finds
+# the file before the command's own parser runs
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config", default=None)
 
 
 def _checked(kind, holds, rule: str):
@@ -160,21 +165,6 @@ def _add_training_flags(p, max_epochs, patience):
     p.add_argument("--mu", type=_FINITE_FLOAT, default=0.5)
 
 
-def _load_params(path):
-    """Physics params from a calibration report."""
-    obj = serialize.read_json(path)
-    if not isinstance(obj, dict) or obj.get("model") not in PARAM_ORDER \
-            or not isinstance(obj.get("param_mean"), dict):
-        raise DataError(f"{path}: not a calibration report (needs a known "
-                        f"model and a param_mean object)")
-    values = obj["param_mean"]
-    missing = [k for k in PARAM_ORDER[obj["model"]] if k not in values]
-    if missing:
-        raise DataError(f"{path}: param_mean lacks {', '.join(missing)}")
-    return make_params(obj["model"], {k: serialize.number(values[k], f"{path}: param_mean.{k}")
-                                      for k in PARAM_ORDER[obj["model"]]})
-
-
 # ---------------------------------------------------------------- synth
 
 # the corpus is a fixture around the method: every platoon has the same size
@@ -230,7 +220,7 @@ def _cmd_calibrate(args):
 def _cmd_train(args):
     samples, header, dcfg, split = _read_split(args)
     tconf, nconf = training_configs(args, dcfg, args.variant, args.seed)
-    params = _load_params(args.params_file) if args.params_file else None
+    params = load_params(args.params_file) if args.params_file else None
     net, report = train(samples, split, tconf, nconf, dcfg.delta, params)
     weights = os.path.join(args.out, "weights.json")
     rpt = os.path.join(args.out, "train_report.json")
@@ -304,7 +294,7 @@ def _cmd_predict(args):
     subset = {"train": split.train_ids, "val": split.val_ids,
               "test": split.test_ids, "all": None}[args.subset]
     targets = samples if subset is None else samples.select(subset)
-    params = _load_params(args.params_file) if args.params_file else None
+    params = load_params(args.params_file) if args.params_file else None
     net = load_net(args.weights) if args.weights else None
     records = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
     _write_records(records, args.out)
@@ -382,8 +372,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="phyres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic trajectory corpus")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("synth", parents=[_CONFIG], help="generate a synthetic trajectory corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--generator", choices=["idm", "newell_shift"], default="idm")
@@ -394,8 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--initial-gap", type=_FINITE_FLOAT, default=None)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("extract", help="raw CSV -> samples file")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("extract", parents=[_CONFIG], help="raw CSV -> samples file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=_FINITE_FLOAT, default=0.1)
@@ -405,8 +393,8 @@ def build_parser() -> _Parser:
     _add_split_seed(p)  # unread; perfbench's pipeline workload passes it
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("calibrate", help="fit physics parameters on the train split")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("calibrate", parents=[_CONFIG],
+                       help="fit physics parameters on the train split")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
@@ -416,8 +404,7 @@ def build_parser() -> _Parser:
     _add_split_seed(p)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("train", help="train a predictor variant")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("train", parents=[_CONFIG], help="train a predictor variant")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
@@ -428,8 +415,7 @@ def build_parser() -> _Parser:
     _add_split_seed(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="emit prediction records")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("predict", parents=[_CONFIG], help="emit prediction records")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
@@ -439,15 +425,13 @@ def build_parser() -> _Parser:
     _add_split_seed(p)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score prediction records")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("evaluate", parents=[_CONFIG], help="score prediction records")
     p.add_argument("--samples", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="training-data-size sweep")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("sweep", parents=[_CONFIG], help="training-data-size sweep")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, required=True)
@@ -460,8 +444,8 @@ def build_parser() -> _Parser:
     _add_split_seed(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("gradcheck", help="verify BPTT gradients vs finite differences")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("gradcheck", parents=[_CONFIG],
+                       help="verify BPTT gradients vs finite differences")
     p.add_argument("--cell", choices=CELLS, default="lstm")
     p.set_defaults(func=_cmd_gradcheck)
 
@@ -470,9 +454,7 @@ def build_parser() -> _Parser:
 
 def _apply_config_file(parser, argv):
     """Load --config JSON (if present) as subcommand defaults."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _CONFIG.parse_known_args(argv)[0].config
     if path is None:
         return
     try:
@@ -486,8 +468,10 @@ def _apply_config_file(parser, argv):
     if sub is None:
         return  # argparse reports the missing or unknown command
     defaults = {key.replace(".", "_").replace("-", "_"): val for key, val in cfg.items()}
-    # a key of another command is allowed, so that one file serves several
-    settings = {a.dest for p in commands.values() for a in p._actions if a.dest != "help"}
+    # a key of another command is allowed, so that one file serves several; a
+    # config file names no other (and set_defaults would edit the shared --config)
+    settings = {a.dest for p in commands.values() for a in p._actions
+                if a.dest not in ("help", "config")}
     for key in defaults:
         if key not in settings:
             raise UsageError(f"config {path}: {key}: no phyres command has this setting")

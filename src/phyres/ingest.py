@@ -1,4 +1,4 @@
-"""Raw trajectory CSV parsing, sample extraction, normalization, persistence.
+"""Raw trajectory CSV parsing, sample extraction and the sample file.
 
 Raw CSV schema: header ``vehicle_id,time,position,speed,accel,leader_id``,
 UTF-8, ``leader_id`` empty for no leader.  Chains are built from the
@@ -36,7 +36,7 @@ import hashlib
 import math
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -192,54 +192,6 @@ def extract_samples(series: list[VehicleSeries], config: DatasetConfig) -> Sampl
     return SampleBatch(sample_ids=np.arange(len(fields["ego_speed_at_t0"])), **fields)
 
 
-@dataclass(frozen=True)
-class NormStats:
-    """Per-channel z-score statistics, pooled over vehicle slots.
-
-    Computed on training-set inputs only; the lead vehicle has no spacing
-    and adds nothing to the spacing channel.
-    """
-
-    accel_mean: float
-    accel_std: float
-    speed_mean: float
-    speed_std: float
-    spacing_mean: float
-    spacing_std: float
-
-    @classmethod
-    def from_dict(cls, d: dict, what: str = "norm_stats") -> "NormStats":
-        return cls(**{f.name: serialize.number(d[f.name], f"{what}.{f.name}") for f in fields(cls)})
-
-
-def compute_norm_stats(batch: SampleBatch) -> NormStats:
-    """Channel statistics over a batch's history inputs (the training split)."""
-    stats = {}
-    for name, vals in (("accel", batch.hist_accel), ("speed", batch.hist_speed),
-                       ("spacing", batch.spacing)):
-        vals = vals.ravel()
-        std = float(np.std(vals))
-        if std <= 0:
-            raise DataError(f"zero-variance {name} channel in training data")
-        stats[f"{name}_mean"] = float(np.mean(vals))
-        stats[f"{name}_std"] = std
-    return NormStats(**stats)
-
-
-def sample_features(batch: SampleBatch, stats: NormStats) -> np.ndarray:
-    """Normalized network input, shape (n, t_back, 3K).
-
-    Columns are per-vehicle blocks [accel, speed, spacing].  The lead
-    vehicle has no observed leader, so its spacing slot is a constant 0.
-    """
-    n, k, tb = batch.hist_accel.shape
-    out = np.zeros((n, tb, 3 * k))
-    out[:, :, 0::3] = ((batch.hist_accel - stats.accel_mean) / stats.accel_std).transpose(0, 2, 1)
-    out[:, :, 1::3] = ((batch.hist_speed - stats.speed_mean) / stats.speed_std).transpose(0, 2, 1)
-    out[:, :, 5::3] = ((batch.spacing - stats.spacing_mean) / stats.spacing_std).transpose(0, 2, 1)
-    return out
-
-
 def _sample_shapes(k: int, tb: int, tf: int) -> dict[str, tuple]:
     """A v1 sample object's float fields, in file order, with their shapes."""
     return {"hist_accel": (k, tb), "hist_speed": (k, tb), "hist_spacing": (k - 1, tb),
@@ -283,9 +235,6 @@ def write_samples(samples, path, config: DatasetConfig) -> str:
     matrix = np.hstack([batch.sample_ids[:, None]] + [
         fields[name].reshape(len(batch), math.prod(shape)) for name, shape in shapes.items()],
         dtype=float)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite value in sample {batch.sample_ids[finite.argmin()]}")
     ids = batch.sample_ids.tolist()
     _check_matrix(matrix, fields, lambda row: (f"row {row + 1}, sample {ids[row]}", f"row {row + 1}"))
     template = '{"sample_id":%d,' + ",".join(

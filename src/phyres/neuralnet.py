@@ -20,13 +20,12 @@ applies none.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import serialize
 from .errors import ConfigError, DataError, NumericError
-from .ingest import NormStats
 
 WEIGHTS_FORMAT_VERSION = 1
 GRADCHECK_FD_STEP = 1e-5    # central-difference step of gradient_check
@@ -66,6 +65,23 @@ class NetConfig:
                 ("units1", "units2", "dense_units", "output_dim", "input_dim", "seed")}
         return cls(cell=d["cell"], dropout=serialize.number(d["dropout"], f"{what}.dropout"),
                    output_activation=d["output_activation"], **ints)
+
+
+@dataclass(frozen=True)
+class NormStats:
+    """Per-channel z-score statistics of a net's inputs, pooled over vehicle
+    slots; the weights file keeps them under ``norm_stats``."""
+
+    accel_mean: float
+    accel_std: float
+    speed_mean: float
+    speed_std: float
+    spacing_mean: float
+    spacing_std: float
+
+    @classmethod
+    def from_dict(cls, d: dict, what: str = "norm_stats") -> "NormStats":
+        return cls(**{f.name: serialize.number(d[f.name], f"{what}.{f.name}") for f in fields(cls)})
 
 
 @dataclass
@@ -365,8 +381,8 @@ class AdamState:
                    v={k: np.zeros_like(p) for k, p in net.params.items()})
 
 
-def adam_step(net: RecurrentNet, grads: dict[str, np.ndarray], state: AdamState):
-    """Bias-corrected Adam update, in place; returns (net, state)."""
+def adam_step(net: RecurrentNet, grads: dict[str, np.ndarray], state: AdamState) -> None:
+    """Bias-corrected Adam update, in place."""
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
@@ -381,7 +397,6 @@ def adam_step(net: RecurrentNet, grads: dict[str, np.ndarray], state: AdamState)
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return net, state
 
 
 def gradient_check(cfg: NetConfig, t_steps: int = 5) -> float:
@@ -407,15 +422,13 @@ def gradient_check(cfg: NetConfig, t_steps: int = 5) -> float:
         nudge = np.where(z >= 0.0, 1.0, -1.0) * np.maximum(0.0, 0.1 - np.abs(z))
         net.params["out_b"] = net.params["out_b"] + nudge
 
-    def loss_and_grad():
-        y, cache = forward_batch(net, x, "train", masks=masks)
-        return 0.5 * float(np.sum((y - target) ** 2)), backward(net, cache, y - target)
+    y, cache = forward_batch(net, x, "train", masks=masks)
+    grads = backward(net, cache, y - target)
 
     def loss_only():
         y, _ = forward_batch(net, x, "train", masks=masks)
         return 0.5 * float(np.sum((y - target) ** 2))
 
-    _, grads = loss_and_grad()
     worst = 0.0
     for name, param in net.params.items():
         flat = param.reshape(-1)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import serialize
 from .domain import DatasetConfig, SampleBatch, SplitIndex
-from .errors import ConfigError, NumericError
-from .ingest import compute_norm_stats, sample_features
-from .neuralnet import AdamState, NetConfig, RecurrentNet, adam_step, forward_batch, backward, init_net
+from .errors import ConfigError, DataError, NumericError
+from .neuralnet import (AdamState, NetConfig, NormStats, RecurrentNet, adam_step, forward_batch,
+                        backward, init_net)
 # physics_rollout is unused here: perfbench/tracing.py wraps this module's attribute
 from .physics import PhysicsParams, physics_rollout, rollout_batch
 
@@ -69,6 +69,37 @@ def training_configs(settings, dcfg: DatasetConfig, variant: str,
     tconf = TrainConfig(variant=variant, seed=seed, max_epochs=s.max_epochs,
                         batch_size=s.batch_size, patience=s.patience, lr=s.lr, mu=s.mu)
     return tconf, nconf
+
+
+def compute_norm_stats(batch: SampleBatch) -> NormStats:
+    """Channel statistics over a batch's history inputs (the training split),
+    pooled over vehicle slots; the lead vehicle has no spacing and adds
+    nothing to the spacing channel."""
+    stats = {}
+    for name, vals in (("accel", batch.hist_accel), ("speed", batch.hist_speed),
+                       ("spacing", batch.spacing)):
+        vals = vals.ravel()
+        std = float(np.std(vals))
+        if std <= 0:
+            raise DataError(f"zero-variance {name} channel in training data")
+        stats[f"{name}_mean"] = float(np.mean(vals))
+        stats[f"{name}_std"] = std
+    return NormStats(**stats)
+
+
+def sample_features(batch: SampleBatch, stats: NormStats) -> np.ndarray:
+    """Normalized network input, shape (n, t_back, 3K).
+
+    Columns are per-vehicle blocks [accel, speed, spacing], the layout of
+    ``training_configs``'s ``input_dim``.  The lead vehicle has no observed
+    leader, so its spacing slot is a constant 0.
+    """
+    n, k, tb = batch.hist_accel.shape
+    out = np.zeros((n, tb, 3 * k))
+    out[:, :, 0::3] = ((batch.hist_accel - stats.accel_mean) / stats.accel_std).transpose(0, 2, 1)
+    out[:, :, 1::3] = ((batch.hist_speed - stats.speed_mean) / stats.speed_std).transpose(0, 2, 1)
+    out[:, :, 5::3] = ((batch.spacing - stats.spacing_mean) / stats.spacing_std).transpose(0, 2, 1)
+    return out
 
 
 @dataclass

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
+from .ingest import CSV_HEADER
 from .errors import ConfigError, NumericError
 from .physics import IdmParams, NewellParams, PhysicsParams, idm_accel
 
@@ -184,7 +185,7 @@ def generate_corpus(cfg: SynthConfig, path) -> dict:
     platoons = [_generate_platoon(cfg, rng) for _ in range(cfg.n_platoons)]
     n_rows = 0
     with serialize.create(path) as fh:
-        fh.write("vehicle_id,time,position,speed,accel,leader_id\n")
+        fh.write(",".join(CSV_HEADER) + "\n")
         for p, (a, v, x) in enumerate(platoons):
             for k in range(cfg.vehicles_per_platoon):
                 vid = p * 1000 + k + 1

@@ -49,6 +49,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CalibrationConfig(model="idm", sample_size=10, repetitions=0)
 
+    @pytest.mark.parametrize("nm_maxiter", [0, -5])
+    def test_no_simplex_iteration_is_config_error(self, nm_maxiter):
+        # not a fit that found no optimum: the config allows no step
+        samples = [make_sample(k=2, tb=6, tf=3, seed=i) for i in range(50)]
+        with pytest.raises(ConfigError, match="^nm_maxiter must be >= 1$"):
+            fit_physics(samples, CalibrationConfig(model="idm", sample_size=50,
+                                                   nm_maxiter=nm_maxiter), DELTA)
+
 
 class TestObjective:
     def test_perfect_fit_is_zero(self):
@@ -190,7 +198,7 @@ class TestSimplexFit:
     def test_fitted_params_inside_bounds(self):
         samples = [make_sample(k=2, tb=6, tf=3, seed=i) for i in range(50)]
         cfg = CalibrationConfig(model="idm", sample_size=50, seed=4,
-                                nm_restarts=2, nm_maxiter=200)
+                                nm_maxiter=200)
         params, _ = fit_physics(samples, cfg, DELTA)
         for name, val in params_to_dict(params).items():
             lo, hi = DEFAULT_BOUNDS["idm"][name]
@@ -262,7 +270,7 @@ class TestCalibrationPool:
     @pytest.mark.parametrize("model", ["idm", "fvd"])
     def test_report_does_not_depend_on_cpus(self, newell_samples, monkeypatch, model):
         cfg = CalibrationConfig(model=model, sample_size=40, repetitions=3, seed=9,
-                                nm_restarts=2, nm_maxiter=40)
+                                nm_maxiter=40)
         pools = []
         completed = forkpool.completed
 
@@ -281,7 +289,7 @@ class TestCalibrationPool:
 
     def test_lowest_failing_repetition_raises(self, newell_samples, monkeypatch):
         cfg = CalibrationConfig(model="fvd", sample_size=30, repetitions=3, seed=4,
-                                nm_restarts=1, nm_maxiter=20)
+                                nm_maxiter=20)
         failing = {tuple(_draw_ids(newell_samples, cfg, rep)): rep for rep in (1, 2)}
         fit = calibrate.fit_physics
 
@@ -343,7 +351,7 @@ class TestCalibrationPool:
     def test_scipy_loaded_before_the_fork(self, newell_samples, tmp_path, model):
         # a new interpreter, as this one has imported scipy already
         cfg = dict(model=model, sample_size=30, repetitions=2, seed=3,
-                   nm_restarts=1, nm_maxiter=20)
+                   nm_maxiter=20)
         write_samples(newell_samples, tmp_path / "s.jsonl", NEWELL_DCFG)
         got = run_fresh(SCIPY_BEFORE_FORK_SCRIPT, str(tmp_path / "s.jsonl"), json.dumps(cfg))
         loaded, report = got.splitlines()
@@ -359,7 +367,7 @@ class TestCalibrationPool:
         monkeypatch.setattr(forkpool, "completed", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = CalibrationConfig(model=model, sample_size=30, repetitions=repetitions,
-                                seed=1, nm_restarts=1, nm_maxiter=20)
+                                seed=1, nm_maxiter=20)
         report = monte_carlo_calibrate(newell_samples, cfg, DELTA)
         assert len(report.per_repetition) == repetitions
 

@@ -255,16 +255,59 @@ class TestManifests:
         assert len(list(tmp_path.rglob("manifest.json"))) == len(runs)
 
 
+# per command: its flags, then a config file holding one of its own settings
+# (and the seed of each command that requires one)
+CONFIG_RUNS = {
+    "synth": (["--out", "{tmp}/c.csv"], {"seed": 11, "platoons": 2, "noise-sigma": 0.0}),
+    "extract": (["--input", "{corpus}", "--out", "{tmp}/s.jsonl"], {"t_fwd": 3}),
+    "calibrate": (["--samples", "{samples}", "--out", "{tmp}/c.json", "--sample-size", "20"],
+                  {"seed": 4, "model": "newell", "repetitions": 1}),
+    "train": (["--samples", "{samples}", "--out", "{tmp}", "--variant", "nn", "--units1", "4",
+               "--units2", "3", "--dense-units", "4"], {"seed": 4, "max_epochs": 1}),
+    "predict": (["--samples", "{samples}", "--out", "{tmp}/p.jsonl", "--variant", "physics",
+                 "--params-file", "{params}"], {"subset": "all"}),
+    "evaluate": (["--samples", "{samples}", "--out", "{tmp}/m.json"], {"records": "{records}"}),
+    "sweep": (["--samples", "{samples}", "--out", "{tmp}", "--variants", "physics"],
+              {"seed": 4, "data_sizes": "20"}),
+    "gradcheck": ([], {"cell": "gru"}),
+}
+
+
 class TestConfigFile:
-    def test_config_supplies_defaults_and_seed(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def inputs(self, workspace, tmp_path_factory):
+        """The paths the commands of CONFIG_RUNS read: the workspace's
+        corpus and samples, a Newell report and its test-split records."""
+        _, corpus, samples = workspace
+        folder = tmp_path_factory.mktemp("config-inputs")
+        params, records = folder / "newell.json", folder / "p.jsonl"
+        params.write_text(json.dumps({"model": "newell", "param_mean": {"w": 4.0}}))
+        assert run(["predict", "--samples", str(samples), "--out", str(records),
+                    "--variant", "physics", "--params-file", str(params)]) == 0
+        return dict(corpus=corpus, samples=samples, params=params, records=records)
+
+    @pytest.mark.parametrize("command", CONFIG_RUNS)
+    def test_config_supplies_defaults_and_seed(self, inputs, tmp_path, monkeypatch, command):
+        """A config file supplies a setting of each command, and --config
+        stays the first of its flags: the first key after the command in
+        the manifest's config."""
+        flags, settings = CONFIG_RUNS[command]
+        paths = dict(inputs, tmp=tmp_path)
+        settings = {k: v.format(**paths) if isinstance(v, str) else v for k, v in settings.items()}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 11, "platoons": 2,
-                                   "noise-sigma": 0.0}))
-        out = tmp_path / "c.csv"
-        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_text(json.dumps(settings))
+        checked = []
+        monkeypatch.setattr(cli, "gradient_check",
+                            lambda net, t_steps: checked.append(net.cell) or 0.0)
+        assert run([command, "--config", str(cfg), *(f.format(**paths) for f in flags)]) == 0
+        if command == "gradcheck":  # it writes no manifest
+            assert checked == [settings["cell"]]
+            return
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["config"]["seed"] == 11
-        assert manifest["config"]["platoons"] == 2
+        assert list(manifest["config"])[:2] == ["command", "config"]
+        assert manifest["config"]["config"] == str(cfg)
+        for key, value in settings.items():
+            assert manifest["config"][key.replace("-", "_")] == value
 
     def test_explicit_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -342,7 +385,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv, config", [
         (["synth", "--out", "{tmp}/c.csv"], '{"v_free": 20, "seed": 1}'),
         (["gradcheck"], '{"t-steps": 7}'),
-    ], ids=["synth-v-free", "gradcheck-t-steps"])
+        (["synth", "--out", "{tmp}/c.csv"], '{"config": "other.json", "seed": 1}'),
+    ], ids=["synth-v-free", "gradcheck-t-steps", "synth-config"])
     def test_key_of_no_command_is_usage_error(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)

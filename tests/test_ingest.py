@@ -13,9 +13,10 @@ from conftest import (LINE_CORRUPTIONS, SIDECAR_CORRUPTIONS, corrupt_line, corru
 from phyres import ingest, serialize
 from phyres.domain import DatasetConfig, SampleBatch, SplitIndex
 from phyres.errors import ConfigError, DataError
-from phyres.ingest import (WRITE_CHUNK, compute_norm_stats, extract_samples, NormStats,
-                           parse_trajectory_csv, read_samples, sample_features,
+from phyres.ingest import (WRITE_CHUNK, extract_samples, parse_trajectory_csv, read_samples,
                            sidecar_path, write_samples)
+from phyres.neuralnet import NormStats
+from phyres.predictors import compute_norm_stats, sample_features
 
 
 def _write_csv(path, rows, header="vehicle_id,time,position,speed,accel,leader_id"):
@@ -270,7 +271,8 @@ class TestSampleFilePersistence:
         samples = make_samples(WRITE_CHUNK + 10)
         getattr(samples[WRITE_CHUNK + 4], field)[-1] = value
         getattr(samples[WRITE_CHUNK + 7], field)[0] = value
-        with pytest.raises(DataError, match=f"non-finite value in sample {WRITE_CHUNK + 4}$"):
+        with pytest.raises(DataError, match=f"^row {WRITE_CHUNK + 5}, sample {WRITE_CHUNK + 4}: "
+                                            "a number beyond the float range, or NaN$"):
             write_samples(samples, tmp_path / "s.jsonl", dataset_config)
 
     @pytest.mark.parametrize("ids, message", [

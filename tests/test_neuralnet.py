@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import make_samples
+from conftest import make_samples, run_fresh
 from phyres import neuralnet, predictors
 from phyres.domain import SplitIndex
 from phyres.errors import ConfigError, DataError
@@ -527,3 +527,9 @@ class TestPersistence:
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match="shape"):
             load_net(path)
+
+
+def test_weights_format_loads_no_sample_file_code():
+    # a new interpreter, as this one has imported phyres.ingest already
+    run_fresh("import sys, phyres.neuralnet\n"
+              "assert 'phyres.ingest' not in sys.modules, sorted(sys.modules)")
