@@ -37,8 +37,8 @@ from .neuralnet import (ACTIVATIONS, CELLS, NetConfig, gradient_check, load_net,
                         save_net)
 from .physics import IdmParams, NewellParams
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (VARIANTS, PredictionRecord, predict_many, train, train_nn,
-                         train_perl, train_pinn, training_configs)
+from .predictors import (VARIANTS, PredictionBatch, PredictionRecord, predict_many, train,
+                         train_nn, train_perl, train_pinn, training_configs)
 from .synth import SynthConfig, generate_corpus
 
 
@@ -238,35 +238,30 @@ _RECORD_ARRAYS = ("predicted_accel", "predicted_speed", "physics_component",
                   "residual_component")
 
 
-def _record_template(record) -> str:
-    """A record line's '%'-format template for ``record``'s layout; a None array is null."""
-    slots = ("null" if (a := getattr(record, name)) is None else serialize.json_slots((len(a),))
-             for name in _RECORD_ARRAYS)
-    return ('{"sample_id":%d,' + "".join(f'"{k}":{v},' for k, v in zip(_RECORD_ARRAYS, slots))
-            + '"collision_in_rollout":%s}\n')
-
-
-def _record_values(record) -> list[float]:
-    """The values of a record's arrays, in the order its line holds them."""
-    return [v for name in _RECORD_ARRAYS if (a := getattr(record, name)) is not None
-            for v in a.tolist()]
-
-
-def _write_records(records, path):
-    """One JSON line per record: the bytes of ``serialize.dumps``, from one
-    line template built from the first record's layout, which the records
-    of one ``predict_many`` call share."""
-    for r in records:  # every record is checked before the file is made
-        if not all(map(math.isfinite, _record_values(r))):
-            raise NumericError(f"non-finite prediction for sample {r.sample_id}")
-    template = _record_template(records[0]) if records else None
+def _write_records(preds, path):
+    """One JSON line per prediction of the batch ``preds``: the bytes of
+    ``serialize.dumps``, formatted from one (n, width) matrix of its arrays
+    through one line template.  Every prediction is checked before the file
+    is made."""
+    arrays = [getattr(preds, name) for name in _RECORD_ARRAYS]
+    matrix = np.hstack([a for a in arrays if a is not None])
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite prediction for sample {preds.sample_ids[finite.argmin()]}")
+    slots = ("null" if a is None else serialize.json_slots(a.shape[1:]) for a in arrays)
+    template = ('{"sample_id":%d,' + "".join(f'"{k}":{v},' for k, v in zip(_RECORD_ARRAYS, slots))
+                + '"collision_in_rollout":%s}\n')
     with serialize.create(path) as fh:
-        fh.writelines(template % (r.sample_id, *_record_values(r),
-                                  "true" if r.collision_in_rollout else "false") for r in records)
+        fh.writelines(template % (sid, *row, "true" if hit else "false") for sid, row, hit in
+                      zip(preds.sample_ids.tolist(), matrix.tolist(),
+                          preds.collision_in_rollout.tolist()))
 
 
-def read_records(path) -> list[PredictionRecord]:
-    records = []
+def read_records(path) -> PredictionBatch:
+    """The records of a records file, as a batch.  A DataError names the line
+    that is no record (and its field), whose layout differs from the first
+    record's, or whose sample_id repeats an earlier line's."""
+    records, seen, first = [], {}, None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -275,8 +270,9 @@ def read_records(path) -> list[PredictionRecord]:
             try:  # JSONDecodeError is a ValueError
                 obj = serialize.DECODER.decode(line)
                 sid, collided = obj["sample_id"], obj["collision_in_rollout"]
-                if serialize.number(sid, bad + "sample_id") % 1:
-                    raise ValueError(f"sample_id {sid!r} is not an integer")
+                sid = serialize.number(sid, bad + "sample_id")
+                if sid % 1 or abs(sid) >= 2 ** 53:  # an id that a float holds exactly
+                    raise ValueError(f"sample_id {sid!r} is not an integer below 2**53")
                 if type(collided) is not bool:
                     raise ValueError(f"collision_in_rollout {collided!r} is not true or false")
                 # a variant without a physics or a residual part writes null
@@ -284,9 +280,17 @@ def read_records(path) -> list[PredictionRecord]:
                           else serialize.numbers(obj[name], 1, bad + name) for name in _RECORD_ARRAYS}
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{bad}{exc!r}") from exc
-            records.append(PredictionRecord(sample_id=int(sid), collision_in_rollout=collided,
-                                            **arrays))
-    return records
+            layout = {name: "null" if a is None else f"{a.size} numbers" for name, a in arrays.items()}
+            first = first or (lineno, layout)
+            for name, held in layout.items():
+                if held != first[1][name]:
+                    raise DataError(f"{bad}{name} is {held}, line {first[0]}'s is {first[1][name]}")
+            sid = int(sid)
+            if sid in seen:
+                raise DataError(f"{path}:{lineno}: sample_id {sid} repeats line {seen[sid]}")
+            seen[sid] = lineno
+            records.append(PredictionRecord(sample_id=sid, collision_in_rollout=collided, **arrays))
+    return PredictionBatch.of(records)
 
 
 def _cmd_predict(args):
@@ -296,9 +300,9 @@ def _cmd_predict(args):
     targets = samples if subset is None else samples.select(subset)
     params = load_params(args.params_file) if args.params_file else None
     net = load_net(args.weights) if args.weights else None
-    records = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
-    _write_records(records, args.out)
-    print(f"wrote {len(records)} prediction records to {args.out}")
+    preds = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
+    _write_records(preds, args.out)
+    print(f"wrote {len(preds)} prediction records to {args.out}")
     return 0, [args.out], header
 
 
@@ -306,16 +310,16 @@ def _cmd_predict(args):
 
 def _cmd_evaluate(args):
     samples, header = read_samples(args.samples)
-    records = read_records(args.records)
-    truth = samples.select({r.sample_id for r in records})
-    mse_a, mse_v = mse_metrics(records, truth, header["delta"])
+    preds = read_records(args.records)
+    truth = samples.select(preds.sample_ids)
+    mse_a, mse_v = mse_metrics(preds, truth, header["delta"])
     serialize.write_json(args.out, {
-        "n_samples": len(records),
+        "n_samples": len(preds),
         "mse_a_test": mse_a,
         "mse_v_test": mse_v,
-        "collision_count": sum(r.collision_in_rollout for r in records),
+        "collision_count": int(preds.collision_in_rollout.sum()),
     })
-    print(f"mse_a={mse_a:.6g} mse_v={mse_v:.6g} over {len(records)} samples")
+    print(f"mse_a={mse_a:.6g} mse_v={mse_v:.6g} over {len(preds)} samples")
     return 0, [args.out], header
 
 

@@ -25,7 +25,7 @@ from .calibrate import CalibrationConfig, CalibrationReport, make_params, monte_
 from .domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
 from .errors import ConfigError, DataError
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (PHYSICS_VARIANTS, VARIANTS, PredictionRecord, TrainReport,
+from .predictors import (PHYSICS_VARIANTS, VARIANTS, PredictionBatch, TrainReport,
                          predict_many, squared_errors, train, train_nn, train_perl,
                          train_pinn, training_configs)
 
@@ -40,34 +40,32 @@ class EvalReport:
     collision_count: int
 
 
-def _squared_errors(records: list[PredictionRecord], truth,
-                    delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The squared acceleration and speed errors of the records, a row per
-    record and a column per horizon step; the truth is a batch (or a list)
-    holding the records' samples, in any order."""
-    if not records:
+def _squared_errors(preds, truth, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The squared acceleration and speed errors of the predictions ``preds``
+    (a batch, or a list of records), a row per prediction and a column per
+    horizon step; the truth is a batch (or a list) holding their samples, in
+    any order."""
+    preds = PredictionBatch.of(preds)
+    if not preds:
         raise DataError("no prediction records to score")
     batch = SampleBatch.of(truth)
-    ids = [r.sample_id for r in records]
-    if sorted(ids) != sorted(batch.sample_ids.tolist()):
+    if not np.array_equal(np.sort(preds.sample_ids), np.sort(batch.sample_ids)):
         raise DataError("prediction records and truth samples are misaligned")
     t_fwd = batch.ego_future_accel.shape[1]
-    for r in records:
-        if r.predicted_accel.shape != (t_fwd,) or r.predicted_speed.shape != (t_fwd,):
-            raise DataError(f"record {r.sample_id} predicts {r.predicted_accel.size} "
-                            f"steps but its sample has a {t_fwd}-step horizon")
+    if {preds.predicted_accel.shape[1], preds.predicted_speed.shape[1]} != {t_fwd}:
+        raise DataError(f"records predict {preds.predicted_accel.shape[1]} steps but the "
+                        f"samples have a {t_fwd}-step horizon")
     order = np.argsort(batch.sample_ids)
-    rows = order[np.searchsorted(batch.sample_ids, ids, sorter=order)]
-    return squared_errors(np.stack([r.predicted_accel for r in records]),
-                          np.stack([r.predicted_speed for r in records]),
+    rows = order[np.searchsorted(batch.sample_ids, preds.sample_ids, sorter=order)]
+    return squared_errors(preds.predicted_accel, preds.predicted_speed,
                           batch.ego_future_accel[rows], batch.ego_speed_at_t0[rows], delta)
 
 
-def mse_metrics(records: list[PredictionRecord], truth,
-                delta: float) -> tuple[float, float]:
-    """Acceleration and speed MSE over all samples and horizon steps; the
-    truth is a batch (or a list) holding the records' samples, in any order."""
-    sq_a, sq_v = _squared_errors(records, truth, delta)
+def mse_metrics(preds, truth, delta: float) -> tuple[float, float]:
+    """Acceleration and speed MSE over all predictions ``preds`` (a batch, or
+    a list of records) and horizon steps; the truth is a batch (or a list)
+    holding their samples, in any order."""
+    sq_a, sq_v = _squared_errors(preds, truth, delta)
     return float(np.mean(sq_a)), float(np.mean(sq_v))
 
 
@@ -153,12 +151,12 @@ def _run_cell(batch, test, dcfg: DatasetConfig, sweep: SweepConfig, rows, calibr
             net, cell.train_report = train(subset, inner,
                                            *training_configs(sweep, dcfg, variant, seed),
                                            dcfg.delta, params)
-        records = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
-        sq_a, sq_v = _squared_errors(records, test, dcfg.delta)
+        preds = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
+        sq_a, sq_v = _squared_errors(preds, test, dcfg.delta)
         cell.eval_report = EvalReport(
             mse_a_test=float(np.mean(sq_a)), mse_v_test=float(np.mean(sq_v)),
             per_sample_mse_a=np.mean(sq_a, axis=1).tolist(),
-            collision_count=sum(r.collision_in_rollout for r in records))
+            collision_count=int(preds.collision_in_rollout.sum()))
     except Exception:
         cell.error = traceback.format_exc()
     finally:
@@ -209,6 +207,8 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
                     jobs.append((rows, calibration, variant, seed))
                 else:
                     finish(run_cell(rows, calibration, variant, seed))
+    # largest first: a large cell handed out last would keep one worker busy alone
+    jobs.sort(key=lambda job: -len(job[0]))
     for i, future in forkpool.completed(run_cell, jobs):
         try:
             cell = future.result()

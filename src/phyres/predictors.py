@@ -14,7 +14,7 @@ consume the stream identically (pinn with mu=1 reproduces nn exactly).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -121,6 +121,41 @@ class PredictionRecord:
     physics_component: np.ndarray | None = None   # perl only
     residual_component: np.ndarray | None = None  # perl only
     collision_in_rollout: bool = False
+
+
+@dataclass(frozen=True)
+class PredictionBatch:
+    """Many samples' predictions, stored once, column by column, along a
+    leading axis n: a read-only sequence of ``PredictionRecord`` rows, whose
+    arrays are views of the batch's."""
+
+    sample_ids: np.ndarray                  # (n,)
+    predicted_accel: np.ndarray             # (n, t_fwd)
+    predicted_speed: np.ndarray             # (n, t_fwd)
+    physics_component: np.ndarray | None    # (n, t_fwd), perl only
+    residual_component: np.ndarray | None   # (n, t_fwd), perl only
+    collision_in_rollout: np.ndarray        # (n,) bool
+
+    @classmethod
+    def of(cls, records) -> "PredictionBatch":
+        """``records`` as a batch: a batch as it is, a list of records of one
+        layout stacked."""
+        if isinstance(records, PredictionBatch):
+            return records
+        cols = {f.name: [getattr(r, f.name) for r in records] for f in fields(PredictionRecord)}
+        return cls(sample_ids=np.array(cols.pop("sample_id"), dtype=np.int64),
+                   collision_in_rollout=np.array(cols.pop("collision_in_rollout"), dtype=bool),
+                   **{name: None if col and col[0] is None else np.array(col, dtype=float)
+                      for name, col in cols.items()})
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def __getitem__(self, i) -> PredictionRecord:
+        """Row ``i`` as a ``PredictionRecord`` of views."""
+        row = {name: None if col is None else col[i] for name, col in vars(self).items()}
+        return PredictionRecord(sample_id=int(row.pop("sample_ids")),
+                                collision_in_rollout=bool(row.pop("collision_in_rollout")), **row)
 
 
 def reconstruct_speed(v0: float, accel: np.ndarray, delta: float) -> np.ndarray:
@@ -273,8 +308,8 @@ def train_perl(samples, split, tconf, nconf, params, delta):
 
 def predict_many(variant: str, samples, *, delta: float,
                  params: PhysicsParams | None = None,
-                 net: RecurrentNet | None = None) -> list[PredictionRecord]:
-    """Prediction records for ``samples`` (a batch or a list), in order, from
+                 net: RecurrentNet | None = None) -> PredictionBatch:
+    """The predictions for ``samples`` (a batch or a list), in order, from
     one batched pass:
     one physics rollout over all samples (physics, perl) and one eval-mode
     forward over all samples (nn, pinn, perl)."""
@@ -285,7 +320,7 @@ def predict_many(variant: str, samples, *, delta: float,
     if variant != "physics" and (net is None or net.norm_stats is None):
         raise ConfigError(f"{variant} variant needs a trained net with norm stats")
     if not samples:
-        return []
+        return PredictionBatch.of([])
     batch = SampleBatch.of(samples)
     n, t_fwd = batch.ego_future_accel.shape
     if variant != "physics" and net.config.output_dim != t_fwd:
@@ -296,23 +331,11 @@ def predict_many(variant: str, samples, *, delta: float,
     if variant in ("physics", "perl"):
         accel, flags = rollout_batch(batch, params, delta)
     if variant != "physics":
-        x = sample_features(batch, net.norm_stats)
-        # numpy multiplies a lone row as a matrix-vector product, which rounds
-        # otherwise than the matrix product: a lone sample runs as two rows,
-        # so that it predicts the bits it would in any batch
-        y = forward_batch(net, np.concatenate([x, x]) if n == 1 else x, "eval")[0][:n]
+        y = forward_batch(net, sample_features(batch, net.norm_stats), "eval")[0]
     with np.errstate(over="ignore", invalid="ignore"):  # the records' writer names an inf
         if variant == "perl":
             accel, phys_parts, resid_parts = compose_prediction(accel, y)
         elif variant != "physics":
             accel = y
         speed = reconstruct_speed(batch.ego_speed_at_t0[:, None], accel, delta)
-    return [PredictionRecord(
-        sample_id=sid,
-        predicted_accel=accel[i],
-        predicted_speed=speed[i],
-        physics_component=None if phys_parts is None else phys_parts[i],
-        residual_component=None if resid_parts is None else resid_parts[i],
-        collision_in_rollout=bool(flags[i]),
-    ) for i, sid in enumerate(batch.sample_ids.tolist())]
-
+    return PredictionBatch(batch.sample_ids, accel, speed, phys_parts, resid_parts, flags)

@@ -19,7 +19,7 @@ from phyres.errors import NumericError
 from phyres.evaluation import SweepConfig, run_sweep
 from phyres.ingest import read_samples, sidecar_path
 from phyres.neuralnet import NetConfig, gradient_check
-from phyres.predictors import PredictionRecord
+from phyres.predictors import PredictionBatch, PredictionRecord
 
 
 def run(argv):
@@ -495,7 +495,7 @@ class TestRecordWriter:
         records = self._records(variant)
         want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
         _dumps_records(records, want)
-        _write_records(records, got)
+        _write_records(PredictionBatch.of(records), got)
         assert got.read_bytes() == want.read_bytes()
         # and the reader returns the written doubles, -0.0 included
         for a, b in zip(records, read_records(got)):
@@ -505,7 +505,7 @@ class TestRecordWriter:
         records = self._records("perl", 3)
         records[1].residual_component[2] = np.nan
         with pytest.raises(NumericError, match="sample 101$"):
-            _write_records(records, tmp_path / "out" / "p.jsonl")
+            _write_records(PredictionBatch.of(records), tmp_path / "out" / "p.jsonl")
         assert list(tmp_path.iterdir()) == []  # no file, and no folder
 
 
@@ -956,6 +956,7 @@ class TestArtifactMismatch:
         lambda obj: dict(obj, predicted_accel=["x"] * len(obj["predicted_accel"])),
         lambda obj: dict(obj, sample_id=float("inf")),  # written as Infinity
         lambda obj: dict(obj, sample_id=obj["sample_id"] + 0.5),
+        lambda obj: dict(obj, sample_id=1e300),  # integral, but beyond an int64 id
         lambda obj: dict(obj, sample_id=str(obj["sample_id"])),
         lambda obj: dict(obj, collision_in_rollout="no"),
         lambda obj: dict(obj, collision_in_rollout=0),
@@ -963,7 +964,7 @@ class TestArtifactMismatch:
         lambda obj: dict(obj, predicted_accel=[True] + obj["predicted_accel"][1:]),
         lambda obj: dict(obj, predicted_accel=None),
     ], ids=["not-object", "missing-key", "non-numeric", "infinite-id", "fractional-id",
-            "string-id", "string-collision", "number-collision", "numeric-string",
+            "huge-id", "string-id", "string-collision", "number-collision", "numeric-string",
             "bool-value", "null-array"])
     def test_malformed_record_is_data_error(self, artifacts, edit, tmp_path, capsys):
         samples, _, _, weights = artifacts
@@ -1009,6 +1010,41 @@ class TestArtifactMismatch:
         assert run(["evaluate", "--samples", str(samples), "--records", str(preds),
                     "--out", str(metrics)]) == 2
         assert _one_error_line(capsys) == "error: no prediction records to score"
+        assert not metrics.exists()
+
+    def _perl_records(self, artifacts, tmp_path):
+        samples, _, params, weights = artifacts
+        preds = tmp_path / "p.jsonl"
+        assert run(["predict", "--samples", str(samples), "--out", str(preds),
+                    "--variant", "perl", "--params-file", str(params),
+                    "--weights", str(weights)]) == 0
+        return preds, preds.read_text().splitlines()
+
+    def test_records_of_mixed_layouts_are_data_error(self, artifacts, tmp_path, capsys):
+        """Three records without a physics part, then full perl records: each
+        column is all null or all arrays."""
+        preds, lines = self._perl_records(artifacts, tmp_path)
+        lines[:3] = [json.dumps(dict(json.loads(line), physics_component=None))
+                     for line in lines[:3]]
+        preds.write_text("\n".join(lines) + "\n")
+        metrics = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["evaluate", "--samples", str(artifacts[0]), "--records", str(preds),
+                    "--out", str(metrics)]) == 2
+        assert _one_error_line(capsys) == (f"error: {preds}:4: malformed record: "
+                                           "physics_component is 5 numbers, line 1's is null")
+        assert not metrics.exists()
+
+    def test_repeated_record_id_is_data_error(self, artifacts, tmp_path, capsys):
+        preds, lines = self._perl_records(artifacts, tmp_path)
+        sid = json.loads(lines[1])["sample_id"]
+        lines[4] = json.dumps(dict(json.loads(lines[4]), sample_id=sid))
+        preds.write_text("\n".join(lines) + "\n")
+        metrics = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["evaluate", "--samples", str(artifacts[0]), "--records", str(preds),
+                    "--out", str(metrics)]) == 2
+        assert _one_error_line(capsys) == f"error: {preds}:5: sample_id {sid} repeats line 2"
         assert not metrics.exists()
 
     @pytest.mark.parametrize("edit", [

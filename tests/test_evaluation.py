@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
@@ -124,6 +125,27 @@ class TestSweep:
         assert "RuntimeError: training diverged" in cells[0].error
         assert cells[0].eval_report is None
         assert cells[0].seconds > 0.0
+
+    def test_largest_learned_cells_handed_out_first(self, small_idm_corpus, monkeypatch):
+        """Learned cells go to the workers by data size, largest first, and
+        each result still lands on its own cell."""
+        samples, dcfg, _ = small_idm_corpus
+        handed = []
+
+        def in_order(fn, jobs):
+            handed.extend((len(rows), seed) for rows, _, _, seed in jobs)
+            for i, job in enumerate(jobs):
+                future = Future()
+                future.set_result(fn(*job))
+                yield i, future
+
+        monkeypatch.setattr(evaluation.forkpool, "completed", in_order)
+        sweep = SweepConfig(variants=("nn",), data_sizes=(20, 40), seeds=(0, 1),
+                            units1=4, units2=3, dense_units=4, max_epochs=1)
+        cells = run_sweep(samples, dcfg, sweep)
+        assert handed == [(40, 0), (40, 1), (20, 0), (20, 1)]
+        assert [(c.data_size, c.seed, c.train_report.config["seed"]) for c in cells] == [
+            (20, 0, 0), (20, 1, 1), (40, 0, 0), (40, 1, 1)]
 
     @pytest.mark.parametrize("setting", [{"max_epochs": 0}, {"mu": 2.0}, {"patience": 0},
                                          {"units1": 0}])

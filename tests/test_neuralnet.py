@@ -8,7 +8,7 @@ from phyres import neuralnet, predictors
 from phyres.domain import SplitIndex
 from phyres.errors import ConfigError, DataError
 from phyres.physics import NewellParams
-from phyres.neuralnet import (AdamState, NetConfig, adam_step, backward,
+from phyres.neuralnet import (EVAL_ROWS, AdamState, NetConfig, adam_step, backward,
                               forward_batch, gradient_check, init_net,
                               load_net, make_dropout_masks, save_net)
 
@@ -425,6 +425,13 @@ class TestTimeBatchedBPTT:
         forward_batch(net, x, "eval")
         # the states (B, units) and each layer's hidden sequence (B, T, units)
         assert set(allocations.shapes) == {(7, 8), (7, 6, 8), (7, 5), (7, 6, 5)}
+        # past EVAL_ROWS rows, no buffer grows with the batch but the output
+        allocations.shapes.clear()
+        rows = 2 * EVAL_ROWS + 1
+        y, _ = forward_batch(net, np.zeros((rows, 6, 6)), "eval")
+        assert y.shape == (rows, 3)
+        assert {s for s in allocations.shapes if s[0] > EVAL_ROWS} <= {(rows, 3)}
+        assert (2, 6, 8) in allocations.shapes  # the last chunk, a lone row, runs as two
         allocations.shapes.clear()
         forward_batch(net, x, "train", dropout_rng=np.random.default_rng(0))
         gates = 4 if cell == "lstm" else 3

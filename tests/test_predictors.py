@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import IDM_TRUE, make_sample, make_samples
 from phyres.domain import SampleBatch, SplitIndex
 from phyres.errors import ConfigError
-from phyres.neuralnet import NetConfig, load_net, save_net
+from phyres.neuralnet import EVAL_ROWS, NetConfig, load_net, save_net
 from phyres.physics import NewellParams, physics_rollout
-from phyres.predictors import (TrainConfig, compose_prediction,
+from phyres.predictors import (PredictionBatch, PredictionRecord, TrainConfig, compose_prediction,
                                make_residual_targets, predict_many,
                                reconstruct_speed, train, train_nn, train_perl,
                                train_pinn)
@@ -297,4 +297,49 @@ def test_batch_matches_one_row_calls(variant, cell):
                           - b.residual_component == 0.0)
         else:
             assert b.physics_component is None and b.residual_component is None
-    assert predict_many(variant, [], delta=DELTA, params=IDM_TRUE, net=net) == []
+    assert len(predict_many(variant, [], delta=DELTA, params=IDM_TRUE, net=net)) == 0
+
+
+@pytest.fixture(scope="module")
+def chunk_edge_samples():
+    return SampleBatch.of(make_samples(2 * EVAL_ROWS + 1, k=3, tb=6, tf=4))
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("variant", ["nn", "pinn", "perl"])
+def test_chunk_edges_match_one_row_calls(variant, cell, chunk_edge_samples):
+    """The eval forward runs EVAL_ROWS rows at a time.  Batches of 1,
+    EVAL_ROWS + 1 and 2 * EVAL_ROWS + 1 rows each end in a chunk of one row,
+    and every row predicts the bits of a call on that row alone."""
+    samples = chunk_edge_samples
+    tconf = TrainConfig(variant="perl", seed=1, max_epochs=2)
+    net, _ = train_perl(samples[:24], _split(24), tconf, _net_config(cell=cell), IDM_TRUE, DELTA)
+    # every seventh row, and the rows on each side of a chunk edge
+    rows = sorted({*range(0, len(samples), 7), EVAL_ROWS - 1, EVAL_ROWS, 2 * EVAL_ROWS - 1,
+                   2 * EVAL_ROWS})
+    alone = {i: predict_many(variant, samples[i:i + 1], delta=DELTA, params=IDM_TRUE,
+                             net=net)[0] for i in rows}
+    for n in (1, EVAL_ROWS + 1, 2 * EVAL_ROWS + 1):
+        batch = predict_many(variant, samples[:n], delta=DELTA, params=IDM_TRUE, net=net)
+        for i in (i for i in rows if i < n):
+            for field in ("predicted_accel", "predicted_speed", "physics_component",
+                          "residual_component"):
+                x, y = getattr(batch[i], field), getattr(alone[i], field)
+                assert (x is None and y is None) or x.tobytes() == y.tobytes(), (n, i, field)
+
+
+def test_prediction_batch_is_a_sequence_of_records():
+    samples = make_samples(3, k=3, tb=6, tf=4)
+    preds = predict_many("physics", samples, delta=DELTA, params=NewellParams(w=4.0))
+    assert preds and len(preds) == 3
+    assert not predict_many("physics", [], delta=DELTA, params=NewellParams(w=4.0))
+    records = list(preds)
+    assert all(type(r) is PredictionRecord for r in records)
+    assert [r.sample_id for r in records] == [0, 1, 2]
+    assert records[2].predicted_speed.tobytes() == preds.predicted_speed[2].tobytes()
+    assert records[1].physics_component is None
+    assert PredictionBatch.of(preds) is preds
+    again = PredictionBatch.of(records)
+    for name, col in vars(preds).items():
+        got = getattr(again, name)
+        assert (col is None and got is None) or got.tobytes() == col.tobytes(), name
