@@ -23,15 +23,14 @@ and at most one per repetition, when that makes two or more; a Newell fit
 (about 4 ms) stays in-process, as forking a pool costs 11-15 ms.  Neither the report nor the error (that of
 the lowest failing repetition) depends on where the repetitions ran.
 
-scipy (``minimize``, ``expit``) is imported by the first IDM or FVD fit
-only, so that a command that fits newell, or nothing, never loads it.  A
-pooled calibration imports it in the calling process before the pool
-forks: the workers then inherit it, where each would otherwise import it
-again, which costs more than the fits it runs.
+The Nelder-Mead search and the logistic map are ports of scipy's
+(``minimize(method="Nelder-Mead")``, ``special.expit``) that give their bits,
+without the ~49 MB and ~0.4 s that importing ``scipy.optimize`` costs.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass
 
@@ -128,12 +127,90 @@ def _box_to_unbounded(x, lo, hi):
     return np.log(frac / (1.0 - frac))
 
 
-def _nelder_mead():
-    """scipy's ``minimize`` and ``expit``, imported on the first call: see
-    the module docstring."""
-    from scipy.optimize import minimize
-    from scipy.special import expit
-    return minimize, expit
+def _expit(u):
+    """The logistic 1 / (1 + exp(-x)) of each element, in libm's exp as
+    ``scipy.special.expit`` computes it (numpy's vectorised exp rounds some
+    values otherwise); 0.0 where exp(-x) overflows."""
+    out = np.empty(len(u))
+    for i, x in enumerate(u):
+        try:
+            out[i] = 1.0 / (1.0 + math.exp(-x))
+        except OverflowError:
+            out[i] = 0.0
+    return out
+
+
+class _OutOfEvaluations(Exception):
+    pass
+
+
+def _nelder_mead(f, x0, xatol, maxiter, maxfev):
+    """(x, f(x)) of scipy 1.17.1's ``minimize(f, x0, method="Nelder-Mead",
+    options={"xatol": xatol, "fatol": inf, "maxiter": maxiter, "maxfev":
+    maxfev})``, bit for bit: its default simplex, steps (not adaptive),
+    evaluation order, sorts and evaluation budget, which may run out in the
+    middle of a shrink.  ``f`` must not keep or change the array it gets."""
+    calls = 0
+
+    def fun(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfEvaluations
+        calls += 1
+        return f(x)
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = fun(sim[k])
+    except _OutOfEvaluations:
+        pass
+    sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            # with fatol = inf, the f test fails only on a nan spread (inf - inf)
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol \
+                    and not np.isnan(fsim[0] - fsim[1:]).any():
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = fun(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fun(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fun(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], np.min(fsim)
 
 
 def fit_physics(samples, config: CalibrationConfig,
@@ -167,31 +244,27 @@ def fit_physics(samples, config: CalibrationConfig,
             raise CalibrationError("all wave-speed candidates produced non-finite errors")
         return NewellParams(float(w_star)), f_star
 
-    minimize, expit = _nelder_mead()
-
     def to_box(u):
-        return lo + (hi - lo) * expit(u)
+        return lo + (hi - lo) * _expit(u)
 
-    def obj_u(u):
-        return obj_vec(to_box(u))
+    def search(u0):
+        return _nelder_mead(lambda u: obj_vec(to_box(u)), u0, NM_XATOL,
+                            config.nm_maxiter, 4 * config.nm_maxiter)
 
-    nm_options = {"xatol": NM_XATOL, "fatol": float("inf"),
-                  "maxiter": config.nm_maxiter, "maxfev": 4 * config.nm_maxiter}
     best_u, best_f = None, float("inf")
     for _ in range(NM_RESTARTS):
         x0 = rng.uniform(lo, hi)
-        res = minimize(obj_u, _box_to_unbounded(x0, lo, hi),
-                       method="Nelder-Mead", options=nm_options)
-        if np.isfinite(res.fun) and res.fun < best_f:
-            best_f, best_u = float(res.fun), res.x
+        u, fu = search(_box_to_unbounded(x0, lo, hi))
+        if np.isfinite(fu) and fu < best_f:
+            best_f, best_u = float(fu), u
     if best_u is None:
         raise CalibrationError(f"{config.model} calibration: no finite optimum found")
     # polish: restarting the simplex from the incumbent escapes the
     # premature shrinkage Nelder-Mead is prone to in flat valleys
     for _ in range(2):
-        res = minimize(obj_u, best_u, method="Nelder-Mead", options=nm_options)
-        if np.isfinite(res.fun) and res.fun < best_f:
-            best_f, best_u = float(res.fun), res.x
+        u, fu = search(best_u)
+        if np.isfinite(fu) and fu < best_f:
+            best_f, best_u = float(fu), u
     return params_of(*to_box(best_u)), best_f
 
 
@@ -248,7 +321,6 @@ def monte_carlo_calibrate(train_samples, config: CalibrationConfig,
     if config.model == "newell" or forkpool.workers(len(jobs)) < 2:
         per_rep = [_repetition(*job) for job in jobs]
     else:
-        _nelder_mead()  # import scipy before the fork, or every worker imports it
         done = dict(forkpool.completed(_repetition, jobs))
         per_rep = []
         for rep in range(config.repetitions):  # in order: the lowest failing one raises

@@ -21,8 +21,8 @@ import numpy as np
 from . import serialize
 from .domain import DatasetConfig, SampleBatch, SplitIndex
 from .errors import ConfigError, DataError, NumericError
-from .neuralnet import (AdamState, NetConfig, NormStats, RecurrentNet, adam_step, forward_batch,
-                        backward, init_net)
+from .neuralnet import (EVAL_ROWS, AdamState, NetConfig, NormStats, RecurrentNet, adam_step,
+                        forward_batch, backward, init_net)
 # physics_rollout is unused here: perfbench/tracing.py wraps this module's attribute
 from .physics import PhysicsParams, physics_rollout, rollout_batch
 
@@ -310,9 +310,9 @@ def predict_many(variant: str, samples, *, delta: float,
                  params: PhysicsParams | None = None,
                  net: RecurrentNet | None = None) -> PredictionBatch:
     """The predictions for ``samples`` (a batch or a list), in order, from
-    one batched pass:
-    one physics rollout over all samples (physics, perl) and one eval-mode
-    forward over all samples (nn, pinn, perl)."""
+    one physics rollout over all samples (physics, perl) and an eval-mode
+    forward (nn, pinn, perl) over each ``EVAL_ROWS`` of them, whose net
+    inputs are built one chunk at a time."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     if variant in ("physics", "perl") and params is None:
@@ -331,7 +331,9 @@ def predict_many(variant: str, samples, *, delta: float,
     if variant in ("physics", "perl"):
         accel, flags = rollout_batch(batch, params, delta)
     if variant != "physics":
-        y = forward_batch(net, sample_features(batch, net.norm_stats), "eval")[0]
+        y = np.concatenate([
+            forward_batch(net, sample_features(batch[start:start + EVAL_ROWS], net.norm_stats))[0]
+            for start in range(0, n, EVAL_ROWS)])
     with np.errstate(over="ignore", invalid="ignore"):  # the records' writer names an inf
         if variant == "perl":
             accel, phys_parts, resid_parts = compose_prediction(accel, y)

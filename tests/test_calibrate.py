@@ -215,6 +215,95 @@ class TestSimplexFit:
             assert calibration_objective(samples, cand, DELTA) >= fitted_obj - 1e-12
 
 
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _boxed_sphere(x):
+    """A sphere, inf outside the box [-1, 1]^n."""
+    return float(np.sum((x + 0.5) ** 2)) if np.max(np.abs(x)) <= 1 else float("inf")
+
+
+def _steps(x):
+    """Rosenbrock rounded down to an integer: flat steps, so trial points tie."""
+    return float(np.floor(_rosenbrock(x)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestScipyParity:
+    """``_nelder_mead`` and ``_expit`` give the bits of the scipy functions
+    they port, on the options that ``fit_physics`` passes."""
+
+    def _assert_same(self, f, x0, maxiter=2000, maxfev=8000):
+        """Both evaluate ``f`` at the same points, in the same order, and
+        return the same bits."""
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        points = {"scipy": [], "port": []}
+
+        def logged(side):
+            return lambda x: points[side].append(x.tobytes()) or f(x)
+
+        res = minimize(logged("scipy"), x0, method="Nelder-Mead", options={
+            "xatol": 1e-6, "fatol": np.inf, "maxiter": maxiter, "maxfev": maxfev})
+        x, fun = calibrate._nelder_mead(logged("port"), x0, 1e-6, maxiter, maxfev)
+        assert points["port"] == points["scipy"]
+        assert _bits(x) == _bits(res.x)
+        assert _bits(fun) == _bits(res.fun)
+        return res
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rosenbrock_5d(self, seed):
+        res = self._assert_same(_rosenbrock, np.random.default_rng(seed).uniform(-2, 2, 5))
+        assert res.nfev > 100
+
+    def test_objective_inf_over_part_of_its_domain(self):
+        res = self._assert_same(_boxed_sphere, np.array([0.98, 0.97, 0.99]))
+        assert res.fun < 1e-10
+
+    def test_objective_inf_everywhere(self):
+        # every simplex is all inf, whose f spread (inf - inf) is nan, so
+        # only the budget ends the search
+        with np.errstate(invalid="ignore"):
+            res = self._assert_same(lambda x: float("inf"), np.array([0.5, -1.0]),
+                                    maxfev=200)
+        assert res.nfev == 200
+
+    def test_piecewise_constant_objective(self):
+        # ties between trial points decide the contraction steps
+        self._assert_same(_steps, np.array([-1.2, 1.0, 0.5]))
+
+    def test_zero_entry_in_x0(self):
+        self._assert_same(_rosenbrock, np.array([0.0, 1.3, -0.7]))
+
+    def test_budget_below_the_simplex_size(self):
+        res = self._assert_same(_rosenbrock, np.array([-1.2, 1.0, 0.5, 0.0, 2.0]), maxfev=3)
+        assert res.nfev == 3
+
+    @pytest.mark.parametrize("f, x0, maxfev", [
+        (_boxed_sphere, [0.98, 0.97, 0.99], 7),
+        (_steps, [-1.2, 1.0, 0.5], 29),
+    ], ids=["boxed-sphere", "steps"])
+    def test_budget_out_in_the_middle_of_a_shrink(self, f, x0, maxfev):
+        res = self._assert_same(f, np.array(x0), maxfev=maxfev)
+        sim, fsim = res.final_simplex
+        # a shrink cut short leaves a moved vertex with its old value
+        assert any(f(v) != fv for v, fv in zip(sim, fsim))
+
+    def test_one_iteration(self):
+        res = self._assert_same(_rosenbrock, np.array([-1.2, 1.0]), maxiter=1)
+        assert res.nfev == 3
+
+    def test_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        rng = np.random.default_rng(0)
+        u = np.concatenate([rng.normal(0.0, 20.0, 20_000), rng.uniform(-800, 800, 20_000),
+                            [-800.0, -745.0, -709.8, 0.0, 800.0, np.inf, -np.inf, np.nan]])
+        assert calibrate._expit(u).tobytes() == expit(u).tobytes()
+
+
 class TestMonteCarlo:
     def test_report_structure_and_statistics(self, newell_samples):
         cfg = CalibrationConfig(model="newell", sample_size=100,
@@ -347,17 +436,16 @@ class TestCalibrationPool:
         assert len(err) == 1 and err[0].startswith("numeric error: repetition 0: "), err
         assert not (tmp_path / "c.json").exists()
 
-    @pytest.mark.parametrize("model", ["idm", "fvd"])
-    def test_scipy_loaded_before_the_fork(self, newell_samples, tmp_path, model):
-        # a new interpreter, as this one has imported scipy already
-        cfg = dict(model=model, sample_size=30, repetitions=2, seed=3,
-                   nm_maxiter=20)
+    def test_pooled_fits_load_no_scipy(self, newell_samples, tmp_path, monkeypatch):
+        # a new interpreter, in which any import of scipy fails
+        cfgs = [dict(model=model, sample_size=30, repetitions=2, seed=3, nm_maxiter=20)
+                for model in ("idm", "fvd")]
         write_samples(newell_samples, tmp_path / "s.jsonl", NEWELL_DCFG)
-        got = run_fresh(SCIPY_BEFORE_FORK_SCRIPT, str(tmp_path / "s.jsonl"), json.dumps(cfg))
-        loaded, report = got.splitlines()
-        assert loaded == "[True]"  # one pool, forked once scipy.optimize was imported
-        assert report == serialize.dumps(asdict(monte_carlo_calibrate(
-            newell_samples, CalibrationConfig(**cfg), DELTA)))
+        got = run_fresh(NO_SCIPY_POOL_SCRIPT, str(tmp_path / "s.jsonl"), json.dumps(cfgs))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert got.splitlines() == [
+            line for cfg in cfgs for line in ("pools: 1", serialize.dumps(asdict(
+                monte_carlo_calibrate(newell_samples, CalibrationConfig(**cfg), DELTA))))]
 
     @pytest.mark.parametrize("model, repetitions", [("newell", 3), ("idm", 1)])
     def test_no_pool(self, newell_samples, monkeypatch, model, repetitions):
@@ -372,28 +460,29 @@ class TestCalibrationPool:
         assert len(report.per_repetition) == repetitions
 
 
-# Calibrates the samples file argv[1] as the CalibrationConfig fields argv[2]
-# say, on two CPUs; prints, for each pool started, whether scipy.optimize was
-# imported when it started, then the report.
-SCIPY_BEFORE_FORK_SCRIPT = """
+# Calibrates the samples file argv[1] as each of the CalibrationConfig fields
+# listed in argv[2], on two CPUs, with scipy made unimportable; prints, for
+# each, the number of pools started, then the report.
+NO_SCIPY_POOL_SCRIPT = """
 import json, os, sys
 from dataclasses import asdict
 from phyres import forkpool, serialize
 from phyres.calibrate import CalibrationConfig, monte_carlo_calibrate
 from phyres.ingest import read_samples
 
-assert "scipy.optimize" not in sys.modules
+sys.modules["scipy"] = None  # an import of scipy, or of any part of it, now fails
 os.sched_getaffinity = lambda pid: {0, 1}
-loaded, completed = [], forkpool.completed
+pools, completed = [], forkpool.completed
 
 def spy(fn, jobs):
-    loaded.append("scipy.optimize" in sys.modules)
+    pools.append(fn)
     return completed(fn, jobs)
 
 forkpool.completed = spy
 samples, header = read_samples(sys.argv[1])
-report = monte_carlo_calibrate(samples, CalibrationConfig(**json.loads(sys.argv[2])),
-                               header["delta"])
-print(loaded)
-print(serialize.dumps(asdict(report)))
+for cfg in json.loads(sys.argv[2]):
+    pools.clear()
+    report = monte_carlo_calibrate(samples, CalibrationConfig(**cfg), header["delta"])
+    print(f"pools: {len(pools)}")
+    print(serialize.dumps(asdict(report)))
 """

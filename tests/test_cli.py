@@ -1137,13 +1137,16 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_newell_commands_never_load_scipy(tmp_path):
+def test_commands_never_load_scipy(tmp_path):
     net = ["--units1", "4", "--units2", "3", "--dense-units", "4",
            "--max-epochs", "2", "--patience", "2"]
     commands = [
         ["synth", "--out", "c.csv", "--seed", "3", "--platoons", "4",
          "--generator", "newell_shift"],
         ["extract", "--input", "c.csv", "--out", "s.jsonl"],
+        *(["calibrate", "--samples", "s.jsonl", "--out", f"{model}.json", "--seed", "3",
+           "--model", model, "--sample-size", "50", "--repetitions", "2"]
+          for model in ("idm", "fvd")),
         ["calibrate", "--samples", "s.jsonl", "--out", "calib.json", "--seed", "3",
          "--model", "newell", "--sample-size", "50", "--repetitions", "2"],
         ["train", "--samples", "s.jsonl", "--out", "t", "--seed", "1", "--variant", "perl",
@@ -1153,8 +1156,13 @@ def test_newell_commands_never_load_scipy(tmp_path):
         ["evaluate", "--samples", "s.jsonl", "--records", "p.jsonl", "--out", "m.json"],
         ["sweep", "--samples", "s.jsonl", "--out", "w", "--seed", "0", "--model", "newell",
          "--variants", "physics,perl", "--data-sizes", "40", *net],
+        ["sweep", "--samples", "s.jsonl", "--out", "wi", "--seed", "0", "--model", "idm",
+         "--variants", "physics", "--data-sizes", "40"],
         ["gradcheck", "--cell", "gru"],
     ]
     run_fresh(NO_SCIPY_SCRIPT, json.dumps(commands), cwd=tmp_path)
     assert (tmp_path / "m.json").exists()
     assert len(json.loads((tmp_path / "w" / "aggregate.json").read_text())) == 2
+    assert len(json.loads((tmp_path / "wi" / "aggregate.json").read_text())) == 1
+    for model in ("idm", "fvd"):
+        assert json.loads((tmp_path / f"{model}.json").read_text())["model"] == model

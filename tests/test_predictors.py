@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import IDM_TRUE, make_sample, make_samples
+from phyres import predictors
 from phyres.domain import SampleBatch, SplitIndex
 from phyres.errors import ConfigError
 from phyres.neuralnet import EVAL_ROWS, NetConfig, load_net, save_net
@@ -326,6 +327,18 @@ def test_chunk_edges_match_one_row_calls(variant, cell, chunk_edge_samples):
                           "residual_component"):
                 x, y = getattr(batch[i], field), getattr(alone[i], field)
                 assert (x is None and y is None) or x.tobytes() == y.tobytes(), (n, i, field)
+
+
+def test_net_inputs_built_one_chunk_at_a_time(chunk_edge_samples, monkeypatch):
+    # the whole batch's features would be n x t_back x 3K float64 at once
+    samples = chunk_edge_samples
+    tconf = TrainConfig(variant="nn", seed=1, max_epochs=1)
+    net, _ = train_nn(samples[:24], _split(24), tconf, _net_config(), DELTA)
+    rows, features = [], predictors.sample_features
+    monkeypatch.setattr(predictors, "sample_features",
+                        lambda batch, stats: rows.append(len(batch)) or features(batch, stats))
+    assert len(predict_many("nn", samples, delta=DELTA, net=net)) == len(samples)
+    assert rows == [EVAL_ROWS, EVAL_ROWS, 1]
 
 
 def test_prediction_batch_is_a_sequence_of_records():
