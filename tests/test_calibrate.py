@@ -436,16 +436,15 @@ class TestCalibrationPool:
         assert len(err) == 1 and err[0].startswith("numeric error: repetition 0: "), err
         assert not (tmp_path / "c.json").exists()
 
-    def test_pooled_fits_load_no_scipy(self, newell_samples, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("model", ["idm", "fvd"])
+    def test_pooled_fits_load_no_scipy(self, newell_samples, tmp_path, monkeypatch, model):
         # a new interpreter, in which any import of scipy fails
-        cfgs = [dict(model=model, sample_size=30, repetitions=2, seed=3, nm_maxiter=20)
-                for model in ("idm", "fvd")]
+        cfg = dict(model=model, sample_size=30, repetitions=2, seed=3, nm_maxiter=20)
         write_samples(newell_samples, tmp_path / "s.jsonl", NEWELL_DCFG)
-        got = run_fresh(NO_SCIPY_POOL_SCRIPT, str(tmp_path / "s.jsonl"), json.dumps(cfgs))
+        got = run_fresh(NO_SCIPY_POOL_SCRIPT, str(tmp_path / "s.jsonl"), json.dumps(cfg))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert got.splitlines() == [
-            line for cfg in cfgs for line in ("pools: 1", serialize.dumps(asdict(
-                monte_carlo_calibrate(newell_samples, CalibrationConfig(**cfg), DELTA))))]
+        assert got.splitlines() == ["pools: 1", serialize.dumps(asdict(
+            monte_carlo_calibrate(newell_samples, CalibrationConfig(**cfg), DELTA)))]
 
     @pytest.mark.parametrize("model, repetitions", [("newell", 3), ("idm", 1)])
     def test_no_pool(self, newell_samples, monkeypatch, model, repetitions):
@@ -460,9 +459,9 @@ class TestCalibrationPool:
         assert len(report.per_repetition) == repetitions
 
 
-# Calibrates the samples file argv[1] as each of the CalibrationConfig fields
-# listed in argv[2], on two CPUs, with scipy made unimportable; prints, for
-# each, the number of pools started, then the report.
+# Calibrates the samples file argv[1] as the CalibrationConfig fields argv[2]
+# say, on two CPUs, with scipy made unimportable; prints the number of pools
+# started, then the report.
 NO_SCIPY_POOL_SCRIPT = """
 import json, os, sys
 from dataclasses import asdict
@@ -480,9 +479,8 @@ def spy(fn, jobs):
 
 forkpool.completed = spy
 samples, header = read_samples(sys.argv[1])
-for cfg in json.loads(sys.argv[2]):
-    pools.clear()
-    report = monte_carlo_calibrate(samples, CalibrationConfig(**cfg), header["delta"])
-    print(f"pools: {len(pools)}")
-    print(serialize.dumps(asdict(report)))
+cfg = CalibrationConfig(**json.loads(sys.argv[2]))
+report = monte_carlo_calibrate(samples, cfg, header["delta"])
+print(f"pools: {len(pools)}")
+print(serialize.dumps(asdict(report)))
 """
