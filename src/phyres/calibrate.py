@@ -260,11 +260,13 @@ def fit_physics(samples, config: CalibrationConfig,
     if best_u is None:
         raise CalibrationError(f"{config.model} calibration: no finite optimum found")
     # polish: restarting the simplex from the incumbent escapes the
-    # premature shrinkage Nelder-Mead is prone to in flat valleys
+    # premature shrinkage Nelder-Mead is prone to in flat valleys; a polish
+    # that does not improve would be repeated exactly from the same start
     for _ in range(2):
         u, fu = search(best_u)
-        if np.isfinite(fu) and fu < best_f:
-            best_f, best_u = float(fu), u
+        if not (np.isfinite(fu) and fu < best_f):
+            break
+        best_f, best_u = float(fu), u
     return params_of(*to_box(best_u)), best_f
 
 

@@ -37,7 +37,7 @@ from .neuralnet import (ACTIVATIONS, CELLS, NetConfig, gradient_check, load_net,
                         save_net)
 from .physics import IdmParams, NewellParams
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (VARIANTS, PredictionBatch, PredictionRecord, predict_many, train,
+from .predictors import (VARIANTS, PredictionBatch, predict_many, train,
                          train_nn, train_perl, train_pinn, training_configs)
 from .synth import SynthConfig, generate_corpus
 
@@ -258,10 +258,11 @@ def _write_records(preds, path):
 
 
 def read_records(path) -> PredictionBatch:
-    """The records of a records file, as a batch.  A DataError names the line
-    that is no record (and its field), whose layout differs from the first
-    record's, or whose sample_id repeats an earlier line's."""
-    records, seen, first = [], {}, None
+    """The records of a records file, as a batch built column by column.  A
+    DataError names the line that is no record (and its field), whose layout
+    differs from the first record's, or whose sample_id repeats an earlier line's."""
+    cols = {name: [] for name in ("sample_id", "collision_in_rollout", *_RECORD_ARRAYS)}
+    seen, first = {}, None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -277,10 +278,11 @@ def read_records(path) -> PredictionBatch:
                     raise ValueError(f"collision_in_rollout {collided!r} is not true or false")
                 # a variant without a physics or a residual part writes null
                 arrays = {name: None if obj[name] is None and name.endswith("_component")
-                          else serialize.numbers(obj[name], 1, bad + name) for name in _RECORD_ARRAYS}
+                          else serialize.finite_numbers(obj[name], 1, bad + name)
+                          for name in _RECORD_ARRAYS}
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{bad}{exc!r}") from exc
-            layout = {name: "null" if a is None else f"{a.size} numbers" for name, a in arrays.items()}
+            layout = {name: "null" if a is None else f"{len(a)} numbers" for name, a in arrays.items()}
             first = first or (lineno, layout)
             for name, held in layout.items():
                 if held != first[1][name]:
@@ -289,8 +291,11 @@ def read_records(path) -> PredictionBatch:
             if sid in seen:
                 raise DataError(f"{path}:{lineno}: sample_id {sid} repeats line {seen[sid]}")
             seen[sid] = lineno
-            records.append(PredictionRecord(sample_id=sid, collision_in_rollout=collided, **arrays))
-    return PredictionBatch.of(records)
+            cols["sample_id"].append(sid)
+            cols["collision_in_rollout"].append(collided)
+            for name, a in arrays.items():
+                cols[name].append(a)
+    return PredictionBatch.of_columns(**cols)
 
 
 def _cmd_predict(args):

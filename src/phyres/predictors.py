@@ -142,11 +142,17 @@ class PredictionBatch:
         layout stacked."""
         if isinstance(records, PredictionBatch):
             return records
-        cols = {f.name: [getattr(r, f.name) for r in records] for f in fields(PredictionRecord)}
-        return cls(sample_ids=np.array(cols.pop("sample_id"), dtype=np.int64),
-                   collision_in_rollout=np.array(cols.pop("collision_in_rollout"), dtype=bool),
+        return cls.of_columns(**{f.name: [getattr(r, f.name) for r in records]
+                                 for f in fields(PredictionRecord)})
+
+    @classmethod
+    def of_columns(cls, sample_id, collision_in_rollout, **arrays) -> "PredictionBatch":
+        """A batch of per-record columns, a list of one layout's values per
+        ``PredictionRecord`` field; a record's array may be a list."""
+        return cls(sample_ids=np.array(sample_id, dtype=np.int64),
+                   collision_in_rollout=np.array(collision_in_rollout, dtype=bool),
                    **{name: None if col and col[0] is None else np.array(col, dtype=float)
-                      for name, col in cols.items()})
+                      for name, col in arrays.items()})
 
     def __len__(self) -> int:
         return len(self.sample_ids)

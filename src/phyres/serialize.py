@@ -82,6 +82,12 @@ def number(value, what: str, kind: type = float):
 def numbers(value, ndim: int, what: str) -> np.ndarray:
     """``value``, ``ndim`` deep rectangular lists of finite JSON numbers, as a
     float64 array; else a DataError that begins with ``what``."""
+    return np.array(finite_numbers(value, ndim, what), dtype=float)
+
+
+def finite_numbers(value, ndim: int, what: str):
+    """``value`` as it is if it is ``ndim`` deep rectangular lists of finite
+    JSON numbers, else a DataError that begins with ``what``."""
     leaves = [value]
     for _ in range(ndim):
         if not all(type(v) is list for v in leaves) or len(set(map(len, leaves))) > 1:
@@ -91,7 +97,7 @@ def numbers(value, ndim: int, what: str) -> np.ndarray:
     bad = [v for v in leaves if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
     if bad:
         raise DataError(f"{what} holds {bad[0]!r}, not a finite JSON number")
-    return np.array(value, dtype=float)
+    return value
 
 
 def create(path, mode: str = "w"):

@@ -12,11 +12,17 @@ Two generators:
   (position distance)/(wave speed) delay, which makes the one-step
   time-shift predictor exact on the emitted data.
 
+The recurrences run on Python floats, which take the same IEEE binary64
+operations as numpy float64 scalars at a fraction of their per-call cost;
+``tests/test_synth.py`` keeps a numpy-scalar reference that must give the
+same bytes.
+
 Output is the raw CSV schema consumed by ingest.parse_trajectory_csv.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +30,7 @@ import numpy as np
 from . import serialize
 from .ingest import CSV_HEADER
 from .errors import ConfigError, NumericError
-from .physics import IdmParams, NewellParams, PhysicsParams, idm_accel
+from .physics import IdmParams, NewellParams, PhysicsParams, _idm_unchecked
 
 
 @dataclass(frozen=True)
@@ -94,83 +100,76 @@ def _lead_speed_profile(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarra
 
 
 def _integrate_lead(v_des: np.ndarray, delta: float, x0: float, accel_cap: float):
-    """Realize the desired profile through the shared Euler recurrence.
+    """Realize the desired profile through the shared Euler recurrence, as
+    (accel, speed, position) lists.
 
     Acceleration is rate-limited so base-speed jumps at segment
     boundaries become followable ramps instead of steps."""
-    n = len(v_des)
-    a = np.zeros(n)
-    v = np.empty(n)
-    x = np.empty(n)
-    v[0] = v_des[0]
-    x[0] = x0
-    for t in range(1, n):
-        a[t] = np.clip((v_des[t] - v[t - 1]) / delta, -accel_cap, accel_cap)
-        v[t] = v[t - 1] + a[t] * delta
-        x[t] = x[t - 1] + v[t] * delta
+    v_des = v_des.tolist()
+    a, v, x = [0.0], [v_des[0]], [x0]
+    for t in range(1, len(v_des)):
+        a.append(min(max((v_des[t] - v[-1]) / delta, -accel_cap), accel_cap))
+        v.append(v[-1] + a[-1] * delta)
+        x.append(x[-1] + v[-1] * delta)
     return a, v, x
 
 
 def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
-    """Returns (accel, speed, position) arrays of shape (n_veh, steps)."""
+    """Returns (accel, speed, position), each a list of n_veh lists of steps floats."""
     n_veh, steps, delta = cfg.vehicles_per_platoon, cfg.duration_steps, cfg.delta
     v_des = _lead_speed_profile(cfg, rng)
     noise_rng = np.random.default_rng(rng.integers(2 ** 63))
 
     for attempt in range(10):
         gap_scale = 1.0 + 0.5 * attempt
-        a = np.zeros((n_veh, steps))
-        v = np.zeros((n_veh, steps))
-        x = np.zeros((n_veh, steps))
-        a[0], v[0], x[0] = _integrate_lead(v_des, delta, 0.0, cfg.profile.accel_cap)
-        ok = True
+        a, v, x = ([row] for row in _integrate_lead(v_des, delta, 0.0, cfg.profile.accel_cap))
         for k in range(1, n_veh):
-            v[k, 0] = v[0, 0]
+            a_lead, v_lead, x_lead = a[-1], v[-1], x[-1]
             if cfg.initial_gap is not None:
                 gap0 = cfg.initial_gap
             elif isinstance(cfg.params, IdmParams):
                 p = cfg.params
-                s_eq = p.s0 + p.t_gap * v[k, 0]
-                gap0 = s_eq / np.sqrt(max(1.0 - (v[k, 0] / p.v_free) ** 4, 1e-3))
+                s_eq = p.s0 + p.t_gap * v_lead[0]
+                gap0 = s_eq / math.sqrt(max(1.0 - (v_lead[0] / p.v_free) ** 4, 1e-3))
             else:
                 gap0 = 2.0 * cfg.params.w  # 2 s delay at the wave speed
-            x[k, 0] = x[k - 1, 0] - gap0 * gap_scale
+            ak, vk, xk = [0.0], [v_lead[0]], [x_lead[0] - gap0 * gap_scale]
             for t in range(1, steps):
-                gap = x[k - 1, t - 1] - x[k, t - 1]
+                gap = x_lead[t - 1] - xk[-1]
                 if gap <= 0:
-                    ok = False
                     break
                 if cfg.generator == "idm":
-                    acc = float(idm_accel(v[k, t - 1], v[k, t - 1] - v[k - 1, t - 1], gap,
-                                          cfg.params))
+                    acc = float(_idm_unchecked(vk[-1], vk[-1] - v_lead[t - 1], gap, cfg.params))
                 else:
-                    shift = gap / (cfg.params.w * delta)  # steps of delay
-                    src = np.clip(t - shift, 0.0, steps - 1.0)
-                    lo = int(np.floor(src))
+                    w_delta = cfg.params.w * delta  # may underflow to 0.0: an infinite delay
+                    shift = gap / w_delta if w_delta else math.inf  # steps of delay
+                    src = min(max(t - shift, 0.0), steps - 1.0)
+                    lo = math.floor(src)
                     hi = min(lo + 1, steps - 1)
                     frac = src - lo
-                    acc = (1.0 - frac) * a[k - 1, lo] + frac * a[k - 1, hi]
+                    acc = (1.0 - frac) * a_lead[lo] + frac * a_lead[hi]
                 if cfg.noise_sigma > 0:
                     acc += cfg.noise_sigma * noise_rng.standard_normal()
-                if not np.isfinite(acc):
+                if not math.isfinite(acc):
                     raise NumericError("non-finite acceleration during generation")
-                v_new = v[k, t - 1] + acc * delta
+                v_new = vk[-1] + acc * delta
                 if v_new < 0.0:
                     # stop at 0, or an ulp above it: the speed comes from the
                     # acceleration, so speed[t-1] + accel[t] * delta is speed[t] exactly
-                    acc = -v[k, t - 1] / delta
-                    while v[k, t - 1] + acc * delta < 0.0:  # -v / delta * delta can pass 0
-                        acc = np.nextafter(acc, 0.0)
-                    v_new = v[k, t - 1] + acc * delta
-                a[k, t] = acc
-                v[k, t] = v_new
-                x[k, t] = x[k, t - 1] + v_new * delta
-            if not ok:
+                    acc = -vk[-1] / delta
+                    while vk[-1] + acc * delta < 0.0:  # -v / delta * delta can pass 0
+                        acc = math.nextafter(acc, 0.0)
+                    v_new = vk[-1] + acc * delta
+                ak.append(acc)
+                vk.append(v_new)
+                xk.append(xk[-1] + v_new * delta)
+            # a closed gap, or one closed at the final step, which is never the gap source above
+            if len(xk) < steps or x_lead[-1] - xk[-1] <= 0:
                 break
-            if x[k - 1, -1] - x[k, -1] <= 0:  # final step is never the gap source above
-                ok = False
-                break
-        if ok:
+            a.append(ak)
+            v.append(vk)
+            x.append(xk)
+        else:
             return a, v, x
     raise NumericError("persistent gap violation; could not generate platoon")
 
@@ -182,23 +181,19 @@ def generate_corpus(cfg: SynthConfig, path) -> dict:
     no file and no new folder.  Returns diagnostics (vehicle and row counts).
     """
     rng = np.random.default_rng(cfg.seed)
-    platoons = [_generate_platoon(cfg, rng) for _ in range(cfg.n_platoons)]
-    n_rows = 0
+    try:
+        platoons = [_generate_platoon(cfg, rng) for _ in range(cfg.n_platoons)]
+    except OverflowError as exc:  # a Python float's ** raises where a numpy float64's gives inf
+        raise NumericError("non-finite acceleration during generation") from exc
+    times = [t * cfg.delta for t in range(cfg.duration_steps)]
     with serialize.create(path) as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for p, (a, v, x) in enumerate(platoons):
             for k in range(cfg.vehicles_per_platoon):
-                vid = p * 1000 + k + 1
-                lid = "" if k == 0 else str(p * 1000 + k)
-                for t in range(cfg.duration_steps):
-                    fh.write(
-                        f"{vid},{format(t * cfg.delta, '.17g')},"
-                        f"{format(x[k, t], '.17g')},{format(v[k, t], '.17g')},"
-                        f"{format(a[k, t], '.17g')},{lid}\n"
-                    )
-                    n_rows += 1
+                line = f"{p * 1000 + k + 1},%.17g,%.17g,%.17g,%.17g,{'' if k == 0 else p * 1000 + k}\n"
+                fh.write("".join([line % row for row in zip(times, x[k], v[k], a[k])]))
     return {
         "platoons": cfg.n_platoons,
         "vehicles": cfg.n_platoons * cfg.vehicles_per_platoon,
-        "rows": n_rows,
+        "rows": cfg.n_platoons * cfg.vehicles_per_platoon * cfg.duration_steps,
     }

@@ -215,6 +215,57 @@ class TestSimplexFit:
             assert calibration_objective(samples, cand, DELTA) >= fitted_obj - 1e-12
 
 
+def _two_polish_fit(samples, config, delta, rng):
+    """Reference: ``fit_physics`` for idm and fvd as it was when both polishes
+    always ran, the second from the same start when the first did not improve."""
+    lo, hi = np.array(list(DEFAULT_BOUNDS[config.model].values())).T
+    inputs = OneStepInputs.of(samples)
+
+    def search(u0):
+        def f(u):
+            x = lo + (hi - lo) * calibrate._expit(u)
+            return calibration_objective(inputs, calibrate.PARAMS_OF[config.model](*x), delta)
+        return calibrate._nelder_mead(f, u0, calibrate.NM_XATOL, config.nm_maxiter,
+                                      4 * config.nm_maxiter)
+
+    best_u, best_f = None, float("inf")
+    for _ in range(calibrate.NM_RESTARTS):
+        u, fu = search(calibrate._box_to_unbounded(rng.uniform(lo, hi), lo, hi))
+        if np.isfinite(fu) and fu < best_f:
+            best_f, best_u = float(fu), u
+    for _ in range(2):
+        u, fu = search(best_u)
+        if np.isfinite(fu) and fu < best_f:
+            best_f, best_u = float(fu), u
+    return calibrate.PARAMS_OF[config.model](*(lo + (hi - lo) * calibrate._expit(best_u))), best_f
+
+
+class TestPolish:
+    def test_no_search_repeats_and_report_unchanged(self, newell_samples, monkeypatch):
+        # uncapped idm fits, in-process; on these draws each first polish
+        # finds nothing better, so the two-polish loop repeats it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = CalibrationConfig(model="idm", sample_size=40, repetitions=2, seed=0)
+        fits, search = [], calibrate._nelder_mead
+
+        def fit(*args, **kw):
+            fits.append([])
+            return fit_physics(*args, **kw)
+
+        def spy(f, x0, *args):
+            fits[-1].append(np.asarray(x0).tobytes())
+            return search(f, x0, *args)
+
+        monkeypatch.setattr(calibrate, "fit_physics", fit)
+        monkeypatch.setattr(calibrate, "_nelder_mead", spy)
+        got = monte_carlo_calibrate(newell_samples, cfg, DELTA)
+        assert len(fits) == 2
+        for starts in fits:
+            assert len(set(starts)) == len(starts) == calibrate.NM_RESTARTS + 1
+        monkeypatch.setattr(calibrate, "fit_physics", _two_polish_fit)
+        assert asdict(got) == asdict(monte_carlo_calibrate(newell_samples, cfg, DELTA))
+
+
 def _rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 

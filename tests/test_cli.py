@@ -501,6 +501,20 @@ class TestRecordWriter:
         for a, b in zip(records, read_records(got)):
             assert a.predicted_accel.tobytes() == b.predicted_accel.tobytes()
 
+    @pytest.mark.parametrize("variant", ["nn", "perl"])
+    def test_read_back_bit_exact(self, variant, tmp_path):
+        # EDGE puts -0.0, 5e-324 and 1e300 into the accel, speed and physics arrays;
+        # nn writes null components
+        written = PredictionBatch.of(self._records(variant))
+        _write_records(written, tmp_path / "p.jsonl")
+        read = read_records(tmp_path / "p.jsonl")
+        for name, col in vars(written).items():
+            got = getattr(read, name)
+            if col is None:
+                assert got is None, name
+            else:
+                assert (got.dtype, got.shape, got.tobytes()) == (col.dtype, col.shape, col.tobytes())
+
     def test_non_finite_prediction_is_numeric_error(self, tmp_path):
         records = self._records("perl", 3)
         records[1].residual_component[2] = np.nan
