@@ -23,8 +23,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__, serialize
 from .calibrate import PARAM_ORDER, CalibrationConfig, load_params, monte_carlo_calibrate
 from .domain import DatasetConfig, split_dataset
@@ -37,8 +35,8 @@ from .neuralnet import (ACTIVATIONS, CELLS, NetConfig, gradient_check, load_net,
                         save_net)
 from .physics import IdmParams, NewellParams
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (VARIANTS, PredictionBatch, predict_many, train,
-                         train_nn, train_perl, train_pinn, training_configs)
+from .predictors import (VARIANTS, predict_many, read_records, train, train_nn,
+                         train_perl, train_pinn, training_configs, write_records)
 from .synth import SynthConfig, generate_corpus
 
 
@@ -234,70 +232,6 @@ def _cmd_train(args):
 
 # -------------------------------------------------------------- predict
 
-_RECORD_ARRAYS = ("predicted_accel", "predicted_speed", "physics_component",
-                  "residual_component")
-
-
-def _write_records(preds, path):
-    """One JSON line per prediction of the batch ``preds``: the bytes of
-    ``serialize.dumps``, formatted from one (n, width) matrix of its arrays
-    through one line template.  Every prediction is checked before the file
-    is made."""
-    arrays = [getattr(preds, name) for name in _RECORD_ARRAYS]
-    matrix = np.hstack([a for a in arrays if a is not None])
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"non-finite prediction for sample {preds.sample_ids[finite.argmin()]}")
-    slots = ("null" if a is None else serialize.json_slots(a.shape[1:]) for a in arrays)
-    template = ('{"sample_id":%d,' + "".join(f'"{k}":{v},' for k, v in zip(_RECORD_ARRAYS, slots))
-                + '"collision_in_rollout":%s}\n')
-    with serialize.create(path) as fh:
-        fh.writelines(template % (sid, *row, "true" if hit else "false") for sid, row, hit in
-                      zip(preds.sample_ids.tolist(), matrix.tolist(),
-                          preds.collision_in_rollout.tolist()))
-
-
-def read_records(path) -> PredictionBatch:
-    """The records of a records file, as a batch built column by column.  A
-    DataError names the line that is no record (and its field), whose layout
-    differs from the first record's, or whose sample_id repeats an earlier line's."""
-    cols = {name: [] for name in ("sample_id", "collision_in_rollout", *_RECORD_ARRAYS)}
-    seen, first = {}, None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            bad = f"{path}:{lineno}: malformed record: "
-            try:  # JSONDecodeError is a ValueError
-                obj = serialize.DECODER.decode(line)
-                sid, collided = obj["sample_id"], obj["collision_in_rollout"]
-                sid = serialize.number(sid, bad + "sample_id")
-                if sid % 1 or abs(sid) >= 2 ** 53:  # an id that a float holds exactly
-                    raise ValueError(f"sample_id {sid!r} is not an integer below 2**53")
-                if type(collided) is not bool:
-                    raise ValueError(f"collision_in_rollout {collided!r} is not true or false")
-                # a variant without a physics or a residual part writes null
-                arrays = {name: None if obj[name] is None and name.endswith("_component")
-                          else serialize.finite_numbers(obj[name], 1, bad + name)
-                          for name in _RECORD_ARRAYS}
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{bad}{exc!r}") from exc
-            layout = {name: "null" if a is None else f"{len(a)} numbers" for name, a in arrays.items()}
-            first = first or (lineno, layout)
-            for name, held in layout.items():
-                if held != first[1][name]:
-                    raise DataError(f"{bad}{name} is {held}, line {first[0]}'s is {first[1][name]}")
-            sid = int(sid)
-            if sid in seen:
-                raise DataError(f"{path}:{lineno}: sample_id {sid} repeats line {seen[sid]}")
-            seen[sid] = lineno
-            cols["sample_id"].append(sid)
-            cols["collision_in_rollout"].append(collided)
-            for name, a in arrays.items():
-                cols[name].append(a)
-    return PredictionBatch.of_columns(**cols)
-
-
 def _cmd_predict(args):
     samples, header, dcfg, split = _read_split(args)
     subset = {"train": split.train_ids, "val": split.val_ids,
@@ -306,7 +240,7 @@ def _cmd_predict(args):
     params = load_params(args.params_file) if args.params_file else None
     net = load_net(args.weights) if args.weights else None
     preds = predict_many(args.variant, targets, delta=dcfg.delta, params=params, net=net)
-    _write_records(preds, args.out)
+    write_records(preds, args.out)
     print(f"wrote {len(preds)} prediction records to {args.out}")
     return 0, [args.out], header
 

@@ -33,7 +33,6 @@ GRADCHECK_SEED = 12345      # draws gradient_check's input, target and masks
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 CELLS = ("lstm", "gru")
 ACTIVATIONS = ("linear", "relu")  # of the output layer
-EVAL_ROWS = 1024            # rows per chunk of an eval-mode forward
 
 
 @dataclass(frozen=True)
@@ -294,8 +293,7 @@ def forward_batch(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
     Returns (output (B, output_dim), cache).  In train mode dropout masks
     are sampled from ``dropout_rng`` unless ``masks`` pins them (used by
     the gradient check), and the cache holds what ``backward`` needs.  Eval
-    mode applies no dropout, returns no cache and runs the rows in chunks of
-    ``EVAL_ROWS``, so that its buffers stay that small whatever B is.
+    mode applies no dropout and returns no cache.
     """
     cfg = net.config
     if x.ndim != 3 or x.shape[2] != cfg.input_dim:
@@ -305,14 +303,11 @@ def forward_batch(net: RecurrentNet, x: np.ndarray, mode: str = "eval",
     p = net.params
     batch, t_steps, _ = x.shape
     train = mode == "train"
-    if not train and (batch > EVAL_ROWS or batch == 1):
+    if not train and batch == 1:
         # numpy multiplies a lone row as a matrix-vector product, which rounds
-        # otherwise than the matrix product: a chunk of one row runs as two,
-        # so that each row gets the bits it would in any batch
-        chunks = (x[start:start + EVAL_ROWS] for start in range(0, batch, EVAL_ROWS))
-        ys = [forward_batch(net, np.concatenate([c, c]) if len(c) == 1 else c)[0][:len(c)]
-              for c in chunks]
-        return np.concatenate(ys), None
+        # otherwise than the matrix product: one row runs as two, so that it
+        # gets the bits it would in any batch
+        return forward_batch(net, np.concatenate([x, x]))[0][:1], None
     if train and masks is None:
         if dropout_rng is None:
             raise ConfigError("train-mode forward needs dropout_rng or masks")

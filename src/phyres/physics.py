@@ -15,6 +15,7 @@ free-running ego.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def idm_accel(v, dv, gap, params: IdmParams):
 
 def _idm_unchecked(v, dv, gap, params: IdmParams):
     """``idm_accel`` for a gap already checked to be positive."""
-    s_star = params.s0 + params.t_gap * v - v * dv / (2.0 * np.sqrt(params.a_max * params.b_comf))
+    s_star = params.s0 + params.t_gap * v - v * dv / (2.0 * math.sqrt(params.a_max * params.b_comf))
     return params.a_max * (1.0 - (v / params.v_free) ** 4 - (s_star / gap) ** 2)
 
 
@@ -155,7 +156,8 @@ def rollout_batch(batch: SampleBatch, params: PhysicsParams,
         return (newell_predict_batch(batch.hist_accel[:, :-1], dist / params.w, t_fwd, delta),
                 np.zeros(n, dtype=bool))
 
-    accel_fn = idm_accel if isinstance(params, IdmParams) else fvd_accel
+    # every gap is floored at ROLLOUT_GAP_FLOOR, so IDM needs no gap check
+    accel_fn = _idm_unchecked if isinstance(params, IdmParams) else fvd_accel
     v_e, x_e = batch.ego_speed_at_t0, pos_t0[:, -1]
     v_l, x_l = batch.hist_speed[:, -2, -1], pos_t0[:, -2]
     lead_acc = batch.leader_future_accel[:, -1]

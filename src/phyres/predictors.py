@@ -1,4 +1,5 @@
-"""The four predictor variants and their one training loop.
+"""The four predictor variants, their one training loop, and their
+predictions: made, scored, and written to and read from a records file.
 
 * physics: calibrated car-following rollout, no learning;
 * nn: recurrent net trained on ground-truth future accelerations;
@@ -21,7 +22,7 @@ import numpy as np
 from . import serialize
 from .domain import DatasetConfig, SampleBatch, SplitIndex
 from .errors import ConfigError, DataError, NumericError
-from .neuralnet import (EVAL_ROWS, AdamState, NetConfig, NormStats, RecurrentNet, adam_step,
+from .neuralnet import (AdamState, NetConfig, NormStats, RecurrentNet, adam_step,
                         forward_batch, backward, init_net)
 # physics_rollout is unused here: perfbench/tracing.py wraps this module's attribute
 from .physics import PhysicsParams, physics_rollout, rollout_batch
@@ -29,6 +30,7 @@ from .physics import PhysicsParams, physics_rollout, rollout_batch
 VARIANTS = ("physics", "nn", "pinn", "perl")
 PHYSICS_VARIANTS = ("physics", "pinn", "perl")   # need calibrated params
 LR_MAX = float(np.finfo(np.float32).max)  # float32 training would hold a larger lr as inf
+EVAL_ROWS = 1024   # rows per chunk of predict_many's net inputs and eval forward
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,70 @@ class PredictionBatch:
                                 collision_in_rollout=bool(row.pop("collision_in_rollout")), **row)
 
 
+_RECORD_ARRAYS = ("predicted_accel", "predicted_speed", "physics_component",
+                  "residual_component")
+
+
+def write_records(preds: PredictionBatch, path) -> None:
+    """One JSON line per prediction of the batch ``preds``: the bytes of
+    ``serialize.dumps``, formatted from one (n, width) matrix of its arrays
+    through one line template.  Every prediction is checked before the file
+    is made."""
+    arrays = [getattr(preds, name) for name in _RECORD_ARRAYS]
+    matrix = np.hstack([a for a in arrays if a is not None])
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite prediction for sample {preds.sample_ids[finite.argmin()]}")
+    slots = ("null" if a is None else serialize.json_slots(a.shape[1:]) for a in arrays)
+    template = ('{"sample_id":%d,' + "".join(f'"{k}":{v},' for k, v in zip(_RECORD_ARRAYS, slots))
+                + '"collision_in_rollout":%s}\n')
+    with serialize.create(path) as fh:
+        fh.writelines(template % (sid, *row, "true" if hit else "false") for sid, row, hit in
+                      zip(preds.sample_ids.tolist(), matrix.tolist(),
+                          preds.collision_in_rollout.tolist()))
+
+
+def read_records(path) -> PredictionBatch:
+    """The records of a records file, as a batch built column by column.  A
+    DataError names the line that is no record (and its field), whose layout
+    differs from the first record's, or whose sample_id repeats an earlier line's."""
+    cols = {name: [] for name in ("sample_id", "collision_in_rollout", *_RECORD_ARRAYS)}
+    seen, first = {}, None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            bad = f"{path}:{lineno}: malformed record: "
+            try:  # JSONDecodeError is a ValueError
+                obj = serialize.DECODER.decode(line)
+                sid, collided = obj["sample_id"], obj["collision_in_rollout"]
+                sid = serialize.number(sid, bad + "sample_id")
+                if sid % 1 or abs(sid) >= 2 ** 53:  # an id that a float holds exactly
+                    raise ValueError(f"sample_id {sid!r} is not an integer below 2**53")
+                if type(collided) is not bool:
+                    raise ValueError(f"collision_in_rollout {collided!r} is not true or false")
+                # a variant without a physics or a residual part writes null
+                arrays = {name: None if obj[name] is None and name.endswith("_component")
+                          else serialize.finite_numbers(obj[name], 1, bad + name)
+                          for name in _RECORD_ARRAYS}
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{bad}{exc!r}") from exc
+            layout = {name: "null" if a is None else f"{len(a)} numbers" for name, a in arrays.items()}
+            first = first or (lineno, layout)
+            for name, held in layout.items():
+                if held != first[1][name]:
+                    raise DataError(f"{bad}{name} is {held}, line {first[0]}'s is {first[1][name]}")
+            sid = int(sid)
+            if sid in seen:
+                raise DataError(f"{path}:{lineno}: sample_id {sid} repeats line {seen[sid]}")
+            seen[sid] = lineno
+            cols["sample_id"].append(sid)
+            cols["collision_in_rollout"].append(collided)
+            for name, a in arrays.items():
+                cols[name].append(a)
+    return PredictionBatch.of_columns(**cols)
+
+
 def reconstruct_speed(v0: float, accel: np.ndarray, delta: float) -> np.ndarray:
     """Cumulative speed from predicted accelerations: v_j = v0 + delta*sum."""
     return v0 + delta * np.cumsum(accel, axis=-1)
@@ -210,13 +276,12 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
 
     The net regresses on the truth (nn, pinn) or on the physics residual
     (perl); pinn blends a data term with weight mu and a term anchored on
-    the frozen physics prediction; perl adds the physics prediction to the
-    net's validation output before scoring.
+    the frozen physics prediction.  Each epoch's val scores are the squared
+    errors of the variant's ``predict_many`` predictions on the val rows.
 
     The net trains in float32: its features, targets, pinn's anchor and its
-    weights.  The train loss is averaged in float64, and the val scores come
-    from an eval forward on float64 features, as in ``predict_many``; the
-    returned net holds float32 weights.
+    weights.  The train loss is averaged in float64; the returned net holds
+    float32 weights.
     """
     variant = tconf.variant
     if variant == "physics":
@@ -229,15 +294,13 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
         raise ConfigError("train and val splits must be non-empty")
     stats = compute_norm_stats(train_batch)
     x_train = sample_features(train_batch, stats).astype(np.float32)
-    x_val = sample_features(val_batch, stats)
     targets = train_batch.ego_future_accel
-    pinn_phys = val_phys = None
+    pinn_phys = None
     if variant == "pinn":
         _, pinn_phys, _ = make_residual_targets(train_batch, params, delta)
         pinn_phys = pinn_phys.astype(np.float32)
     elif variant == "perl":
         targets, _, _ = make_residual_targets(train_batch, params, delta)
-        _, val_phys, _ = make_residual_targets(val_batch, params, delta)
     targets = targets.astype(np.float32)
 
     n, t_fwd = targets.shape
@@ -273,11 +336,10 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
                 grads = backward(net, cache, grad)
                 adam_step(net, grads, state)
                 epoch_losses.append(loss)
-            y_val, _ = forward_batch(net, x_val, "eval")
-            pred_val = y_val if val_phys is None else val_phys + y_val
-            v0 = val_batch.ego_speed_at_t0
-            sq_a, sq_v = squared_errors(pred_val, reconstruct_speed(v0[:, None], pred_val, delta),
-                                        val_batch.ego_future_accel, v0, delta)
+            val = predict_many(variant, val_batch, delta=delta, params=params, net=net)
+            sq_a, sq_v = squared_errors(val.predicted_accel, val.predicted_speed,
+                                        val_batch.ego_future_accel, val_batch.ego_speed_at_t0,
+                                        delta)
             mse_a = float(np.mean(sq_a))
             per_epoch.append({
                 "epoch": epoch,
@@ -318,7 +380,8 @@ def predict_many(variant: str, samples, *, delta: float,
     """The predictions for ``samples`` (a batch or a list), in order, from
     one physics rollout over all samples (physics, perl) and an eval-mode
     forward (nn, pinn, perl) over each ``EVAL_ROWS`` of them, whose net
-    inputs are built one chunk at a time."""
+    inputs are built one chunk at a time, so that no buffer grows with the
+    batch but the outputs."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     if variant in ("physics", "perl") and params is None:

@@ -136,7 +136,7 @@ def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
             ak, vk, xk = [0.0], [v_lead[0]], [x_lead[0] - gap0 * gap_scale]
             for t in range(1, steps):
                 gap = x_lead[t - 1] - xk[-1]
-                if gap <= 0:
+                if not gap > 0:  # a NaN gap (-inf minus -inf) is closed too
                     break
                 if cfg.generator == "idm":
                     acc = float(_idm_unchecked(vk[-1], vk[-1] - v_lead[t - 1], gap, cfg.params))
@@ -164,7 +164,7 @@ def _generate_platoon(cfg: SynthConfig, rng: np.random.Generator):
                 vk.append(v_new)
                 xk.append(xk[-1] + v_new * delta)
             # a closed gap, or one closed at the final step, which is never the gap source above
-            if len(xk) < steps or x_lead[-1] - xk[-1] <= 0:
+            if len(xk) < steps or not x_lead[-1] - xk[-1] > 0:
                 break
             a.append(ak)
             v.append(vk)

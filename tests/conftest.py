@@ -76,6 +76,28 @@ def make_samples(n, **kwargs):
     return [make_sample(sample_id=i, seed=1000 + i, **kwargs) for i in range(n)]
 
 
+class Allocations:
+    """Stands in for numpy in a module such as ``neuralnet``: records the
+    dtype and shape of every array that np.zeros, np.zeros_like, np.empty,
+    np.empty_like and np.ones return while ``on``."""
+
+    def __init__(self):
+        self.on, self.dtypes, self.shapes = False, [], []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("zeros", "zeros_like", "empty", "empty_like", "ones"):
+            return fn
+
+        def allocate(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if self.on:
+                self.dtypes.append(out.dtype)
+                self.shapes.append(out.shape)
+            return out
+        return allocate
+
+
 @pytest.fixture
 def dataset_config():
     return DatasetConfig(delta=0.1, k_vehicles=3, t_back=6, t_fwd=4,

@@ -13,13 +13,13 @@ from conftest import (LINE_CORRUPTIONS, SIDECAR_CORRUPTIONS, corrupt_line, corru
                       run_fresh)
 from conftest import time_limit as _time_limit
 from phyres import cli, evaluation, serialize
-from phyres.cli import _write_records, main, read_records
+from phyres.cli import main, read_records
 from phyres.domain import DatasetConfig
 from phyres.errors import NumericError
 from phyres.evaluation import SweepConfig, run_sweep
 from phyres.ingest import read_samples, sidecar_path
 from phyres.neuralnet import NetConfig, gradient_check
-from phyres.predictors import PredictionBatch, PredictionRecord
+from phyres.predictors import PredictionBatch, PredictionRecord, write_records
 
 
 def run(argv):
@@ -132,9 +132,12 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numeric error: non-finite values in "), err
 
-    def test_failed_platoon_leaves_no_corpus(self, tmp_path, capsys):
+    # at 1e308 the second follower starts at -inf, so the third one's gap is
+    # -inf - (-inf), a NaN
+    @pytest.mark.parametrize("gap", ["0", "1e308"])
+    def test_failed_platoon_leaves_no_corpus(self, gap, tmp_path, capsys):
         assert run(["synth", "--out", str(tmp_path / "c.csv"), "--seed", "1",
-                    "--generator", "newell_shift", "--initial-gap", "0"]) == 3
+                    "--generator", "newell_shift", "--initial-gap", gap]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numeric error: persistent gap violation; could not generate platoon"]
         assert list(tmp_path.iterdir()) == []
@@ -495,7 +498,7 @@ class TestRecordWriter:
         records = self._records(variant)
         want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
         _dumps_records(records, want)
-        _write_records(PredictionBatch.of(records), got)
+        write_records(PredictionBatch.of(records), got)
         assert got.read_bytes() == want.read_bytes()
         # and the reader returns the written doubles, -0.0 included
         for a, b in zip(records, read_records(got)):
@@ -506,7 +509,7 @@ class TestRecordWriter:
         # EDGE puts -0.0, 5e-324 and 1e300 into the accel, speed and physics arrays;
         # nn writes null components
         written = PredictionBatch.of(self._records(variant))
-        _write_records(written, tmp_path / "p.jsonl")
+        write_records(written, tmp_path / "p.jsonl")
         read = read_records(tmp_path / "p.jsonl")
         for name, col in vars(written).items():
             got = getattr(read, name)
@@ -519,7 +522,7 @@ class TestRecordWriter:
         records = self._records("perl", 3)
         records[1].residual_component[2] = np.nan
         with pytest.raises(NumericError, match="sample 101$"):
-            _write_records(PredictionBatch.of(records), tmp_path / "out" / "p.jsonl")
+            write_records(PredictionBatch.of(records), tmp_path / "out" / "p.jsonl")
         assert list(tmp_path.iterdir()) == []  # no file, and no folder
 
 

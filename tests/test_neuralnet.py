@@ -3,12 +3,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import make_samples, run_fresh
+from conftest import Allocations, make_samples, run_fresh
 from phyres import neuralnet, predictors
 from phyres.domain import SplitIndex
 from phyres.errors import ConfigError, DataError
 from phyres.physics import NewellParams
-from phyres.neuralnet import (EVAL_ROWS, AdamState, NetConfig, adam_step, backward,
+from phyres.neuralnet import (AdamState, NetConfig, adam_step, backward,
                               forward_batch, gradient_check, init_net,
                               load_net, make_dropout_masks, save_net)
 
@@ -185,28 +185,6 @@ def _arrays(obj):
             yield from _arrays(v)
 
 
-class _Allocations:
-    """Stands in for numpy in ``neuralnet``: records the dtype and shape of
-    every array that np.zeros, np.zeros_like, np.empty, np.empty_like and
-    np.ones return while ``on``."""
-
-    def __init__(self):
-        self.on, self.dtypes, self.shapes = False, [], []
-
-    def __getattr__(self, name):
-        fn = getattr(np, name)
-        if name not in ("zeros", "zeros_like", "empty", "empty_like", "ones"):
-            return fn
-
-        def allocate(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            if self.on:
-                self.dtypes.append(out.dtype)
-                self.shapes.append(out.shape)
-            return out
-        return allocate
-
-
 class TestDtype:
     """One stray float64 buffer promotes a whole layer's backward to float64,
     and an in-place update into a float32 array hides it from the results."""
@@ -215,7 +193,7 @@ class TestDtype:
     @pytest.mark.parametrize("variant", ["nn", "pinn", "perl"])
     def test_training_step_is_float32(self, variant, cell, monkeypatch):
         seen = []
-        allocations = _Allocations()
+        allocations = Allocations()
 
         def spy_forward(net, x, mode="eval", **kwargs):
             # the val forward runs float64 features through the float32 net
@@ -419,19 +397,16 @@ class TestTimeBatchedBPTT:
         # pipeline's peak RSS by two thirds
         net = init_net(small_config(cell=cell, units1=8, units2=5))
         x = np.random.default_rng(3).standard_normal((7, 6, 6))
-        allocations = _Allocations()
+        allocations = Allocations()
         monkeypatch.setattr(neuralnet, "np", allocations)
         allocations.on = True
         forward_batch(net, x, "eval")
         # the states (B, units) and each layer's hidden sequence (B, T, units)
         assert set(allocations.shapes) == {(7, 8), (7, 6, 8), (7, 5), (7, 6, 5)}
-        # past EVAL_ROWS rows, no buffer grows with the batch but the output
         allocations.shapes.clear()
-        rows = 2 * EVAL_ROWS + 1
-        y, _ = forward_batch(net, np.zeros((rows, 6, 6)), "eval")
-        assert y.shape == (rows, 3)
-        assert {s for s in allocations.shapes if s[0] > EVAL_ROWS} <= {(rows, 3)}
-        assert (2, 6, 8) in allocations.shapes  # the last chunk, a lone row, runs as two
+        y, _ = forward_batch(net, x[:1], "eval")
+        assert y.shape == (1, 3)
+        assert (2, 6, 8) in allocations.shapes  # a lone row runs as two
         allocations.shapes.clear()
         forward_batch(net, x, "train", dropout_rng=np.random.default_rng(0))
         gates = 4 if cell == "lstm" else 3

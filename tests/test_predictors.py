@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IDM_TRUE, make_sample, make_samples
-from phyres import predictors
+from conftest import IDM_TRUE, Allocations, make_sample, make_samples
+from phyres import neuralnet, predictors
 from phyres.domain import SampleBatch, SplitIndex
 from phyres.errors import ConfigError
-from phyres.neuralnet import EVAL_ROWS, NetConfig, load_net, save_net
+from phyres.neuralnet import NetConfig, load_net, save_net
 from phyres.physics import NewellParams, physics_rollout
-from phyres.predictors import (PredictionBatch, PredictionRecord, TrainConfig, compose_prediction,
-                               make_residual_targets, predict_many,
-                               reconstruct_speed, train, train_nn, train_perl,
+from phyres.predictors import (EVAL_ROWS, PredictionBatch, PredictionRecord, TrainConfig,
+                               compose_prediction, make_residual_targets, predict_many,
+                               reconstruct_speed, squared_errors, train, train_nn, train_perl,
                                train_pinn)
 
 DELTA = 0.1
@@ -168,6 +168,22 @@ class TestTraining:
         best = min(report.per_epoch, key=lambda r: r["mse_a_val"])
         assert report.best_epoch == best["epoch"]
         assert len(report.per_epoch) <= 50
+
+    @pytest.mark.parametrize("variant", ["nn", "pinn", "perl"])
+    def test_val_scores_are_predictions(self, variant):
+        """The best epoch's val scores are those of the returned net's
+        predictions on the val rows, bit for bit."""
+        samples, split = self._data()
+        tconf = TrainConfig(variant=variant, seed=4, max_epochs=6, batch_size=8)
+        net, report = train(samples, split, tconf, _net_config(), DELTA, IDM_TRUE)
+        val = SampleBatch.of(samples).select(split.val_ids)
+        preds = predict_many(variant, val, delta=DELTA, params=IDM_TRUE, net=net)
+        sq_a, sq_v = squared_errors(preds.predicted_accel, preds.predicted_speed,
+                                    val.ego_future_accel, val.ego_speed_at_t0, DELTA)
+        best = report.per_epoch[report.best_epoch - 1]
+        assert best["epoch"] == report.best_epoch
+        assert (best["mse_a_val"], best["mse_v_val"]) == (float(np.mean(sq_a)),
+                                                          float(np.mean(sq_v)))
 
     def test_physics_has_no_training_step(self):
         samples, split = self._data(10)
@@ -339,6 +355,21 @@ def test_net_inputs_built_one_chunk_at_a_time(chunk_edge_samples, monkeypatch):
                         lambda batch, stats: rows.append(len(batch)) or features(batch, stats))
     assert len(predict_many("nn", samples, delta=DELTA, net=net)) == len(samples)
     assert rows == [EVAL_ROWS, EVAL_ROWS, 1]
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_eval_forward_buffers_stay_within_a_chunk(cell, chunk_edge_samples, monkeypatch):
+    # a per-step buffer over predict's thousands of rows once raised the
+    # pipeline's peak RSS by two thirds
+    samples = chunk_edge_samples
+    tconf = TrainConfig(variant="nn", seed=1, max_epochs=1)
+    net, _ = train_nn(samples[:24], _split(24), tconf, _net_config(cell=cell), DELTA)
+    allocations = Allocations()
+    monkeypatch.setattr(neuralnet, "np", allocations)
+    allocations.on = True
+    assert len(predict_many("nn", samples, delta=DELTA, net=net)) == 2 * EVAL_ROWS + 1
+    assert max(s[0] for s in allocations.shapes) == EVAL_ROWS
+    assert (2, 6, 4) in allocations.shapes  # the last chunk, a lone row, runs as two
 
 
 def test_prediction_batch_is_a_sequence_of_records():
