@@ -25,7 +25,10 @@ the lowest failing repetition) depends on where the repetitions ran.
 
 The Nelder-Mead search and the logistic map are ports of scipy's
 (``minimize(method="Nelder-Mead")``, ``special.expit``) that give their bits,
-without the ~49 MB and ~0.4 s that importing ``scipy.optimize`` costs.
+without the ~49 MB and ~0.4 s that importing ``scipy.optimize`` costs.  Both
+run on Python floats; the simplex is sorted by numpy's argsort, whose order for
+ties of 4 or more is no stable sort's.  A capped IDM fit takes about 17-21 us an
+objective call, search included, where a simplex of numpy arrays took 25-26 us.
 """
 
 from __future__ import annotations
@@ -101,11 +104,11 @@ def calibration_objective(samples, params: PhysicsParams, delta: float) -> float
     err = one_step_batch(inputs, params, delta) - inputs.target
     # np.mean's own sum and division; a non-finite err makes the mean non-finite
     mse = np.add.reduce(err * err) / len(err)
-    return float(mse) if np.isfinite(mse) else float("inf")
+    return float(mse) if math.isfinite(mse) else float("inf")
 
 
 def _golden_section(f, lo, hi, tol):
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
@@ -128,15 +131,15 @@ def _box_to_unbounded(x, lo, hi):
 
 
 def _expit(u):
-    """The logistic 1 / (1 + exp(-x)) of each element, in libm's exp as
-    ``scipy.special.expit`` computes it (numpy's vectorised exp rounds some
-    values otherwise); 0.0 where exp(-x) overflows."""
-    out = np.empty(len(u))
-    for i, x in enumerate(u):
+    """The logistic 1 / (1 + exp(-x)) of each element, as a list of floats, in
+    libm's exp as ``scipy.special.expit`` computes it (numpy's vectorised exp
+    rounds some values otherwise); 0.0 where exp(-x) overflows."""
+    out = []
+    for x in u:
         try:
-            out[i] = 1.0 / (1.0 + math.exp(-x))
+            out.append(1.0 / (1.0 + math.exp(-x)))
         except OverflowError:
-            out[i] = 0.0
+            out.append(0.0)
     return out
 
 
@@ -149,7 +152,8 @@ def _nelder_mead(f, x0, xatol, maxiter, maxfev):
     options={"xatol": xatol, "fatol": inf, "maxiter": maxiter, "maxfev":
     maxfev})``, bit for bit: its default simplex, steps (not adaptive),
     evaluation order, sorts and evaluation budget, which may run out in the
-    middle of a shrink.  ``f`` must not keep or change the array it gets."""
+    middle of a shrink.  ``f`` gets a list of floats, which it must not keep
+    or change."""
     calls = 0
 
     def fun(x):
@@ -160,15 +164,15 @@ def _nelder_mead(f, x0, xatol, maxiter, maxfev):
         return f(x)
 
     def by_value(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        # numpy's order, in which ties of 4 or more need not keep their places
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
-    x0 = np.asarray(x0, dtype=float)
+    x0 = [float(v) for v in x0]
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
+    sim = [x0] + [x0[:k] + [1.05 * x0[k] if x0[k] != 0 else 0.00025] + x0[k + 1:]
+                  for k in range(n)]
+    fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
             fsim[k] = fun(sim[k])
@@ -179,38 +183,41 @@ def _nelder_mead(f, x0, xatol, maxiter, maxfev):
     while calls < maxfev and iterations < maxiter:
         try:
             # with fatol = inf, the f test fails only on a nan spread (inf - inf)
-            if np.max(np.abs(sim[1:] - sim[0])) <= xatol \
-                    and not np.isnan(fsim[0] - fsim[1:]).any():
+            if all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0])) \
+                    and not any(math.isnan(fsim[0] - g) for g in fsim[1:]):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
+            xbar = sim[0]  # np.add.reduce's column sums, row after row
+            for v in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, v)]
+            xbar = [a / n for a in xbar]
+            xr = [2 * a - b for a, b in zip(xbar, sim[-1])]
             fxr = fun(xr)
             if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = [3 * a - 2 * b for a, b in zip(xbar, sim[-1])]
                 fxe = fun(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, sim[-1])]
                     fxc = fun(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, sim[-1])]
                     fxc = fun(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])]
                         fsim[j] = fun(sim[j])
             iterations += 1
         except _OutOfEvaluations:
             pass
         sim, fsim = by_value(sim, fsim)
-    return sim[0], np.min(fsim)
+    return sim[0], float(np.min(fsim))
 
 
 def fit_physics(samples, config: CalibrationConfig,
@@ -226,6 +233,7 @@ def fit_physics(samples, config: CalibrationConfig,
     if rng is None:
         rng = np.random.default_rng(config.seed)
     lo, hi = np.array(list(DEFAULT_BOUNDS[config.model].values())).T
+    lo_, width = lo.tolist(), (hi - lo).tolist()  # to_box's, on floats
     inputs = OneStepInputs.of(samples)  # read by every objective call
     params_of = PARAMS_OF[config.model]
 
@@ -234,18 +242,18 @@ def fit_physics(samples, config: CalibrationConfig,
 
     if config.model == "newell":
         # coarse scan to bracket the global basin, then golden section
-        grid = np.linspace(lo[0], hi[0], 46)
+        grid = np.linspace(lo[0], hi[0], 46).tolist()
         vals = [obj_vec([w]) for w in grid]
         best = int(np.argmin(vals))
         blo = grid[max(best - 1, 0)]
         bhi = grid[min(best + 1, len(grid) - 1)]
         w_star, f_star = _golden_section(lambda w: obj_vec([w]), blo, bhi, GSS_TOL)
-        if not np.isfinite(f_star):
+        if not math.isfinite(f_star):
             raise CalibrationError("all wave-speed candidates produced non-finite errors")
-        return NewellParams(float(w_star)), f_star
+        return NewellParams(w_star), f_star
 
     def to_box(u):
-        return lo + (hi - lo) * _expit(u)
+        return [a + w * e for a, w, e in zip(lo_, width, _expit(u))]
 
     def search(u0):
         return _nelder_mead(lambda u: obj_vec(to_box(u)), u0, NM_XATOL,
@@ -255,8 +263,8 @@ def fit_physics(samples, config: CalibrationConfig,
     for _ in range(NM_RESTARTS):
         x0 = rng.uniform(lo, hi)
         u, fu = search(_box_to_unbounded(x0, lo, hi))
-        if np.isfinite(fu) and fu < best_f:
-            best_f, best_u = float(fu), u
+        if math.isfinite(fu) and fu < best_f:
+            best_f, best_u = fu, u
     if best_u is None:
         raise CalibrationError(f"{config.model} calibration: no finite optimum found")
     # polish: restarting the simplex from the incumbent escapes the
@@ -264,9 +272,9 @@ def fit_physics(samples, config: CalibrationConfig,
     # that does not improve would be repeated exactly from the same start
     for _ in range(2):
         u, fu = search(best_u)
-        if not (np.isfinite(fu) and fu < best_f):
+        if not (math.isfinite(fu) and fu < best_f):
             break
-        best_f, best_u = float(fu), u
+        best_f, best_u = fu, u
     return params_of(*to_box(best_u)), best_f
 
 

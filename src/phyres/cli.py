@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import __version__, serialize
+from . import __version__, forkpool, serialize
 from .calibrate import PARAM_ORDER, CalibrationConfig, load_params, monte_carlo_calibrate
 from .domain import DatasetConfig, split_dataset
 from .errors import DataError, NumericError, PhyresError
@@ -143,6 +143,12 @@ def _read_split(args):
     samples, header = read_samples(args.samples)
     dcfg = _dataset_config(args, header)
     return samples, header, dcfg, split_dataset(samples.sample_ids.tolist(), dcfg)
+
+
+def _add_required(p, *flags):
+    """Required flags: ``--seed`` takes a seed, every other one a path."""
+    for flag in flags:
+        p.add_argument(f"--{flag}", required=True, **({"type": _SEED} if flag == "seed" else {}))
 
 
 def _add_split_seed(p):
@@ -316,8 +322,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[_CONFIG], help="generate a synthetic trajectory corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, required=True)
+    _add_required(p, "out", "seed")
     p.add_argument("--generator", choices=["idm", "newell_shift"], default="idm")
     p.add_argument("--platoons", type=_SIZE, default=10)
     p.add_argument("--delta", type=_FINITE_FLOAT, default=0.1)
@@ -327,8 +332,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", parents=[_CONFIG], help="raw CSV -> samples file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
+    _add_required(p, "input", "out")
     p.add_argument("--delta", type=_FINITE_FLOAT, default=0.1)
     p.add_argument("--k-vehicles", type=int, default=4)
     p.add_argument("--t-back", type=int, default=20)
@@ -338,9 +342,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", parents=[_CONFIG],
                        help="fit physics parameters on the train split")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, required=True)
+    _add_required(p, "samples", "out", "seed")
     p.add_argument("--model", choices=tuple(PARAM_ORDER), required=True)
     p.add_argument("--sample-size", type=int, default=300)
     p.add_argument("--repetitions", type=int, default=5)
@@ -348,9 +350,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("train", parents=[_CONFIG], help="train a predictor variant")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, required=True)
+    _add_required(p, "samples", "out", "seed")
     p.add_argument("--variant", choices=VARIANTS[1:], required=True)
     p.add_argument("--params-file", default=None,
                    help="calibration report JSON (pinn/perl)")
@@ -359,8 +359,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", parents=[_CONFIG], help="emit prediction records")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--out", required=True)
+    _add_required(p, "samples", "out")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--weights", default=None)
     p.add_argument("--params-file", default=None)
@@ -369,15 +368,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", parents=[_CONFIG], help="score prediction records")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--records", required=True)
-    p.add_argument("--out", required=True)
+    _add_required(p, "samples", "records", "out")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", parents=[_CONFIG], help="training-data-size sweep")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_SEED, required=True)
+    _add_required(p, "samples", "out", "seed")
     p.add_argument("--seeds", type=_list_of(_SEED), default=None,
                    help="comma list; overrides --seed")
     p.add_argument("--variants", type=_list_of(_variant), default="physics,nn,pinn,perl")
@@ -447,7 +442,11 @@ def main(argv=None) -> int:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         started = time.monotonic()
-        code, outputs, header = args.func(args)
+        threads = forkpool.blas_threads(1)  # as in a pool's workers; the caller's count comes back
+        try:
+            code, outputs, header = args.func(args)
+        finally:
+            forkpool.blas_threads(threads)
         if outputs:  # gradcheck writes nothing
             _write_manifest(args, outputs, header, started)
         return code

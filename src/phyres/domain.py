@@ -158,14 +158,10 @@ def split_dataset(ids, config: DatasetConfig) -> SplitIndex:
     n_val = int(np.floor(config.omega_val * n))
     n_test = n - n_train - n_val
     if n_train == 0 or n_val == 0 or n_test == 0:
-        raise ConfigError(
-            f"split of {n} samples with fractions "
-            f"({config.omega_train}, {config.omega_val}) leaves an empty set"
-        )
+        raise ConfigError(f"split of {n} samples with fractions ({config.omega_train}, "
+                          f"{config.omega_val}) leaves an empty set")
     perm = np.random.default_rng(config.seed).permutation(n)
     shuffled = [ids[i] for i in perm]
-    return SplitIndex(
-        train_ids=frozenset(shuffled[:n_train]),
-        val_ids=frozenset(shuffled[n_train:n_train + n_val]),
-        test_ids=frozenset(shuffled[n_train + n_val:]),
-    )
+    return SplitIndex(train_ids=frozenset(shuffled[:n_train]),
+                      val_ids=frozenset(shuffled[n_train:n_train + n_val]),
+                      test_ids=frozenset(shuffled[n_train + n_val:]))

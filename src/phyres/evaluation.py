@@ -119,8 +119,7 @@ def _calibrate_subset(subset, model: str, delta: float, seed: int
     """The one physics fit that a (size, seed)'s physics-using cells share;
     a failure is returned as its traceback, for each of those cells."""
     try:
-        calib_cfg = CalibrationConfig(model=model, sample_size=len(subset),
-                                      repetitions=1, seed=seed)
+        calib_cfg = CalibrationConfig(model=model, sample_size=len(subset), repetitions=1, seed=seed)
         return monte_carlo_calibrate(subset, calib_cfg, delta), None
     except Exception:
         return None, traceback.format_exc()

@@ -3,19 +3,30 @@ inherit the function, its jobs and phyres as imported, so only results are
 pickled; the executor forks them all before it starts its own thread.  Each
 worker holds numpy's OpenBLAS to one thread: the workers already fill the
 CPUs, and a GEMM that OpenBLAS splits across threads would oversubscribe
-them."""
+them.  ``cli.main`` holds a command's own process to one thread the same way."""
 
+import functools
 import os
 
 _held: list = []  # in a worker: the function and its jobs
 
 
-def _hold(fn, jobs: list[tuple], blas) -> None:
+def _hold(fn, jobs: list[tuple]) -> None:
     _held[:] = [fn, jobs]
-    if blas is not None:
-        blas.scipy_openblas_set_num_threads64_(1)
+    blas_threads(1)
 
 
+def blas_threads(n: int | None) -> int | None:
+    """Set numpy's OpenBLAS to ``n`` threads and return the count it had; with
+    ``n`` None or no library found, set nothing and return None."""
+    if n is None or (blas := _openblas()) is None:
+        return None
+    had = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(n)
+    return had
+
+
+@functools.cache  # looked up on first use, once per process
 def _openblas():
     """numpy's bundled OpenBLAS through ctypes, with its thread-count setter
     and getter declared, or None when it is not found."""
@@ -54,7 +65,7 @@ def completed(fn, jobs: list[tuple]):
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     with ProcessPoolExecutor(workers(len(jobs)), mp_context=multiprocessing.get_context("fork"),
-                             initializer=_hold, initargs=(fn, jobs, _openblas())) as pool:
+                             initializer=_hold, initargs=(fn, jobs)) as pool:
         futures = {pool.submit(_run_held, i): i for i in range(len(jobs))}
         for future in as_completed(futures):
             yield futures[future], future

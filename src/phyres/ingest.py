@@ -100,8 +100,7 @@ def parse_trajectory_csv(path, delta: float) -> list[VehicleSeries]:
             if len(row) != len(CSV_HEADER):
                 raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}")
             try:
-                vid = int(row[0])
-                t = float(row[1])
+                vid, t = int(row[0]), float(row[1])
                 pos, spd, acc = float(row[2]), float(row[3]), float(row[4])
                 lid = int(row[5]) if row[5].strip() != "" else None
             except ValueError as exc:
@@ -121,29 +120,21 @@ def parse_trajectory_csv(path, delta: float) -> list[VehicleSeries]:
             if abs(dt) <= GRID_ATOL:
                 raise DataError(f"{path}:{ln_b}: duplicate time {t_b} for vehicle {vid}")
             if abs(dt - delta) > GRID_ATOL:
-                raise DataError(
-                    f"{path}:{ln_b}: non-uniform timestep {dt!r} for vehicle {vid} (expected {delta})"
-                )
+                raise DataError(f"{path}:{ln_b}: non-uniform timestep {dt!r} for vehicle {vid} "
+                                f"(expected {delta})")
         lids = {r[5] for r in rows}
         if len(lids) != 1:
             raise DataError(f"{path}: vehicle {vid} has inconsistent leader_id values {lids}")
-        series.append(VehicleSeries(
-            vehicle_id=vid,
-            leader_id=rows[0][5],
-            t_start=rows[0][1],
-            delta=delta,
-            position=np.array([r[2] for r in rows]),
-            speed=np.array([r[3] for r in rows]),
-            accel=np.array([r[4] for r in rows]),
-        ))
+        position, speed, accel = (np.array([r[i] for r in rows]) for i in (2, 3, 4))
+        series.append(VehicleSeries(vehicle_id=vid, leader_id=rows[0][5], t_start=rows[0][1],
+                                    delta=delta, position=position, speed=speed, accel=accel))
     series.sort(key=lambda s: s.vehicle_id)
     return series
 
 
 def _chain_for_ego(ego: VehicleSeries, by_id: dict[int, VehicleSeries], k: int):
     """Walk leader pointers from the ego; returns [lead,...,ego] or None."""
-    chain = [ego]
-    cur = ego
+    chain, cur = [ego], ego
     for _ in range(k - 1):
         if cur.leader_id is None or cur.leader_id not in by_id:
             return None

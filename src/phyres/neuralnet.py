@@ -95,19 +95,11 @@ class RecurrentNet:
 
 
 def _tensor_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
-    gates = 4 if cfg.cell == "lstm" else 3
-    return {
-        "l1_W": (cfg.input_dim, gates * cfg.units1),
-        "l1_U": (cfg.units1, gates * cfg.units1),
-        "l1_b": (gates * cfg.units1,),
-        "l2_W": (cfg.units1, gates * cfg.units2),
-        "l2_U": (cfg.units2, gates * cfg.units2),
-        "l2_b": (gates * cfg.units2,),
-        "dense_W": (cfg.units2, cfg.dense_units),
-        "dense_b": (cfg.dense_units,),
-        "out_W": (cfg.dense_units, cfg.output_dim),
-        "out_b": (cfg.output_dim,),
-    }
+    g1, g2 = (n * (4 if cfg.cell == "lstm" else 3) for n in (cfg.units1, cfg.units2))
+    return {"l1_W": (cfg.input_dim, g1), "l1_U": (cfg.units1, g1), "l1_b": (g1,),
+            "l2_W": (cfg.units1, g2), "l2_U": (cfg.units2, g2), "l2_b": (g2,),
+            "dense_W": (cfg.units2, cfg.dense_units), "dense_b": (cfg.dense_units,),
+            "out_W": (cfg.dense_units, cfg.output_dim), "out_b": (cfg.output_dim,)}
 
 
 def init_net(cfg: NetConfig, norm_stats: NormStats | None = None) -> RecurrentNet:

@@ -46,12 +46,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        for name in ("max_epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not 0 < self.lr <= LR_MAX:
             raise ConfigError(f"lr must be > 0 and at most {LR_MAX!r}, got {self.lr}")
         if not (0.0 <= self.mu <= 1.0):
@@ -168,6 +165,7 @@ class PredictionBatch:
 
 _RECORD_ARRAYS = ("predicted_accel", "predicted_speed", "physics_component",
                   "residual_component")
+_REQUIRED = _RECORD_ARRAYS[:2]  # the components may be null
 
 
 def write_records(preds: PredictionBatch, path) -> None:
@@ -208,10 +206,15 @@ def read_records(path) -> PredictionBatch:
                     raise ValueError(f"sample_id {sid!r} is not an integer below 2**53")
                 if type(collided) is not bool:
                     raise ValueError(f"collision_in_rollout {collided!r} is not true or false")
-                # a variant without a physics or a residual part writes null
-                arrays = {name: None if obj[name] is None and name.endswith("_component")
-                          else serialize.finite_numbers(obj[name], 1, bad + name)
-                          for name in _RECORD_ARRAYS}
+                # a variant without a physics or a residual part writes null; the
+                # arrays are checked at once, field by field only to name a fault
+                arrays = {name: obj.get(name) for name in _RECORD_ARRAYS}
+                lists = [a for name, a in arrays.items() if a is not None or name in _REQUIRED]
+                if not (obj.keys() >= arrays.keys() and all(type(a) is list for a in lists)
+                        and serialize.finite_leaves(sum(lists, []))):
+                    arrays = {name: None if obj[name] is None and name not in _REQUIRED
+                              else serialize.finite_numbers(obj[name], 1, bad + name)
+                              for name in _RECORD_ARRAYS}
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{bad}{exc!r}") from exc
             layout = {name: "null" if a is None else f"{len(a)} numbers" for name, a in arrays.items()}
@@ -341,12 +344,8 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
                                         val_batch.ego_future_accel, val_batch.ego_speed_at_t0,
                                         delta)
             mse_a = float(np.mean(sq_a))
-            per_epoch.append({
-                "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)),
-                "mse_a_val": mse_a,
-                "mse_v_val": float(np.mean(sq_v)),
-            })
+            per_epoch.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
+                              "mse_a_val": mse_a, "mse_v_val": float(np.mean(sq_v))})
             if mse_a < best[0]:
                 best = (mse_a, epoch, net.copy_params())
                 bad = 0

@@ -93,11 +93,16 @@ def finite_numbers(value, ndim: int, what: str):
         if not all(type(v) is list for v in leaves) or len(set(map(len, leaves))) > 1:
             raise DataError(f"{what} is not a {ndim}-dimensional JSON array")
         leaves = list(itertools.chain.from_iterable(leaves))
-    # number()'s float rule, for each leaf
-    bad = [v for v in leaves if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
-    if bad:
-        raise DataError(f"{what} holds {bad[0]!r}, not a finite JSON number")
+    if not finite_leaves(leaves):
+        bad = next(v for v in leaves if not finite_leaves([v]))
+        raise DataError(f"{what} holds {bad!r}, not a finite JSON number")
     return value
+
+
+def finite_leaves(leaves: list) -> bool:
+    """Whether every item of ``leaves`` is a finite JSON number, by number()'s float rule."""
+    return set(map(type, leaves)) <= {int, float} \
+        and max(map(abs, leaves), default=0) <= sys.float_info.max
 
 
 def create(path, mode: str = "w"):

@@ -294,8 +294,8 @@ class TestScipyParity:
         minimize = pytest.importorskip("scipy.optimize").minimize
         points = {"scipy": [], "port": []}
 
-        def logged(side):
-            return lambda x: points[side].append(x.tobytes()) or f(x)
+        def logged(side):  # the port hands f a list, scipy an array
+            return lambda x: points[side].append(_bits(x)) or f(np.asarray(x, dtype=float))
 
         res = minimize(logged("scipy"), x0, method="Nelder-Mead", options={
             "xatol": 1e-6, "fatol": np.inf, "maxiter": maxiter, "maxfev": maxfev})
@@ -326,6 +326,13 @@ class TestScipyParity:
         # ties between trial points decide the contraction steps
         self._assert_same(_steps, np.array([-1.2, 1.0, 0.5]))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_tied_vertices_keep_numpy_order(self, dim, seed):
+        # numpy's argsort may order ties of 4 or more entries unstably (as it
+        # does on AVX-512 hosts); a port that sorts stably leaves scipy's path
+        self._assert_same(_steps, np.random.default_rng(seed).uniform(-2, 2, dim))
+
     def test_zero_entry_in_x0(self):
         self._assert_same(_rosenbrock, np.array([0.0, 1.3, -0.7]))
 
@@ -347,12 +354,28 @@ class TestScipyParity:
         res = self._assert_same(_rosenbrock, np.array([-1.2, 1.0]), maxiter=1)
         assert res.nfev == 3
 
+    @pytest.mark.parametrize("model", ["idm", "fvd"])
+    def test_reports_equal_with_scipy_swapped_in(self, newell_samples, monkeypatch, model):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        expit = pytest.importorskip("scipy.special").expit
+        cfg = CalibrationConfig(model=model, sample_size=40, repetitions=2, seed=12)
+        port = serialize.dumps(asdict(monte_carlo_calibrate(newell_samples, cfg, DELTA)))
+
+        def nelder_mead(f, x0, xatol, maxiter, maxfev):
+            res = minimize(f, x0, method="Nelder-Mead", options={
+                "xatol": xatol, "fatol": np.inf, "maxiter": maxiter, "maxfev": maxfev})
+            return res.x, res.fun
+
+        monkeypatch.setattr(calibrate, "_nelder_mead", nelder_mead)
+        monkeypatch.setattr(calibrate, "_expit", lambda u: expit(np.asarray(u, dtype=float)))
+        assert serialize.dumps(asdict(monte_carlo_calibrate(newell_samples, cfg, DELTA))) == port
+
     def test_expit(self):
         expit = pytest.importorskip("scipy.special").expit
         rng = np.random.default_rng(0)
         u = np.concatenate([rng.normal(0.0, 20.0, 20_000), rng.uniform(-800, 800, 20_000),
                             [-800.0, -745.0, -709.8, 0.0, 800.0, np.inf, -np.inf, np.nan]])
-        assert calibrate._expit(u).tobytes() == expit(u).tobytes()
+        assert _bits(calibrate._expit(u)) == expit(u).tobytes()
 
 
 class TestMonteCarlo:
