@@ -4,17 +4,21 @@ Calibration minimizes the mean squared one-step acceleration error over a
 set of training samples (the direct model forms; the wave-speed shift,
 IDM and FVD all predict the first future step from the t0 state).
 
-* wave-speed model: golden-section search on w in [1, 10] m/s (tolerance
-  1e-3), seeded by a coarse bracketing scan so the refinement starts in
-  the global basin;
+* wave-speed model: golden-section search on w in [1, 10] m/s down to a
+  bracket of ``GSS_TOL`` (1e-8 m/s, far below the 1e-3 m/s requirement),
+  seeded by a coarse bracketing scan so the refinement starts in the global
+  basin;
 * IDM / FVD: Nelder-Mead on logistic box-transformed parameters with
   seeded random restarts, so the optimizer can never propose invalid
   physics.  FVD fits only (kappa, lambda); the optimal-speed constants
   are fixed at the adopted literature values.
 
-A fit slices the samples' one-step inputs (``physics.OneStepInputs``) once;
-each objective call builds the candidate's params positionally and pays for
-one kernel call and a mean.
+A fit slices the samples' one-step inputs (``physics.OneStepInputs``) once.
+The restarts run in lockstep: each search is a generator that yields its
+trial points, and each round scores every unfinished search's point in one
+kernel call, on (k, 1) parameter columns (``physics.Candidates``), with no
+params object built or checked per point.  The polishes, which start from
+the best point so far, run one at a time.
 
 Monte-Carlo repetition draws n samples without replacement per
 repetition (repetition-indexed sub-seeds) and reports per-parameter mean
@@ -27,8 +31,8 @@ The Nelder-Mead search and the logistic map are ports of scipy's
 (``minimize(method="Nelder-Mead")``, ``special.expit``) that give their bits,
 without the ~49 MB and ~0.4 s that importing ``scipy.optimize`` costs.  Both
 run on Python floats; the simplex is sorted by numpy's argsort, whose order for
-ties of 4 or more is no stable sort's.  A capped IDM fit takes about 17-21 us an
-objective call, search included, where a simplex of numpy arrays took 25-26 us.
+ties of 4 or more is no stable sort's.  An IDM kernel call on 100 samples
+costs about 5 us a point when it scores five, and 12 us when it scores one.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ import numpy as np
 from . import forkpool, serialize
 from .domain import SampleBatch
 from .errors import CalibrationError, ConfigError, DataError
-from .physics import (FVD_FIXED, FvdParams, IdmParams, NewellParams, OneStepInputs,
-                      PhysicsParams, model_name, one_step_batch)
+from .physics import (FVD_FIXED, Candidates, FvdParams, IdmParams, NewellParams,
+                      OneStepInputs, PhysicsParams, model_name, one_step_batch)
 
 DEFAULT_BOUNDS = {
     "newell": {"w": (1.0, 10.0)},
@@ -97,14 +101,18 @@ def params_to_dict(params: PhysicsParams) -> dict:
     return {k: getattr(params, k) for k in PARAM_ORDER[model_name(params)]}
 
 
-def calibration_objective(samples, params: PhysicsParams, delta: float) -> float:
+def calibration_objective(samples, params: PhysicsParams | Candidates,
+                          delta: float) -> float | list[float]:
     """Mean squared one-step acceleration error over a batch (or a list) of
-    samples, or their ``OneStepInputs``; inf on non-finite output."""
+    samples, or their ``OneStepInputs``; inf on non-finite output.  A float
+    for a model's params; for ``Candidates``, a list of each candidate's mean,
+    from one kernel call."""
     inputs = OneStepInputs.of(samples)
     err = one_step_batch(inputs, params, delta) - inputs.target
-    # np.mean's own sum and division; a non-finite err makes the mean non-finite
-    mse = np.add.reduce(err * err) / len(err)
-    return float(mse) if math.isfinite(mse) else float("inf")
+    # np.mean's own sum and division, row by row; a non-finite err makes its mean non-finite
+    mse = (np.add.reduce(err * err, axis=-1) / err.shape[-1]).reshape(-1).tolist()
+    mse = [m if math.isfinite(m) else math.inf for m in mse]
+    return mse if isinstance(params, Candidates) else mse[0]
 
 
 def _golden_section(f, lo, hi, tol):
@@ -147,13 +155,14 @@ class _OutOfEvaluations(Exception):
     pass
 
 
-def _nelder_mead(f, x0, xatol, maxiter, maxfev):
-    """(x, f(x)) of scipy 1.17.1's ``minimize(f, x0, method="Nelder-Mead",
-    options={"xatol": xatol, "fatol": inf, "maxiter": maxiter, "maxfev":
-    maxfev})``, bit for bit: its default simplex, steps (not adaptive),
-    evaluation order, sorts and evaluation budget, which may run out in the
-    middle of a shrink.  ``f`` gets a list of floats, which it must not keep
-    or change."""
+def _search(x0, xatol, maxiter, maxfev):
+    """scipy 1.17.1's ``minimize(f, x0, method="Nelder-Mead", options={"xatol":
+    xatol, "fatol": inf, "maxiter": maxiter, "maxfev": maxfev})``, bit for bit,
+    as a generator: it yields each point (a list of floats, not to be kept or
+    changed) where scipy calls ``f``, is sent ``f`` of it, and returns (x,
+    f(x)).  Its default simplex, steps (not adaptive), evaluation order, sorts
+    and evaluation budget, which may run out in the middle of a shrink, are
+    scipy's."""
     calls = 0
 
     def fun(x):
@@ -161,7 +170,7 @@ def _nelder_mead(f, x0, xatol, maxiter, maxfev):
         if calls >= maxfev:
             raise _OutOfEvaluations
         calls += 1
-        return f(x)
+        return (yield x)
 
     def by_value(sim, fsim):
         # numpy's order, in which ties of 4 or more need not keep their places
@@ -175,7 +184,7 @@ def _nelder_mead(f, x0, xatol, maxiter, maxfev):
     fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
-            fsim[k] = fun(sim[k])
+            fsim[k] = yield from fun(sim[k])
     except _OutOfEvaluations:
         pass
     sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
@@ -191,33 +200,68 @@ def _nelder_mead(f, x0, xatol, maxiter, maxfev):
                 xbar = [a + b for a, b in zip(xbar, v)]
             xbar = [a / n for a in xbar]
             xr = [2 * a - b for a, b in zip(xbar, sim[-1])]
-            fxr = fun(xr)
+            fxr = yield from fun(xr)
             if fxr < fsim[0]:
                 xe = [3 * a - 2 * b for a, b in zip(xbar, sim[-1])]
-                fxe = fun(xe)
+                fxe = yield from fun(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, sim[-1])]
-                    fxc = fun(xc)
+                    fxc = yield from fun(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, sim[-1])]
-                    fxc = fun(xc)
+                    fxc = yield from fun(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
                         sim[j] = [a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])]
-                        fsim[j] = fun(sim[j])
+                        fsim[j] = yield from fun(sim[j])
             iterations += 1
         except _OutOfEvaluations:
             pass
         sim, fsim = by_value(sim, fsim)
     return sim[0], float(np.min(fsim))
+
+
+def _lockstep(searches, score):
+    """Run ``_search`` generators together until each returns; their results,
+    in order.  Each round ``score`` gets every unfinished search's pending
+    point in one list and gives their values in order."""
+    results = [None] * len(searches)
+    pending = []  # (index, search, its point), in the searches' order
+
+    def advance(i, search, value):
+        try:
+            pending.append((i, search, search.send(value)))
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i, search in enumerate(searches):
+        advance(i, search, None)
+    while pending:
+        batch, pending = pending, []
+        for (i, search, _), value in zip(batch, score([x for _, _, x in batch])):
+            advance(i, search, value)
+    return results
+
+
+def _nelder_mead(f, x0, xatol, maxiter, maxfev):
+    """(x, f(x)) of one ``_search``, which calls ``f`` on each point in turn."""
+    return _lockstep([_search(x0, xatol, maxiter, maxfev)], lambda xs: [f(xs[0])])[0]
+
+
+def _candidates(model: str, points) -> Candidates:
+    """The points (lists of the model's PARAM_ORDER values) as one
+    ``Candidates``: (k, 1) columns, or a single point's floats."""
+    cols = np.array(points).T[:, :, None] if len(points) > 1 else points[0]
+    return Candidates(model=model, **dict(zip(PARAM_ORDER[model], cols)),
+                      **(FVD_FIXED if model == "fvd" else {}))
 
 
 def fit_physics(samples, config: CalibrationConfig,
@@ -255,14 +299,18 @@ def fit_physics(samples, config: CalibrationConfig,
     def to_box(u):
         return [a + w * e for a, w, e in zip(lo_, width, _expit(u))]
 
-    def search(u0):
-        return _nelder_mead(lambda u: obj_vec(to_box(u)), u0, NM_XATOL,
-                            config.nm_maxiter, 4 * config.nm_maxiter)
+    def score(points):  # one kernel call for all the points
+        return calibration_objective(
+            inputs, _candidates(config.model, [to_box(u) for u in points]), delta)
 
+    def searches(starts):
+        return _lockstep([_search(u0, NM_XATOL, config.nm_maxiter, 4 * config.nm_maxiter)
+                          for u0 in starts], score)
+
+    # the restarts run in lockstep; their starts are drawn first, as no search reads rng
     best_u, best_f = None, float("inf")
-    for _ in range(NM_RESTARTS):
-        x0 = rng.uniform(lo, hi)
-        u, fu = search(_box_to_unbounded(x0, lo, hi))
+    for u, fu in searches([_box_to_unbounded(rng.uniform(lo, hi), lo, hi)
+                           for _ in range(NM_RESTARTS)]):
         if math.isfinite(fu) and fu < best_f:
             best_f, best_u = fu, u
     if best_u is None:
@@ -271,7 +319,7 @@ def fit_physics(samples, config: CalibrationConfig,
     # premature shrinkage Nelder-Mead is prone to in flat valleys; a polish
     # that does not improve would be repeated exactly from the same start
     for _ in range(2):
-        u, fu = search(best_u)
+        [(u, fu)] = searches([best_u])
         if not (math.isfinite(fu) and fu < best_f):
             break
         best_f, best_u = fu, u

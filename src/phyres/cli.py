@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (PhyresError, FileNotFoundError) as exc:
+    except (PhyresError, OSError) as exc:  # a missing file, a folder for a file, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

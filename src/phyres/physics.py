@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,7 +74,17 @@ PhysicsParams = NewellParams | IdmParams | FvdParams
 FVD_FIXED = {"v1": 6.75, "v2": 7.91, "c1": 0.13, "c2": 1.54, "l_c": 5.0}
 
 
-def model_name(params: PhysicsParams) -> str:
+class Candidates(SimpleNamespace):
+    """k parameter sets of one model, ``model``, as attributes named after its
+    params' fields: the fitted ones (k, 1) columns, or floats for one set
+    (numpy runs scalars faster than (1, 1) columns), the fixed ones floats.
+    The one-step formulas broadcast columns against (n,) inputs into (k, n)
+    predictions.  Unchecked: a fit's box keeps every value valid."""
+
+
+def model_name(params: PhysicsParams | Candidates) -> str:
+    if isinstance(params, Candidates):
+        return params.model
     return {NewellParams: "newell", IdmParams: "idm", FvdParams: "fvd"}[type(params)]
 
 
@@ -88,8 +99,12 @@ def idm_accel(v, dv, gap, params: IdmParams):
 
 
 def _idm_unchecked(v, dv, gap, params: IdmParams):
-    """``idm_accel`` for a gap already checked to be positive."""
-    s_star = params.s0 + params.t_gap * v - v * dv / (2.0 * math.sqrt(params.a_max * params.b_comf))
+    """``idm_accel`` for a gap already checked to be positive.  Floats stay
+    floats (``math.sqrt``); ``Candidates`` columns take ``np.sqrt``, which
+    rounds the same."""
+    ab = params.a_max * params.b_comf
+    root = np.sqrt(ab) if isinstance(ab, np.ndarray) else math.sqrt(ab)
+    s_star = params.s0 + params.t_gap * v - v * dv / (2.0 * root)
     return params.a_max * (1.0 - (v / params.v_free) ** 4 - (s_star / gap) ** 2)
 
 
@@ -207,13 +222,15 @@ class OneStepInputs:
                    bool(np.any(gap <= 0)))
 
 
-def one_step_batch(samples, params: PhysicsParams, delta: float) -> np.ndarray:
+def one_step_batch(samples, params: PhysicsParams | Candidates, delta: float) -> np.ndarray:
     """First-future-step predictions for a batch, a list of samples or their
-    ``OneStepInputs`` (calibration kernel)."""
+    ``OneStepInputs`` (calibration kernel): (n,) for a model's params, (k, n)
+    for IDM or FVD ``Candidates`` of columns."""
     x = OneStepInputs.of(samples)
-    if isinstance(params, NewellParams):
+    model = model_name(params)
+    if model == "newell":
         return newell_predict_batch(x.lead_hist_accel, x.dist_t0 / params.w, 1, delta)[:, 0]
-    if isinstance(params, IdmParams):
+    if model == "idm":
         if x.gap_closed:
             raise NumericError(IDM_GAP_ERROR)
         return _idm_unchecked(x.v, x.dv, x.gap, params)

@@ -193,15 +193,23 @@ def read_records(path) -> PredictionBatch:
     differs from the first record's, or whose sample_id repeats an earlier line's."""
     cols = {name: [] for name in ("sample_id", "collision_in_rollout", *_RECORD_ARRAYS)}
     seen, first = {}, None
+
+    def bad():  # a message's prefix, built only for a line that fails
+        return f"{path}:{lineno}: malformed record: "
+
+    def held(length):
+        return "null" if length is None else f"{length} numbers"
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            bad = f"{path}:{lineno}: malformed record: "
             try:  # JSONDecodeError is a ValueError
                 obj = serialize.DECODER.decode(line)
                 sid, collided = obj["sample_id"], obj["collision_in_rollout"]
-                sid = serialize.number(sid, bad + "sample_id")
+                if not serialize.finite_leaves([sid]):  # number()'s rule, which raises
+                    serialize.number(sid, bad() + "sample_id")
+                sid = float(sid)
                 if sid % 1 or abs(sid) >= 2 ** 53:  # an id that a float holds exactly
                     raise ValueError(f"sample_id {sid!r} is not an integer below 2**53")
                 if type(collided) is not bool:
@@ -213,15 +221,17 @@ def read_records(path) -> PredictionBatch:
                 if not (obj.keys() >= arrays.keys() and all(type(a) is list for a in lists)
                         and serialize.finite_leaves(sum(lists, []))):
                     arrays = {name: None if obj[name] is None and name not in _REQUIRED
-                              else serialize.finite_numbers(obj[name], 1, bad + name)
+                              else serialize.finite_numbers(obj[name], 1, bad() + name)
                               for name in _RECORD_ARRAYS}
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{bad}{exc!r}") from exc
-            layout = {name: "null" if a is None else f"{len(a)} numbers" for name, a in arrays.items()}
+                raise DataError(f"{bad()}{exc!r}") from exc
+            layout = [None if a is None else len(a) for a in arrays.values()]
             first = first or (lineno, layout)
-            for name, held in layout.items():
-                if held != first[1][name]:
-                    raise DataError(f"{bad}{name} is {held}, line {first[0]}'s is {first[1][name]}")
+            if layout != first[1]:
+                name, length, want = next(d for d in zip(_RECORD_ARRAYS, layout, first[1])
+                                          if d[1] != d[2])
+                raise DataError(f"{bad()}{name} is {held(length)}, "
+                                f"line {first[0]}'s is {held(want)}")
             sid = int(sid)
             if sid in seen:
                 raise DataError(f"{path}:{lineno}: sample_id {sid} repeats line {seen[sid]}")

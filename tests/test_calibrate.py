@@ -14,8 +14,9 @@ from phyres.calibrate import (CalibrationConfig, calibration_objective,
 from phyres.domain import DatasetConfig, SampleBatch
 from phyres.errors import CalibrationError, ConfigError, NumericError
 from phyres.ingest import extract_samples, parse_trajectory_csv, write_samples
-from phyres.physics import (FvdParams, IdmParams, NewellParams, OneStepInputs, fvd_accel,
-                            idm_accel, newell_predict_batch, one_step_batch)
+from phyres.physics import (FVD_FIXED, Candidates, FvdParams, IdmParams, NewellParams,
+                            OneStepInputs, fvd_accel, idm_accel, newell_predict_batch,
+                            one_step_batch)
 from phyres.synth import LeadProfile, SynthConfig, generate_corpus
 
 DELTA = 0.1
@@ -240,30 +241,164 @@ def _two_polish_fit(samples, config, delta, rng):
     return calibrate.PARAMS_OF[config.model](*(lo + (hi - lo) * calibrate._expit(best_u))), best_f
 
 
+def _serial_fit(minimize, expit):
+    """Reference: ``fit_physics`` for idm and fvd on scipy's ``minimize`` and
+    ``expit``, its searches run one after another, each drawing its start when
+    it begins, and each point scored by its own params."""
+    def fit(samples, config, delta, rng):
+        lo, hi = np.array(list(DEFAULT_BOUNDS[config.model].values())).T
+        inputs = OneStepInputs.of(samples)
+
+        def to_box(u):
+            return (lo + (hi - lo) * expit(np.asarray(u, dtype=float))).tolist()
+
+        def search(u0):
+            res = minimize(lambda u: calibration_objective(
+                inputs, calibrate.PARAMS_OF[config.model](*to_box(u)), delta),
+                u0, method="Nelder-Mead", options={
+                    "xatol": calibrate.NM_XATOL, "fatol": np.inf,
+                    "maxiter": config.nm_maxiter, "maxfev": 4 * config.nm_maxiter})
+            return res.x, float(res.fun)
+
+        best_u, best_f = None, float("inf")
+        for _ in range(calibrate.NM_RESTARTS):
+            u, fu = search(calibrate._box_to_unbounded(rng.uniform(lo, hi), lo, hi))
+            if np.isfinite(fu) and fu < best_f:
+                best_f, best_u = fu, u
+        for _ in range(2):
+            u, fu = search(best_u)
+            if not (np.isfinite(fu) and fu < best_f):
+                break
+            best_f, best_u = fu, u
+        return calibrate.PARAMS_OF[config.model](*to_box(best_u)), best_f
+
+    return fit
+
+
 class TestPolish:
     def test_no_search_repeats_and_report_unchanged(self, newell_samples, monkeypatch):
         # uncapped idm fits, in-process; on these draws each first polish
         # finds nothing better, so the two-polish loop repeats it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cfg = CalibrationConfig(model="idm", sample_size=40, repetitions=2, seed=0)
-        fits, search = [], calibrate._nelder_mead
+        fits, search = [], calibrate._search
 
         def fit(*args, **kw):
             fits.append([])
             return fit_physics(*args, **kw)
 
-        def spy(f, x0, *args):
+        def spy(x0, *args):  # every search starts here, restart or polish
             fits[-1].append(np.asarray(x0).tobytes())
-            return search(f, x0, *args)
+            return search(x0, *args)
 
         monkeypatch.setattr(calibrate, "fit_physics", fit)
-        monkeypatch.setattr(calibrate, "_nelder_mead", spy)
+        monkeypatch.setattr(calibrate, "_search", spy)
         got = monte_carlo_calibrate(newell_samples, cfg, DELTA)
         assert len(fits) == 2
         for starts in fits:
             assert len(set(starts)) == len(starts) == calibrate.NM_RESTARTS + 1
         monkeypatch.setattr(calibrate, "fit_physics", _two_polish_fit)
         assert asdict(got) == asdict(monte_carlo_calibrate(newell_samples, cfg, DELTA))
+
+
+def _in_box(model, rng, k):
+    """k random points inside the model's box, as lists of floats."""
+    return [[rng.uniform(lo, hi) for lo, hi in DEFAULT_BOUNDS[model].values()]
+            for _ in range(k)]
+
+
+def _logged(search, log):
+    """``search``, a ``_search`` generator, with each point it yields appended to ``log``."""
+    value = None
+    while True:
+        try:
+            x = search.send(value)
+        except StopIteration as done:
+            return done.value
+        log.append(_bits(x))
+        value = yield x
+
+
+class TestLockstep:
+    """Restarts in lockstep score their points together; each search still
+    sees the values, and takes the steps, that it would alone."""
+
+    @pytest.mark.parametrize("n", [1, 7, 37, 101, 257])
+    @pytest.mark.parametrize("model", ["idm", "fvd"])
+    def test_batched_scores_are_one_point_objectives(self, newell_samples, model, n):
+        # numpy's elementwise loops and row sums give an element the same bits
+        # wherever it sits in a (k, n) array as in an (n,) one
+        inputs = OneStepInputs.of(SampleBatch.of(newell_samples, np.arange(n)))
+        rng = np.random.default_rng(n)
+        for k in (1, 3, 5, 7):
+            for _ in range(4):
+                points = _in_box(model, rng, k)
+                one = [calibration_objective(inputs, calibrate.PARAMS_OF[model](*p), DELTA)
+                       for p in points]
+                got = calibration_objective(inputs, calibrate._candidates(model, points), DELTA)
+                assert _bits(got) == _bits(one)
+                assert all(type(v) is float for v in got)
+                # the columns of a single point score as its floats do
+                cols = Candidates(model=model, **dict(zip(
+                    calibrate.PARAM_ORDER[model], np.array(points[:1]).T[:, :, None])),
+                    **(FVD_FIXED if model == "fvd" else {}))
+                assert _bits(calibration_objective(inputs, cols, DELTA)) == _bits(one[:1])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_non_finite_candidate_scores_inf_alone(self):
+        s = make_sample(k=2, tb=6, tf=3, seed=2)
+        s.hist_speed[-2, -1] = 1e9
+        got = calibration_objective([s], calibrate._candidates(
+            "fvd", [[0.4, 0.6], [1e300, 1e300], [0.1, 0.2]]), DELTA)
+        assert got[1] == float("inf")
+        assert got[0] == calibration_objective([s], make_params("fvd", {"kappa": 0.4, "lam": 0.6}),
+                                               DELTA)
+
+    @pytest.mark.parametrize("model, maxiter", [("idm", 200), ("idm", 2000), ("fvd", 2000)])
+    def test_search_alone_and_with_four_others(self, newell_samples, model, maxiter):
+        inputs = OneStepInputs.of(SampleBatch.of(newell_samples, np.arange(60)))
+        lo, hi = np.array(list(DEFAULT_BOUNDS[model].values())).T
+        rng = np.random.default_rng(3)
+        starts = [calibrate._box_to_unbounded(rng.uniform(lo, hi), lo, hi) for _ in range(5)]
+
+        def f(u):  # one point, scored by its params, as before the lockstep
+            x = (lo + (hi - lo) * calibrate._expit(u)).tolist()
+            return calibration_objective(inputs, calibrate.PARAMS_OF[model](*x), DELTA)
+
+        def score(points):
+            return calibration_objective(inputs, calibrate._candidates(
+                model, [(lo + (hi - lo) * calibrate._expit(u)).tolist() for u in points]), DELTA)
+
+        def search(u0, log):
+            return _logged(calibrate._search(u0, calibrate.NM_XATOL, maxiter, 4 * maxiter), log)
+
+        alone = [[] for _ in starts]
+        results = [calibrate._nelder_mead(f, u0, calibrate.NM_XATOL, maxiter, 4 * maxiter)
+                   for u0 in starts]
+        assert [calibrate._lockstep([search(u0, log)], score)[0]
+                for u0, log in zip(starts, alone)] == results
+        together = [[] for _ in starts]
+        got = calibrate._lockstep([search(u0, log) for u0, log in zip(starts, together)], score)
+        assert together == alone
+        assert len({len(log) for log in alone}) > 1  # the searches end in different rounds
+        for (x, fx), (y, fy) in zip(got, results):
+            assert _bits(x) == _bits(y) and _bits(fx) == _bits(fy)
+
+    @pytest.mark.parametrize("model", ["idm", "fvd"])
+    def test_restarts_share_kernel_calls(self, newell_samples, monkeypatch, model):
+        sizes, objective = [], calibrate.calibration_objective
+
+        def spy(samples, params, delta):
+            got = objective(samples, params, delta)
+            sizes.append(len(got))
+            return got
+
+        monkeypatch.setattr(calibrate, "calibration_objective", spy)
+        cfg = CalibrationConfig(model=model, sample_size=40, seed=1, nm_maxiter=50)
+        fit_physics(newell_samples[:40], cfg, DELTA)
+        assert sizes[0] == calibrate.NM_RESTARTS  # each restart's first vertex
+        assert max(sizes) == calibrate.NM_RESTARTS and sizes[-1] == 1  # a polish's
+        assert sum(sizes) > 2 * len(sizes)
 
 
 def _rosenbrock(x):
@@ -356,18 +491,13 @@ class TestScipyParity:
 
     @pytest.mark.parametrize("model", ["idm", "fvd"])
     def test_reports_equal_with_scipy_swapped_in(self, newell_samples, monkeypatch, model):
+        # scipy's minimize and expit drive every search, restarts and polishes,
+        # one after another, and score one point at a time
         minimize = pytest.importorskip("scipy.optimize").minimize
         expit = pytest.importorskip("scipy.special").expit
         cfg = CalibrationConfig(model=model, sample_size=40, repetitions=2, seed=12)
         port = serialize.dumps(asdict(monte_carlo_calibrate(newell_samples, cfg, DELTA)))
-
-        def nelder_mead(f, x0, xatol, maxiter, maxfev):
-            res = minimize(f, x0, method="Nelder-Mead", options={
-                "xatol": xatol, "fatol": np.inf, "maxiter": maxiter, "maxfev": maxfev})
-            return res.x, res.fun
-
-        monkeypatch.setattr(calibrate, "_nelder_mead", nelder_mead)
-        monkeypatch.setattr(calibrate, "_expit", lambda u: expit(np.asarray(u, dtype=float)))
+        monkeypatch.setattr(calibrate, "fit_physics", _serial_fit(minimize, expit))
         assert serialize.dumps(asdict(monte_carlo_calibrate(newell_samples, cfg, DELTA))) == port
 
     def test_expit(self):

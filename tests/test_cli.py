@@ -52,6 +52,25 @@ class TestExitCodes:
         assert run(["extract", "--input", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "s.jsonl")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--input", "{dir}", "--out", "{tmp}/s.jsonl"],
+        ["extract", "--input", "{file}/x.csv", "--out", "{tmp}/s.jsonl"],
+        ["synth", "--out", "{dir}", "--seed", "1", "--platoons", "1"],
+        ["predict", "--weights", "{dir}", "--samples", "{samples}", "--out", "{tmp}/p.jsonl",
+         "--variant", "nn"],
+    ], ids=["extract-input-folder", "extract-input-under-a-file", "synth-out-folder",
+            "predict-weights-folder"])
+    def test_path_error_is_data_error_in_one_line(self, workspace, tmp_path, capsys, argv):
+        # a folder given as a file, or a file given as a folder
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f.csv").write_text("")
+        argv = [a.format(tmp=tmp_path, dir=tmp_path / "d", file=tmp_path / "f.csv",
+                         samples=workspace[2]) for a in argv]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.fullmatch(r"error: \[Errno \d+\] .+", err[0]), err
+
     def test_bad_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
