@@ -13,6 +13,7 @@ interpreter whose ``PYTHONPATH`` is that tree's ``src``:
 * calibrate newell, idm and fvd at seeds 3, 11 and 21;
 * train, predict (``--subset all``) and evaluate for nn, pinn and perl with
   lstm and with gru (pinn and perl on the seed-3 newell calibration);
+* predict (``--subset test``) and evaluate for perl with lstm;
 * sweep at data size 300 for each physics model.
 
 Every file the commands write is compared byte for byte; a ``manifest.json``
@@ -79,6 +80,16 @@ def matrix() -> list[tuple[str, list[str]]]:
                                      "--records", f"predict-{run}/preds.jsonl",
                                      "--out", f"evaluate-{run}/metrics.json"]),
             ]
+    # records of a strict subset of the samples, which evaluate matches by id
+    steps += [
+        ("predict-perl-lstm-test", ["predict", "--samples", samples, "--variant", "perl",
+                                    "--weights", "train-perl-lstm/weights.json",
+                                    "--params-file", NEWELL_PARAMS, "--subset", "test",
+                                    "--out", "predict-perl-lstm-test/preds.jsonl"]),
+        ("evaluate-perl-lstm-test", ["evaluate", "--samples", samples,
+                                     "--records", "predict-perl-lstm-test/preds.jsonl",
+                                     "--out", "evaluate-perl-lstm-test/metrics.json"]),
+    ]
     for model in ("newell", "idm", "fvd"):
         steps.append((f"sweep-{model}", ["sweep", "--samples", samples, "--out", f"sweep-{model}",
                                          "--seed", "0", "--model", model, "--data-sizes", "300",

@@ -395,10 +395,7 @@ def _apply_config_file(parser, argv):
     path = _CONFIG.parse_known_args(argv)[0].config
     if path is None:
         return
-    try:
-        cfg = serialize.read_json(path)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
+    cfg = serialize.read_json(path)
     if not isinstance(cfg, dict):
         raise DataError(f"config {path} must be a JSON object")
     commands = parser._subparsers._group_actions[0].choices

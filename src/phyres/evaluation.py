@@ -1,8 +1,5 @@
-"""Metrics, the training-data-size sweep, and plot-data emission.
-
-Speed ground truth is reconstructed from ground-truth accelerations (not
-read from raw speed columns) so the speed MSE isolates
-acceleration-prediction error.
+"""The training-data-size sweep, its outputs and plot data, and the MSE
+of a set of predictions (``predictors.squared_errors`` scores them).
 
 Sweep protocol: per seed the train split is shuffled once and size-s
 cells take the first s ids, so smaller training sets are strict subsets
@@ -23,11 +20,11 @@ import numpy as np
 from . import forkpool, serialize
 from .calibrate import CalibrationConfig, CalibrationReport, make_params, monte_carlo_calibrate
 from .domain import DatasetConfig, SampleBatch, SplitIndex, split_dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 # train_nn, train_pinn and train_perl are unused here: perfbench/tracing.py wraps these attributes
-from .predictors import (PHYSICS_VARIANTS, VARIANTS, PredictionBatch, TrainReport,
-                         predict_many, squared_errors, train, train_nn, train_perl,
-                         train_pinn, training_configs)
+from .predictors import (PHYSICS_VARIANTS, VARIANTS, TrainReport, predict_many,
+                         squared_errors, train, train_nn, train_perl, train_pinn,
+                         training_configs)
 
 DEFAULT_DATA_SIZES = (300, 500, 1000, 2000, 5000, 10000, 12000)
 
@@ -40,32 +37,11 @@ class EvalReport:
     collision_count: int
 
 
-def _squared_errors(preds, truth, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The squared acceleration and speed errors of the predictions ``preds``
-    (a batch, or a list of records), a row per prediction and a column per
-    horizon step; the truth is a batch (or a list) holding their samples, in
-    any order."""
-    preds = PredictionBatch.of(preds)
-    if not preds:
-        raise DataError("no prediction records to score")
-    batch = SampleBatch.of(truth)
-    if not np.array_equal(np.sort(preds.sample_ids), np.sort(batch.sample_ids)):
-        raise DataError("prediction records and truth samples are misaligned")
-    t_fwd = batch.ego_future_accel.shape[1]
-    if {preds.predicted_accel.shape[1], preds.predicted_speed.shape[1]} != {t_fwd}:
-        raise DataError(f"records predict {preds.predicted_accel.shape[1]} steps but the "
-                        f"samples have a {t_fwd}-step horizon")
-    order = np.argsort(batch.sample_ids)
-    rows = order[np.searchsorted(batch.sample_ids, preds.sample_ids, sorter=order)]
-    return squared_errors(preds.predicted_accel, preds.predicted_speed,
-                          batch.ego_future_accel[rows], batch.ego_speed_at_t0[rows], delta)
-
-
 def mse_metrics(preds, truth, delta: float) -> tuple[float, float]:
     """Acceleration and speed MSE over all predictions ``preds`` (a batch, or
     a list of records) and horizon steps; the truth is a batch (or a list)
     holding their samples, in any order."""
-    sq_a, sq_v = _squared_errors(preds, truth, delta)
+    sq_a, sq_v = squared_errors(preds, truth, delta)
     return float(np.mean(sq_a)), float(np.mean(sq_v))
 
 
@@ -151,7 +127,7 @@ def _run_cell(batch, test, dcfg: DatasetConfig, sweep: SweepConfig, rows, calibr
                                            *training_configs(sweep, dcfg, variant, seed),
                                            dcfg.delta, params)
         preds = predict_many(variant, test, delta=dcfg.delta, params=params, net=net)
-        sq_a, sq_v = _squared_errors(preds, test, dcfg.delta)
+        sq_a, sq_v = squared_errors(preds, test, dcfg.delta)
         cell.eval_report = EvalReport(
             mse_a_test=float(np.mean(sq_a)), mse_v_test=float(np.mean(sq_v)),
             per_sample_mse_a=np.mean(sq_a, axis=1).tolist(),

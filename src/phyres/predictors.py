@@ -174,7 +174,7 @@ def write_records(preds: PredictionBatch, path) -> None:
     through one line template.  Every prediction is checked before the file
     is made."""
     arrays = [getattr(preds, name) for name in _RECORD_ARRAYS]
-    matrix = np.hstack([a for a in arrays if a is not None])
+    matrix = np.column_stack([a for a in arrays if a is not None])
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise NumericError(f"non-finite prediction for sample {preds.sample_ids[finite.argmin()]}")
@@ -272,14 +272,29 @@ def compose_prediction(phys: np.ndarray, resid: np.ndarray):
     return total, np.where(phys_big, phys, small), np.where(phys_big, small, resid)
 
 
-def squared_errors(accel: np.ndarray, speed: np.ndarray, true_accel: np.ndarray,
-                   v0: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The squared acceleration and speed errors of predictions ``accel`` and
-    ``speed``, a row per sample and a column per horizon step; the true
-    speed is reconstructed from ``true_accel`` and the speeds ``v0`` at t0."""
+def squared_errors(preds, truth, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The squared acceleration and speed errors of the predictions ``preds``
+    (a batch, or a list of records), a row per prediction and a column per
+    horizon step; the truth is a batch (or a list) holding their samples, in
+    any order.  The true speed is reconstructed from the true accelerations,
+    not read from the raw speeds, so that the speed error isolates the
+    acceleration error."""
+    preds = PredictionBatch.of(preds)
+    if not preds:
+        raise DataError("no prediction records to score")
+    batch = SampleBatch.of(truth)
+    if not np.array_equal(np.sort(preds.sample_ids), np.sort(batch.sample_ids)):
+        raise DataError("prediction records and truth samples are misaligned")
+    t_fwd = batch.ego_future_accel.shape[1]
+    if {preds.predicted_accel.shape[1], preds.predicted_speed.shape[1]} != {t_fwd}:
+        raise DataError(f"records predict {preds.predicted_accel.shape[1]} steps but the "
+                        f"samples have a {t_fwd}-step horizon")
+    order = np.argsort(batch.sample_ids)
+    rows = order[np.searchsorted(batch.sample_ids, preds.sample_ids, sorter=order)]
+    true_accel = batch.ego_future_accel[rows]
     with np.errstate(over="ignore", invalid="ignore"):  # an inf is the caller's to report
-        v_true = reconstruct_speed(v0[:, None], true_accel, delta)
-        return (true_accel - accel) ** 2, (v_true - speed) ** 2
+        v_true = reconstruct_speed(batch.ego_speed_at_t0[rows, None], true_accel, delta)
+        return (true_accel - preds.predicted_accel) ** 2, (v_true - preds.predicted_speed) ** 2
 
 
 def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delta: float,
@@ -350,9 +365,7 @@ def train(samples, split: SplitIndex, tconf: TrainConfig, nconf: NetConfig, delt
                 adam_step(net, grads, state)
                 epoch_losses.append(loss)
             val = predict_many(variant, val_batch, delta=delta, params=params, net=net)
-            sq_a, sq_v = squared_errors(val.predicted_accel, val.predicted_speed,
-                                        val_batch.ego_future_accel, val_batch.ego_speed_at_t0,
-                                        delta)
+            sq_a, sq_v = squared_errors(val, val_batch, delta)
             mse_a = float(np.mean(sq_a))
             per_epoch.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
                               "mse_a_val": mse_a, "mse_v_val": float(np.mean(sq_v))})

@@ -118,6 +118,15 @@ class TestExitCodes:
         assert err == [f"usage error: argument --platoons: must be at least 1, got {platoons}"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("generator", ["idm", "newell_shift"])
+    def test_overflowing_synth_noise_is_numeric_error(self, tmp_path, capsys, generator):
+        capsys.readouterr()
+        assert run(["synth", "--out", str(tmp_path / "c.csv"), "--seed", "1",
+                    "--noise-sigma", "1e308", "--generator", generator]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numeric error: non-finite acceleration during generation"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("delta", ["0", "-0.1"])
     def test_non_positive_synth_delta_is_config_error(self, tmp_path, capsys, delta):
         assert run(["synth", "--out", str(tmp_path / "c.csv"), "--seed", "1",
@@ -369,6 +378,16 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         assert run(["synth", "--config", str(cfg),
                     "--out", str(tmp_path / "c.csv")]) == 2
+
+    @pytest.mark.parametrize("name", ["missing.json", "folder"])
+    def test_unreadable_config_is_one_line(self, tmp_path, capsys, name):
+        (tmp_path / "folder").mkdir()
+        cfg = tmp_path / name
+        capsys.readouterr()
+        assert run(["synth", "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "c.csv")]) == 2
+        assert str(cfg) in _one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
 
     @pytest.mark.parametrize("argv, key", [
         (["synth", "--out", "{tmp}/c.csv"], "seed"),

@@ -101,6 +101,11 @@ class TestForward:
         # inverted dropout keeps the expectation near 1
         assert np.mean(masks["m1"]) == pytest.approx(1.0, abs=0.05)
 
+    def test_unknown_mode_rejected(self):
+        net = init_net(small_config())
+        with pytest.raises(ConfigError, match="^unknown mode 'bogus'$"):
+            forward_batch(net, np.zeros((2, 5, 6)), "bogus")
+
 
 def _train_cache(net, x):
     # small_config has dropout=0.0, so this forward equals the eval forward

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestIdmAccel:
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
             IdmParams(v_free=-1, a_max=1, b_comf=1, s0=1, t_gap=1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NewellParams(w=0.0), "wave speed must be positive"),
+    (lambda: replace(FVD_REF, kappa=-0.1), "FVD sensitivities must be non-negative"),
+    (lambda: replace(FVD_REF, lam=-0.1), "FVD sensitivities must be non-negative"),
+    (lambda: replace(FVD_REF, c1=0.0), "FVD c1 must be positive"),
+], ids=["newell-w-zero", "fvd-kappa-negative", "fvd-lam-negative", "fvd-c1-zero"])
+def test_invalid_newell_and_fvd_params_rejected(make, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make()
 
 
 class TestFvdAccel:

@@ -13,8 +13,8 @@ from phyres.neuralnet import NetConfig, load_net, save_net
 from phyres.physics import NewellParams, physics_rollout
 from phyres.predictors import (EVAL_ROWS, PredictionBatch, PredictionRecord, TrainConfig,
                                compose_prediction, make_residual_targets, predict_many,
-                               reconstruct_speed, squared_errors, train, train_nn, train_perl,
-                               train_pinn)
+                               read_records, reconstruct_speed, squared_errors, train, train_nn,
+                               train_perl, train_pinn, write_records)
 
 DELTA = 0.1
 
@@ -178,8 +178,7 @@ class TestTraining:
         net, report = train(samples, split, tconf, _net_config(), DELTA, IDM_TRUE)
         val = SampleBatch.of(samples).select(split.val_ids)
         preds = predict_many(variant, val, delta=DELTA, params=IDM_TRUE, net=net)
-        sq_a, sq_v = squared_errors(preds.predicted_accel, preds.predicted_speed,
-                                    val.ego_future_accel, val.ego_speed_at_t0, DELTA)
+        sq_a, sq_v = squared_errors(preds, val, DELTA)
         best = report.per_epoch[report.best_epoch - 1]
         assert best["epoch"] == report.best_epoch
         assert (best["mse_a_val"], best["mse_v_val"]) == (float(np.mean(sq_a)),
@@ -253,6 +252,14 @@ class TestPredict:
             predict_many("perl", [samples[0]], delta=DELTA, params=params)
         with pytest.raises(ConfigError):
             predict_many("warp", [samples[0]], delta=DELTA)
+
+    @pytest.mark.parametrize("variant", ["physics", "nn", "pinn", "perl"])
+    def test_zero_rows_write_an_empty_file(self, variant, tmp_path):
+        _, params, net = self._trained()
+        preds = predict_many(variant, [], delta=DELTA, params=params, net=net)
+        write_records(preds, tmp_path / "p.jsonl")
+        assert (tmp_path / "p.jsonl").read_bytes() == b""
+        assert len(read_records(tmp_path / "p.jsonl")) == 0
 
     def test_predict_many_preserves_order(self):
         samples, params, _ = self._trained()
@@ -387,3 +394,15 @@ def test_prediction_batch_is_a_sequence_of_records():
     for name, col in vars(preds).items():
         got = getattr(again, name)
         assert (col is None and got is None) or got.tobytes() == col.tobytes(), name
+
+
+def test_squared_errors_match_rows_by_id():
+    """Records and truth in other orders score each record against its own
+    sample: a row per record, in the records' order."""
+    samples = make_samples(6, k=3, tb=6, tf=4)
+    preds = predict_many("physics", samples, delta=DELTA, params=NewellParams(w=4.0))
+    sq_a, sq_v = squared_errors(preds, samples, DELTA)
+    assert sq_a.shape == sq_v.shape == (6, 4) and sq_a.any() and sq_v.any()
+    order = [4, 1, 5, 0, 3, 2]
+    got_a, got_v = squared_errors([preds[i] for i in order], samples[::-1], DELTA)
+    assert (got_a.tobytes(), got_v.tobytes()) == (sq_a[order].tobytes(), sq_v[order].tobytes())
