@@ -284,9 +284,7 @@ def _cmd_sweep(args):
     variants = tuple(args.variants.split(","))
     data_sizes = tuple(map(int, args.data_sizes.split(",")))
     seeds = tuple(map(int, args.seeds.split(","))) if args.seeds else (args.seed,)
-    samples, header = read_samples(args.samples)
-    dcfg = _dataset_config(args, header)
-    sweep = SweepConfig(
+    sweep = SweepConfig(  # checks the lists before the samples are read
         variants=variants, data_sizes=data_sizes, seeds=seeds,
         physics_model=args.model, cell=args.cell,
         units1=args.units1, units2=args.units2, dense_units=args.dense_units,
@@ -294,6 +292,8 @@ def _cmd_sweep(args):
         max_epochs=args.max_epochs, batch_size=args.batch_size,
         patience=args.patience, lr=args.lr, mu=args.mu,
     )
+    samples, header = read_samples(args.samples)
+    dcfg = _dataset_config(args, header)
     cells = run_sweep(samples, dcfg, sweep, on_cell=_print_cell)
     paths = write_sweep_outputs(cells, args.out)
     paths += emit_plot_data(cells, args.out)

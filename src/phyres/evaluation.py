@@ -74,8 +74,9 @@ class SweepConfig:
         for variant in self.variants:
             if variant not in VARIANTS:
                 raise ConfigError(f"unknown variant {variant!r}")
-        if min(self.data_sizes) < 1:
-            raise ConfigError(f"data size {min(self.data_sizes)} is below 1")
+        least = 2 if set(self.variants) - {"physics"} else 1  # learned: a train and a val sample
+        if min(self.data_sizes) < least:
+            raise ConfigError(f"data size {min(self.data_sizes)} is below {least}")
 
 
 @dataclass
@@ -87,7 +88,7 @@ class SweepCell:
     train_report: TrainReport | None = None
     calib_report: CalibrationReport | None = None
     error: str | None = None
-    seconds: float | None = None  # wall time of the cell; written to no output
+    seconds: float | None = None  # wall time, with any wait for a CPU; written to no output
 
 
 def _calibrate_subset(subset, model: str, delta: float, seed: int
@@ -146,9 +147,9 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
     settings are checked once, before any fit: a bad one is a ConfigError.
 
     The physics fits and the physics cells run in this process; the learned
-    cells run in forked processes, one per CPU this process may run on and
-    at most one per learned cell.  The cells do not depend on where they
-    ran.  ``on_cell(cell)`` is called as each cell finishes."""
+    cells run in forked processes, one per cell while that makes fewer than
+    two per CPU this process may run on, else one per CPU.  The cells do not
+    depend on where they ran.  ``on_cell(cell)`` is called as each finishes."""
     learned = [v for v in sweep.variants if v != "physics"]
     if learned:  # checks the settings before any fit; each cell builds its own
         training_configs(sweep, dcfg, learned[0], sweep.seeds[0])

@@ -1,9 +1,9 @@
-"""Independent jobs in forked worker processes, at most one per CPU.  They
-inherit the function, its jobs and phyres as imported, so only results are
-pickled; the executor forks them all before it starts its own thread.  Each
-worker holds numpy's OpenBLAS to one thread: the workers already fill the
-CPUs, and a GEMM that OpenBLAS splits across threads would oversubscribe
-them.  ``cli.main`` holds a command's own process to one thread the same way."""
+"""Independent jobs in forked worker processes: one per job while that makes
+fewer than two per CPU, else one per CPU.  They inherit the function, its jobs
+and phyres as imported, so only results are pickled; the executor forks them
+all before it starts its own thread.  Each worker holds numpy's OpenBLAS to one
+thread: the workers already fill the CPUs, and a GEMM split across threads would
+oversubscribe them.  ``cli.main`` holds a command's own process the same way."""
 
 import functools
 import os
@@ -52,7 +52,8 @@ def _run_held(index: int):
 
 
 def workers(n_jobs: int) -> int:
-    return min(len(os.sched_getaffinity(0)), n_jobs)
+    cpus = len(os.sched_getaffinity(0))  # 3 jobs on 2 CPUs end in 1.5 job-times, not 2
+    return n_jobs if n_jobs < 2 * cpus else cpus
 
 
 def completed(fn, jobs: list[tuple]):

@@ -99,6 +99,22 @@ class Allocations:
 
 
 @pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each process pool made while the test runs."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return sizes
+
+
+@pytest.fixture
 def dataset_config():
     return DatasetConfig(delta=0.1, k_vehicles=3, t_back=6, t_fwd=4,
                          omega_train=0.6, omega_val=0.2, seed=0)

@@ -740,6 +740,19 @@ class TestPipeline:
         assert "max_epochs must be >= 1" in _one_error_line(capsys)
         assert not fits and not out.exists()
 
+    def test_sweep_learned_size_1_fails_before_any_read(self, workspace, tmp_path, capsys,
+                                                        monkeypatch):
+        # a learned cell needs one train and one val sample
+        _, _, samples = workspace
+        reads = []
+        monkeypatch.setattr(cli, "read_samples", lambda *a: reads.append(a))
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run(["sweep", "--samples", str(samples), "--out", str(out), "--seed", "0",
+                    "--variants", "physics,perl", "--data-sizes", "1"]) == 2
+        assert _one_error_line(capsys) == "error: data size 1 is below 2"
+        assert not reads and not out.exists()
+
     def test_sweep_bad_net_setting_fails_before_any_fit(self, workspace, tmp_path, capsys,
                                                          monkeypatch):
         _, _, samples = workspace

@@ -104,8 +104,9 @@ class TestSweep:
         ({"variants": ()}, "the variant list is empty"),
         ({"data_sizes": ()}, "the data size list is empty"),
         ({"seeds": ()}, "the seed list is empty"),
+        ({"variants": ("physics", "perl"), "data_sizes": (20, 1)}, "data size 1 is below 2"),
     ], ids=["unknown-variant", "variant", "data-size", "seed", "no-variant", "no-data-size",
-            "no-seed"])
+            "no-seed", "learned-size-1"])
     def test_bad_list_value_rejected(self, lists, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SweepConfig(**lists)
@@ -159,6 +160,13 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(samples, dcfg, sweep)
         assert fits == []
+
+    def test_physics_only_sweep_takes_size_1(self, small_idm_corpus):
+        samples, dcfg, _ = small_idm_corpus
+        sweep = SweepConfig(variants=("physics",), data_sizes=(1,), seeds=(0,),
+                            physics_model="newell")
+        [cell] = run_sweep(samples, dcfg, sweep)
+        assert cell.error is None and cell.data_size == 1
 
     def test_physics_only_sweep_ignores_training_settings(self, small_idm_corpus):
         samples, dcfg, _ = small_idm_corpus
@@ -227,6 +235,13 @@ class TestSweepCalibration:
                     assert c.calib_report is None and c.eval_report is None
 
 
+def _written(cells, out):
+    """The bytes of every file a sweep's outputs and plot data write under ``out``."""
+    write_sweep_outputs(cells, out)
+    emit_plot_data(cells, out)
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
 class TestSweepPool:
     def test_outputs_do_not_depend_on_workers(self, small_idm_corpus, tmp_path,
                                               monkeypatch):
@@ -235,12 +250,25 @@ class TestSweepPool:
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             cells = _four_variant_sweep(samples, dcfg)
-            out = tmp_path / str(len(cpus))
-            write_sweep_outputs(cells, out)
-            emit_plot_data(cells, out)
-            outputs.append({p.relative_to(out): p.read_bytes()
-                            for p in out.rglob("*") if p.is_file()})
+            outputs.append(_written(cells, tmp_path / str(len(cpus))))
         assert len(outputs[0]) == 8 + 4
+        assert outputs[0] == outputs[1]
+
+    def test_three_learned_cells_on_two_cpus_fork_three_workers(self, small_idm_corpus, tmp_path,
+                                                                monkeypatch, pool_sizes):
+        samples, dcfg, _ = small_idm_corpus
+        sweep = SweepConfig(variants=("nn", "pinn", "perl"), data_sizes=(20,), seeds=(3,),
+                            physics_model="idm", cell="gru", units1=4, units2=3,
+                            dense_units=4, max_epochs=1, batch_size=16)
+        outputs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            cells = run_sweep(samples, dcfg, sweep)
+            assert multiprocessing.active_children() == []
+            assert all(c.error is None for c in cells), [c.error for c in cells]
+            outputs.append(_written(cells, tmp_path / str(len(cpus))))
+        assert pool_sizes == [1, 3]
+        assert len(outputs[0]) == 3 + 4
         assert outputs[0] == outputs[1]
 
     def test_no_worker_outlives_the_sweep(self, small_idm_corpus, monkeypatch):

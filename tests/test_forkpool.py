@@ -12,6 +12,14 @@ def _blas_threads(_):
     return forkpool._openblas().scipy_openblas_get_num_threads64_()
 
 
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (1, 2, 1), (2, 2, 2), (3, 2, 3), (4, 2, 2), (6, 2, 2), (5, 1, 1), (7, 4, 7), (8, 4, 4),
+])
+def test_one_worker_per_job_while_fewer_than_two_per_cpu(monkeypatch, jobs, cpus, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert forkpool.workers(jobs) == expected
+
+
 def test_worker_uses_one_blas_thread():
     lib = forkpool._openblas()
     if lib is None:
