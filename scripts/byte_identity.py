@@ -10,7 +10,7 @@ order, in its own working folder, through ``phyres.cli.main`` in one fresh
 interpreter whose ``PYTHONPATH`` is that tree's ``src``:
 
 * synth with both generators, and extract of both corpora;
-* calibrate newell, idm and fvd at seeds 3, 11 and 21, and idm at 3 repetitions;
+* calibrate newell, idm and fvd at seeds 3, 11 and 21;
 * train, predict (``--subset all``) and evaluate for nn, pinn and perl with
   lstm and with gru (pinn and perl on the seed-3 newell calibration);
 * predict (``--subset test``) and evaluate for perl with lstm;
@@ -65,10 +65,6 @@ def matrix() -> list[tuple[str, list[str]]]:
             steps.append((f"calibrate-{model}-s{seed}", [
                 "calibrate", "--samples", samples, "--out", f"cal-{model}-s{seed}/report.json",
                 "--model", model, "--seed", str(seed)]))
-    # 3 repetitions fork one worker per repetition on 2 CPUs, 5 fork one per CPU
-    steps.append(("calibrate-idm-s3-r3", [
-        "calibrate", "--samples", samples, "--out", "cal-idm-s3-r3/report.json",
-        "--model", "idm", "--seed", "3", "--repetitions", "3"]))
     for variant in ("nn", "pinn", "perl"):
         params = [] if variant == "nn" else ["--params-file", NEWELL_PARAMS]
         for cell in ("lstm", "gru"):
@@ -94,6 +90,7 @@ def matrix() -> list[tuple[str, list[str]]]:
                                      "--records", "predict-perl-lstm-test/preds.jsonl",
                                      "--out", "evaluate-perl-lstm-test/metrics.json"]),
     ]
+    # one data size: the three learned cells are even jobs, so they fork 3 workers on 2 CPUs
     for model in ("newell", "idm", "fvd"):
         steps.append((f"sweep-{model}", ["sweep", "--samples", samples, "--out", f"sweep-{model}",
                                          "--seed", "0", "--model", model, "--data-sizes", "300",

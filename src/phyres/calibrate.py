@@ -22,11 +22,10 @@ the best point so far, run one at a time.
 
 Monte-Carlo repetition draws n samples without replacement per repetition
 (repetition-indexed sub-seeds) and reports per-parameter mean and variance.
-IDM and FVD fit them in ``forkpool`` workers, one per repetition while that
-makes fewer than two per CPU and else one per CPU, when that makes two or more;
-a Newell fit (about 4 ms) stays in-process, as forking a pool costs 11-15 ms.
-Neither the report nor the error (that of the lowest failing repetition)
-depends on where the repetitions ran.
+IDM and FVD fit them in ``forkpool`` workers, one per CPU and at most one per
+repetition, when that makes two or more; a Newell fit (about 4 ms) stays
+in-process, as forking a pool costs 11-15 ms.  Neither the report nor the
+error (that of the lowest failing repetition) depends on where they ran.
 
 The Nelder-Mead search and the logistic map are ports of scipy's
 (``minimize(method="Nelder-Mead")``, ``special.expit``) that give their bits,

@@ -147,9 +147,9 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
     settings are checked once, before any fit: a bad one is a ConfigError.
 
     The physics fits and the physics cells run in this process; the learned
-    cells run in forked processes, one per cell while that makes fewer than
-    two per CPU this process may run on, else one per CPU.  The cells do not
-    depend on where they ran.  ``on_cell(cell)`` is called as each finishes."""
+    cells run in forked processes (``forkpool``), as jobs of even cost when
+    they share one data size.  The cells do not depend on where they ran.
+    ``on_cell(cell)`` is called as each finishes."""
     learned = [v for v in sweep.variants if v != "physics"]
     if learned:  # checks the settings before any fit; each cell builds its own
         training_configs(sweep, dcfg, learned[0], sweep.seeds[0])
@@ -185,7 +185,8 @@ def run_sweep(samples, dcfg: DatasetConfig, sweep: SweepConfig, *,
                     finish(run_cell(rows, calibration, variant, seed))
     # largest first: a large cell handed out last would keep one worker busy alone
     jobs.sort(key=lambda job: -len(job[0]))
-    for i, future in forkpool.completed(run_cell, jobs):
+    # cells of one data size cost about the same, so each may take its own worker
+    for i, future in forkpool.completed(run_cell, jobs, even=len(sweep.data_sizes) == 1):
         try:
             cell = future.result()
         except Exception:  # the result was lost, not the cell's own failure

@@ -1,9 +1,11 @@
-"""Independent jobs in forked worker processes: one per job while that makes
-fewer than two per CPU, else one per CPU.  They inherit the function, its jobs
-and phyres as imported, so only results are pickled; the executor forks them
-all before it starts its own thread.  Each worker holds numpy's OpenBLAS to one
-thread: the workers already fill the CPUs, and a GEMM split across threads would
-oversubscribe them.  ``cli.main`` holds a command's own process the same way."""
+"""Independent jobs in forked worker processes, one per CPU and at most one per
+job; jobs of about equal cost (``even``) get one each while that makes fewer
+than two per CPU, so 3 such jobs on 2 CPUs, which the OS shares, end after 1.5
+job-times, not 2 (the bound caps memory; no timing set it).  Workers inherit the
+function, its jobs and phyres as imported, so only results are pickled; the
+executor forks them all before it starts its own thread.  Each holds numpy's
+OpenBLAS to one thread: the workers already fill the CPUs, and a GEMM split
+across threads would oversubscribe them.  ``cli.main`` does so for a command."""
 
 import functools
 import os
@@ -51,22 +53,22 @@ def _run_held(index: int):
     return fn(*jobs[index])
 
 
-def workers(n_jobs: int) -> int:
-    cpus = len(os.sched_getaffinity(0))  # 3 jobs on 2 CPUs end in 1.5 job-times, not 2
-    return n_jobs if n_jobs < 2 * cpus else cpus
+def workers(n_jobs: int, even: bool = False) -> int:
+    cpus = len(os.sched_getaffinity(0))
+    return n_jobs if even and n_jobs < 2 * cpus else min(cpus, n_jobs)
 
 
-def completed(fn, jobs: list[tuple]):
+def completed(fn, jobs: list[tuple], even: bool = False):
     """Yield ``(i, future)`` as ``fn(*jobs[i])`` comes back from
-    ``workers(len(jobs))`` forked processes.  A worker that dies fails each
+    ``workers(len(jobs), even)`` forked processes.  A worker that dies fails each
     job whose result had not come back: its future raises BrokenProcessPool."""
     if not jobs:  # the executor takes no fewer than one worker
         return
     import multiprocessing  # here, so that a command that forks no pool does not import it
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    with ProcessPoolExecutor(workers(len(jobs)), mp_context=multiprocessing.get_context("fork"),
-                             initializer=_hold, initargs=(fn, jobs)) as pool:
+    with ProcessPoolExecutor(workers(len(jobs), even), initializer=_hold, initargs=(fn, jobs),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
         futures = {pool.submit(_run_held, i): i for i in range(len(jobs))}
         for future in as_completed(futures):
             yield futures[future], future

@@ -580,14 +580,16 @@ class TestCalibrationPool:
         assert pools == [3]
         assert reports[0] == reports[1]
 
-    def test_six_repetitions_on_two_cpus_fork_two_workers(self, newell_samples, monkeypatch,
-                                                          pool_sizes):
+    @pytest.mark.parametrize("repetitions", [3, 6])
+    def test_repetitions_on_two_cpus_fork_two_workers(self, newell_samples, monkeypatch,
+                                                      pool_sizes, repetitions):
+        # repetitions are not even jobs: 3 FVD fits on 3 workers ran slower than on 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        cfg = CalibrationConfig(model="idm", sample_size=20, repetitions=6, seed=9,
+        cfg = CalibrationConfig(model="idm", sample_size=20, repetitions=repetitions, seed=9,
                                 nm_maxiter=10)
         report = monte_carlo_calibrate(newell_samples, cfg, DELTA)
         assert pool_sizes == [2]
-        assert len(report.per_repetition) == 6
+        assert len(report.per_repetition) == repetitions
 
     def test_lowest_failing_repetition_raises(self, newell_samples, monkeypatch):
         cfg = CalibrationConfig(model="fvd", sample_size=30, repetitions=3, seed=4,

@@ -131,10 +131,11 @@ class TestSweep:
         """Learned cells go to the workers by data size, largest first, and
         each result still lands on its own cell."""
         samples, dcfg, _ = small_idm_corpus
-        handed = []
+        handed, evens = [], []
 
-        def in_order(fn, jobs):
+        def in_order(fn, jobs, even):
             handed.extend((len(rows), seed) for rows, _, _, seed in jobs)
+            evens.append(even)
             for i, job in enumerate(jobs):
                 future = Future()
                 future.set_result(fn(*job))
@@ -145,6 +146,7 @@ class TestSweep:
                             units1=4, units2=3, dense_units=4, max_epochs=1)
         cells = run_sweep(samples, dcfg, sweep)
         assert handed == [(40, 0), (40, 1), (20, 0), (20, 1)]
+        assert evens == [False]  # two data sizes: cells of unequal cost
         assert [(c.data_size, c.seed, c.train_report.config["seed"]) for c in cells] == [
             (20, 0, 0), (20, 1, 1), (40, 0, 0), (40, 1, 1)]
 
@@ -270,6 +272,18 @@ class TestSweepPool:
         assert pool_sizes == [1, 3]
         assert len(outputs[0]) == 3 + 4
         assert outputs[0] == outputs[1]
+
+    def test_cells_of_three_data_sizes_on_two_cpus_fork_two_workers(self, small_idm_corpus,
+                                                                    monkeypatch, pool_sizes):
+        # unequal cells: largest first on one worker per CPU beats sharing the CPUs
+        samples, dcfg, _ = small_idm_corpus
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        sweep = SweepConfig(variants=("nn",), data_sizes=(20, 30, 40), seeds=(3,),
+                            cell="gru", units1=4, units2=3, dense_units=4, max_epochs=1,
+                            batch_size=16)
+        cells = run_sweep(samples, dcfg, sweep)
+        assert pool_sizes == [2]
+        assert all(c.error is None for c in cells), [c.error for c in cells]
 
     def test_no_worker_outlives_the_sweep(self, small_idm_corpus, monkeypatch):
         samples, dcfg, _ = small_idm_corpus

@@ -15,7 +15,16 @@ def _blas_threads(_):
 @pytest.mark.parametrize("jobs, cpus, expected", [
     (1, 2, 1), (2, 2, 2), (3, 2, 3), (4, 2, 2), (6, 2, 2), (5, 1, 1), (7, 4, 7), (8, 4, 4),
 ])
-def test_one_worker_per_job_while_fewer_than_two_per_cpu(monkeypatch, jobs, cpus, expected):
+def test_even_jobs_get_one_worker_each_while_fewer_than_two_per_cpu(monkeypatch, jobs, cpus,
+                                                                   expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert forkpool.workers(jobs, even=True) == expected
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (1, 2, 1), (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 1, 1), (7, 4, 4), (8, 4, 4),
+])
+def test_other_jobs_get_one_worker_per_cpu(monkeypatch, jobs, cpus, expected):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert forkpool.workers(jobs) == expected
 
